@@ -10,7 +10,6 @@ from .numth import (
     PrimeSet,
     condition_m_check,
     crt_solve,
-    euler_phi,
     gcd,
     is_p_integer,
     lcm_all,
@@ -27,7 +26,6 @@ from .groups import (
     Violation,
     main_decomposition,
     random_spec,
-    regulator_index,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -52,7 +50,6 @@ from .tables import (
     MembershipFailure,
     MembershipVerdict,
     MultTable,
-    border_scaling_check,
     build_product,
     closure_oracle,
     decide_membership,
@@ -75,63 +72,3 @@ from .multgroup import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PrimeSet",
-    "condition_m_check",
-    "crt_solve",
-    "euler_phi",
-    "gcd",
-    "is_p_integer",
-    "lcm_all",
-    "mod_inverse",
-    "p0_inverse",
-    "CRQGroupSpec",
-    "CriticalTypeData",
-    "GenBounds",
-    "GenerationError",
-    "IdempotentType",
-    "MainDecomposition",
-    "Violation",
-    "main_decomposition",
-    "random_spec",
-    "regulator_index",
-    "spec_from_dict",
-    "spec_from_json",
-    "spec_to_dict",
-    "spec_to_json",
-    "validate_spec",
-    "AmbientElement",
-    "GMembership",
-    "basis_element",
-    "element_d",
-    "element_from_dict",
-    "element_to_dict",
-    "in_G",
-    "in_scaled_A_tau",
-    "order_mod_A",
-    "project",
-    "purity_oracle",
-    "purity_witness",
-    "MembershipFailure",
-    "MembershipVerdict",
-    "MultTable",
-    "border_scaling_check",
-    "build_product",
-    "closure_oracle",
-    "decide_membership",
-    "generator_x",
-    "in_M1",
-    "in_M2",
-    "table_from_dict",
-    "table_to_dict",
-    "CosetReport",
-    "CrossBasisReport",
-    "MultGroupDescriptor",
-    "RankLimitError",
-    "RegulatorBlock",
-    "compute_mult_group",
-    "coset_relation",
-    "cross_basis_example",
-    "iterate_mult",
-]

@@ -16,13 +16,11 @@ from .elements import element_from_dict
 from .groups import (
     CRQGroupSpec,
     GenBounds,
-    ensure_valid,
     main_decomposition,
     random_spec,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
-    validate_spec,
 )
 from .multgroup import (
     CosetReport,
@@ -159,7 +157,7 @@ def _cross_report_to_dict(report: CrossBasisReport, seed: int) -> dict:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    violations = validate_spec(spec)
+    violations = spec.violations
     report = {
         "command": "validate",
         "valid": not violations,
@@ -176,7 +174,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    ensure_valid(spec)
     decomposition = main_decomposition(spec)
     report = {
         "command": "describe",

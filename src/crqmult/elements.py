@@ -7,6 +7,7 @@ are dropped, so structural equality is equality of supports and coordinates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -29,6 +30,7 @@ __all__ = [
     "purity_witness",
     "element_to_dict",
     "element_from_dict",
+    "coords_from_json",
 ]
 
 Scalar = Union[int, Fraction]
@@ -267,6 +269,28 @@ def element_to_dict(g: AmbientElement) -> dict[str, list[str]]:
     return {tid: [str(c) for c in vec] for tid, vec in g.blocks}
 
 
+_FRACTION_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def coords_from_json(vec: object, tid: str) -> list[Fraction]:
+    """Coordinate vector from JSON; only a list of integers or fraction strings is accepted."""
+    if not isinstance(vec, list):
+        raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
+    out = []
+    for c in vec:
+        if isinstance(c, bool) or not (
+            isinstance(c, int) or isinstance(c, str) and _FRACTION_STRING.fullmatch(c)
+        ):
+            raise ValueError(
+                f"block {tid!r} has coordinate {c!r}, expected an integer or a fraction string"
+            )
+        try:
+            out.append(Fraction(c))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
+    return out
+
+
 def element_from_dict(data: object) -> AmbientElement:
     if not isinstance(data, dict):
         raise ValueError("element document must be an object")
@@ -274,10 +298,5 @@ def element_from_dict(data: object) -> AmbientElement:
     for tid, vec in data.items():
         if not isinstance(tid, str):
             raise ValueError("block keys must be type ids")
-        if not isinstance(vec, list):
-            raise ValueError(f"block {tid!r} must be a list of fractions")
-        try:
-            blocks[tid] = [Fraction(c) for c in vec]
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
+        blocks[tid] = coords_from_json(vec, tid)
     return AmbientElement.of(blocks)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .numth import (
     PrimeSet,
@@ -35,7 +36,6 @@ __all__ = [
     "Violation",
     "validate_spec",
     "ensure_valid",
-    "regulator_index",
     "MainDecomposition",
     "main_decomposition",
     "GenBounds",
@@ -94,7 +94,11 @@ class CriticalTypeData:
 
 @dataclass(frozen=True)
 class CRQGroupSpec:
-    """Full symbolic description of a group: one entry per critical type."""
+    """Full symbolic description of a group: one entry per critical type.
+
+    The validation result and the id index are computed on first use and kept
+    with the value, so repeated guards on one spec cost an attribute read.
+    """
 
     types: tuple[CriticalTypeData, ...]
 
@@ -117,11 +121,23 @@ class CRQGroupSpec:
         """Regulator index: the order of the cyclic regulator quotient."""
         return lcm_all(d.m for d in self.types)
 
-    def data_for(self, tid: str) -> CriticalTypeData:
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """All rule violations of this spec, empty when it is valid."""
+        return tuple(validate_spec(self))
+
+    @cached_property
+    def _by_id(self) -> dict[str, CriticalTypeData]:
+        index: dict[str, CriticalTypeData] = {}
         for d in self.types:
-            if d.id == tid:
-                return d
-        raise ValueError(f"unknown type id {tid!r}")
+            index.setdefault(d.id, d)
+        return index
+
+    def data_for(self, tid: str) -> CriticalTypeData:
+        try:
+            return self._by_id[tid]
+        except KeyError:
+            raise ValueError(f"unknown type id {tid!r}") from None
 
     def rank_of(self, tid: str) -> int:
         return self.data_for(tid).rank
@@ -193,15 +209,8 @@ def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
 
 def ensure_valid(spec: CRQGroupSpec) -> None:
     """Raise ValueError listing the violations of an invalid spec."""
-    violations = validate_spec(spec)
-    if violations:
-        raise ValueError("invalid spec: " + "; ".join(str(v) for v in violations))
-
-
-def regulator_index(spec: CRQGroupSpec) -> int:
-    """Order of the regulator quotient, the lcm of the per-type invariants."""
-    ensure_valid(spec)
-    return spec.n
+    if spec.violations:
+        raise ValueError("invalid spec: " + "; ".join(str(v) for v in spec.violations))
 
 
 @dataclass(frozen=True)
@@ -210,12 +219,6 @@ class MainDecomposition:
 
     clipped: tuple[str, ...]
     complement: tuple[tuple[str, int], ...]
-
-    def complement_rank(self, tid: str) -> int:
-        for t, k in self.complement:
-            if t == tid:
-                return k
-        raise ValueError(f"unknown type id {tid!r}")
 
 
 def main_decomposition(spec: CRQGroupSpec) -> MainDecomposition:
@@ -312,9 +315,8 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
             s = p0_class_representative(rng.choice(residues), ms[i], inf)
         entries.append(CriticalTypeData(IdempotentType(f"t{i + 1}", inf), ranks[i], ms[i], s))
     spec = CRQGroupSpec.of(entries)
-    violations = validate_spec(spec)
-    if violations:
-        raise GenerationError("generator produced an invalid spec: " + str(violations[0]))
+    if spec.violations:
+        raise GenerationError("generator produced an invalid spec: " + str(spec.violations[0]))
     return spec
 
 
@@ -353,6 +355,8 @@ def spec_from_dict(data: object) -> CRQGroupSpec:
         primes = item["inf_primes"]
         if not isinstance(primes, list) or not all(isinstance(p, int) for p in primes):
             raise ValueError("inf_primes must be a list of integers")
+        if any(isinstance(p, bool) for p in primes):
+            raise ValueError("inf_primes must not contain booleans")
         for key in ("rank", "m", "s"):
             if not isinstance(item[key], int) or isinstance(item[key], bool):
                 raise ValueError(f"{key} must be an integer")

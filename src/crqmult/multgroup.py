@@ -11,7 +11,7 @@ two-basis intersection construction for rank-(1, 1) pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +23,6 @@ from .groups import (
     MainDecomposition,
     ensure_valid,
     main_decomposition,
-    validate_spec,
 )
 from .numth import (
     PrimeSet,
@@ -45,6 +44,7 @@ from .tables import (
     sample_m2_table,
     sample_member_table,
     sample_unscaled_border_table,
+    single_entry_table,
 )
 
 __all__ = [
@@ -106,36 +106,71 @@ class MultGroupDescriptor:
         raise ValueError(f"no basis table for type {tid!r}")
 
 
-def _iterated_coefficient(d: CriticalTypeData, power: int) -> int:
+def _iterated_coefficient(d: CriticalTypeData, k: int) -> int:
     # the canonical inverse depends only on the residue class, so the
     # sequence s, s', s'', ... alternates with period 2 after the first step
-    if d.m == 1 or power == 0:
+    if d.m == 1:
         return d.s
     first = p0_inverse(d.s, d.m, d.inf_primes)
-    if power % 2 == 1:
+    if k % 2 == 1:
         return first
     return p0_inverse(first, d.m, d.inf_primes)
 
 
-def _rank_power(rank: int, exponent: int, max_rank: int) -> Optional[int]:
-    """rank ** exponent when it does not exceed max_rank, else None."""
+def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
+    """rank ** (3 ** k), or None when it exceeds max_rank.
+
+    max_rank None means no bound; compute_mult_group uses that at depth 1.
+
+    A rank of at least 2 gives at least 2 ** (3 ** k), so the exponent is
+    refused as soon as it passes the bit length of the bound, before any big
+    power is built.
+    """
     if rank == 1:
         return 1
-    if exponent * (rank.bit_length() - 1) > max_rank.bit_length():
+    if max_rank is None:
+        return rank ** (3**k)
+    bits = max_rank.bit_length()
+    exponent = 1
+    for _ in range(k):
+        exponent *= 3
+        if exponent > bits:
+            return None
+    if exponent * (rank.bit_length() - 1) > bits:
         return None
     value = rank**exponent
     return value if value <= max_rank else None
 
 
-def _mult_spec(spec: CRQGroupSpec, power: int) -> CRQGroupSpec:
+def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroupDescriptor:
+    """Structure of a valid spec after k applications; tables only when k == 1."""
     entries = []
+    regulator = []
     for d in spec.types:
-        entries.append(
-            CriticalTypeData(
-                d.type, d.rank ** (3**power), d.m, _iterated_coefficient(d, power)
+        rank = _iterated_rank(d.rank, k, max_rank)
+        if rank is None:
+            raise RankLimitError(
+                f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {max_rank}"
             )
-        )
-    return CRQGroupSpec.of(entries)
+        entries.append(CriticalTypeData(d.type, rank, d.m, _iterated_coefficient(d, k)))
+        regulator.append(RegulatorBlock(d.id, rank, d.m * d.m, d.m))
+    new_spec = CRQGroupSpec.of(entries)
+    desc = MultGroupDescriptor(
+        spec=new_spec,
+        regulator=tuple(regulator),
+        decomposition=main_decomposition(new_spec),
+        basis=None,
+        generator=None,
+        depth=k,
+    )
+    if k > 1:
+        return desc
+    clipped = [spec.data_for(tid) for tid in spec.t0_ids]
+    basis = tuple(
+        (d.id, single_entry_table(d.id, d.rank, (0, 0), 0, d.m * d.m)) for d in clipped
+    )
+    inverses = {d.id: new_spec.data_for(d.id).s for d in clipped}
+    return replace(desc, basis=basis, generator=generator_x(spec, inverses))
 
 
 def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
@@ -147,28 +182,7 @@ def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
     and the coset generator scales those by the new coefficients over m.
     """
     ensure_valid(spec)
-    new_spec = _mult_spec(spec, 1)
-    regulator = tuple(
-        RegulatorBlock(d.id, d.rank ** 3, d.m * d.m, d.m) for d in spec.types
-    )
-    basis = []
-    inverses = {}
-    for d in spec.types:
-        if d.m == 1:
-            continue
-        mat = [[[Fraction(0)] * d.rank for _ in range(d.rank)] for _ in range(d.rank)]
-        mat[0][0][0] = Fraction(d.m * d.m)
-        basis.append((d.id, MultTable.of({d.id: mat})))
-        inverses[d.id] = new_spec.data_for(d.id).s
-    generator = generator_x(spec, inverses)
-    return MultGroupDescriptor(
-        spec=new_spec,
-        regulator=regulator,
-        decomposition=main_decomposition(new_spec),
-        basis=tuple(basis),
-        generator=generator,
-        depth=1,
-    )
+    return _structure(spec, 1, None)
 
 
 def iterate_mult(
@@ -182,26 +196,7 @@ def iterate_mult(
     if k < 1:
         raise ValueError(f"iteration depth must be at least 1, got {k}")
     ensure_valid(spec)
-    exponent = 3**k
-    for d in spec.types:
-        if _rank_power(d.rank, exponent, max_rank) is None:
-            raise RankLimitError(
-                f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {max_rank}"
-            )
-    if k == 1:
-        return compute_mult_group(spec)
-    new_spec = _mult_spec(spec, k)
-    regulator = tuple(
-        RegulatorBlock(d.id, d.rank**exponent, d.m * d.m, d.m) for d in spec.types
-    )
-    return MultGroupDescriptor(
-        spec=new_spec,
-        regulator=regulator,
-        decomposition=main_decomposition(new_spec),
-        basis=None,
-        generator=None,
-        depth=k,
-    )
+    return _structure(spec, k, max_rank)
 
 
 @dataclass(frozen=True)
@@ -406,7 +401,7 @@ def cross_basis_example(
     first = CriticalTypeData(IdempotentType("t1", PrimeSet.of(inf1)), 1, m, s1)
     second = CriticalTypeData(IdempotentType("t2", PrimeSet.of(inf2)), 1, m, s2)
     spec_first = CRQGroupSpec.of([first, second])
-    violations = validate_spec(spec_first)
+    violations = spec_first.violations
     if violations:
         raise ValueError("construction produced an invalid spec: " + str(violations[0]))
     spec_second = spec_first.with_coefficients({"t1": 1, "t2": 1})

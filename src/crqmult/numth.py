@@ -19,7 +19,6 @@ __all__ = [
     "mod_inverse",
     "is_prime",
     "prime_factors",
-    "euler_phi",
     "is_p_integer",
     "has_factor_in",
     "coprime_part",
@@ -105,16 +104,6 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def euler_phi(m: int) -> int:
-    """Count of residues in [1, m] coprime to m."""
-    if m < 1:
-        raise ValueError(f"euler_phi requires a positive integer, got {m}")
-    result = m
-    for p in prime_factors(m) if m > 1 else ():
-        result -= result // p
-    return result
 
 
 def is_p_integer(x: int, allowed: Iterable[int]) -> bool:

@@ -21,11 +21,12 @@ from .elements import (
     AmbientElement,
     basis_element,
     check_element_shape,
+    coords_from_json,
     element_d,
     in_G,
     _element_in_A,
 )
-from .groups import CRQGroupSpec, ensure_valid
+from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
 from .numth import crt_solve, fraction_residue, gcd, is_p_integer, mod_inverse
 
 __all__ = [
@@ -33,13 +34,13 @@ __all__ = [
     "MembershipFailure",
     "MembershipVerdict",
     "check_table_shape",
+    "single_entry_table",
     "generator_x",
     "in_M1",
     "in_M2",
     "decide_membership",
     "build_product",
     "closure_oracle",
-    "border_scaling_check",
     "rescale_slot0_coords",
     "random_r_fraction",
     "sample_m2_table",
@@ -173,6 +174,15 @@ def check_table_shape(spec: CRQGroupSpec, table: MultTable) -> None:
             raise ValueError(f"block {tid!r} has size {len(mat)}, expected {data.rank}")
 
 
+def single_entry_table(
+    tid: str, rank: int, entry: tuple[int, int], slot: int, value: Scalar
+) -> MultTable:
+    """Table whose only nonzero coordinate is `value`, at `slot` of one entry of one block."""
+    mat = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    mat[entry[0]][entry[1]][slot] = value
+    return MultTable.of({tid: mat})
+
+
 def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None) -> MultTable:
     """Distinguished coset generator: m * s^{-1} on slot 0 of each clipped corner.
 
@@ -180,7 +190,7 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
     same residue class yields a table in the same coset over the scaled part.
     """
     ensure_valid(spec)
-    blocks = {}
+    table = MultTable.zero()
     for d in spec.types:
         if d.m == 1:
             continue
@@ -190,10 +200,8 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
                 raise ValueError(f"{inv} does not invert {d.s} modulo {d.m}")
         else:
             inv = mod_inverse(d.s, d.m)
-        mat = [[[Fraction(0)] * d.rank for _ in range(d.rank)] for _ in range(d.rank)]
-        mat[0][0][0] = Fraction(d.m * inv)
-        blocks[d.id] = mat
-    return MultTable.of(blocks)
+        table += single_entry_table(d.id, d.rank, (0, 0), 0, d.m * inv)
+    return table
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -218,22 +226,30 @@ def _vector_residues_zero(vec: Vector, modulus: int) -> bool:
     return all(fraction_residue(c, modulus) == 0 for c in vec)
 
 
+def _unscaled_border(d: CriticalTypeData, mat: Matrix) -> Optional[tuple[int, int]]:
+    """First entry of row 0 or column 0 that is not m-scaled, or None.
+
+    Entries are visited as (0, j) then (j, 0) for increasing j, and must
+    already be integral at the type.
+    """
+    for j in range(d.rank):
+        for entry in ((0, j), (j, 0)):
+            if not _vector_residues_zero(mat[entry[0]][entry[1]], d.m):
+                return entry
+    return None
+
+
 def in_M1(spec: CRQGroupSpec, table: MultTable) -> bool:
     """All entries integral, with row 0 and column 0 of clipped types m-scaled."""
     ensure_valid(spec)
     check_table_shape(spec, table)
     if _entries_in_A(spec, table) is not None:
         return False
-    for d in spec.types:
-        if d.m == 1:
-            continue
-        mat = table.matrix(d.id, d.rank)
-        for j in range(d.rank):
-            if not _vector_residues_zero(mat[0][j], d.m):
-                return False
-            if not _vector_residues_zero(mat[j][0], d.m):
-                return False
-    return True
+    return all(
+        _unscaled_border(d, table.matrix(d.id, d.rank)) is None
+        for d in spec.types
+        if d.m > 1
+    )
 
 
 def in_M2(spec: CRQGroupSpec, table: MultTable) -> bool:
@@ -267,19 +283,18 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
         if d.m == 1:
             continue
         mat = table.matrix(d.id, d.rank)
-        for j in range(d.rank):
-            for (i, k), vec in (((0, j), mat[0][j]), ((j, 0), mat[j][0])):
-                if not _vector_residues_zero(vec, d.m):
-                    return MembershipVerdict(
-                        False,
-                        None,
-                        MembershipFailure(
-                            "BORDER_NOT_SCALED",
-                            d.id,
-                            (i, k),
-                            f"entry is not divisible by m = {d.m}",
-                        ),
-                    )
+        entry = _unscaled_border(d, mat)
+        if entry is not None:
+            return MembershipVerdict(
+                False,
+                None,
+                MembershipFailure(
+                    "BORDER_NOT_SCALED",
+                    d.id,
+                    entry,
+                    f"entry is not divisible by m = {d.m}",
+                ),
+            )
         corner = tuple(c / d.m for c in mat[0][0])
         for slot in range(1, d.rank):
             if fraction_residue(corner[slot], d.m) != 0:
@@ -366,31 +381,6 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
             if not _element_in_A(spec, product(d, e)):
                 return False
             if not _element_in_A(spec, product(e, d)):
-                return False
-    return True
-
-
-def border_scaling_check(spec: CRQGroupSpec, table: MultTable) -> bool:
-    """Row 0 and column 0 of every clipped type are m-scaled.
-
-    Every table that defines a multiplication satisfies this; the check is
-    meaningful on tables already accepted by the closure oracle.
-    """
-    ensure_valid(spec)
-    check_table_shape(spec, table)
-    for d in spec.types:
-        if d.m == 1:
-            continue
-        mat = table.matrix(d.id, d.rank)
-        for vec in mat[0]:
-            if not all(
-                is_p_integer((c / d.m).denominator, d.inf_primes) for c in vec
-            ):
-                return False
-        for row in mat:
-            if not all(
-                is_p_integer((c / d.m).denominator, d.inf_primes) for c in row[0]
-            ):
                 return False
     return True
 
@@ -516,17 +506,11 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
         # shifting one corner by m moves its witness by s, which the partner
         # cannot match modulo their common divisor
         target = rng.choice(rng.choice(pairs))
-        bump = [Fraction(0)] * target.rank
-        bump[0] = Fraction(target.m)
+        slot = 0
     else:
         target = rng.choice(wide)
-        bump = [Fraction(0)] * target.rank
-        bump[rng.randrange(1, target.rank)] = Fraction(target.m)
-    mat = [
-        [[Fraction(0)] * target.rank for _ in range(target.rank)] for _ in range(target.rank)
-    ]
-    mat[0][0] = bump
-    return base + MultTable.of({target.id: mat})
+        slot = rng.randrange(1, target.rank)
+    return base + single_entry_table(target.id, target.rank, (0, 0), slot, target.m)
 
 
 def sample_unscaled_border_table(spec: CRQGroupSpec, rng: random.Random) -> Optional[MultTable]:
@@ -539,11 +523,7 @@ def sample_unscaled_border_table(spec: CRQGroupSpec, rng: random.Random) -> Opti
     j = rng.randrange(target.rank)
     position = (0, j) if rng.random() < 0.5 else (j, 0)
     slot = rng.randrange(target.rank)
-    mat = [
-        [[Fraction(0)] * target.rank for _ in range(target.rank)] for _ in range(target.rank)
-    ]
-    mat[position[0]][position[1]][slot] = Fraction(1)
-    return base + MultTable.of({target.id: mat})
+    return base + single_entry_table(target.id, target.rank, position, slot, 1)
 
 
 def table_to_dict(table: MultTable) -> dict:
@@ -557,6 +537,7 @@ def table_to_dict(table: MultTable) -> dict:
 
 
 def table_from_dict(data: object) -> MultTable:
+    """Parse the JSON form; coordinates are integers or fraction strings."""
     if not isinstance(data, dict) or set(data) != {"blocks"}:
         raise ValueError("table document must be an object with a single 'blocks' key")
     raw = data["blocks"]
@@ -568,10 +549,5 @@ def table_from_dict(data: object) -> MultTable:
             raise ValueError("block keys must be type ids")
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise ValueError(f"block {tid!r} must be a matrix")
-        try:
-            blocks[tid] = [
-                [[Fraction(c) for c in vec] for vec in row] for row in mat
-            ]
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"block {tid!r} has a malformed entry: {exc}") from None
+        blocks[tid] = [[coords_from_json(vec, tid) for vec in row] for row in mat]
     return MultTable.of(blocks)

@@ -27,14 +27,12 @@ from crqmult.multgroup import compute_mult_group, coset_relation, cross_basis_ex
 from crqmult.numth import (
     PrimeSet,
     crt_solve,
-    euler_phi,
     is_p_integer,
     lcm_all,
     p0_inverse,
     prime_factors,
 )
 from crqmult.tables import (
-    border_scaling_check,
     closure_oracle,
     decide_membership,
     generator_x,
@@ -44,6 +42,7 @@ from crqmult.tables import (
     sample_member_table,
     sample_unscaled_border_table,
 )
+from reference import border_scaling_check, euler_phi
 
 SPEC_COUNT = 200
 TABLES_PER_SPEC = 20

@@ -13,6 +13,14 @@ from crqmult.tables import (
     table_to_dict,
 )
 
+# rank 2 at t1, so deep iterates overflow the rank bound
+TWO_BLOCK_SPEC = {
+    "types": [
+        {"id": "t1", "inf_primes": [5], "rank": 2, "m": 7, "s": 2},
+        {"id": "t2", "inf_primes": [2], "rank": 1, "m": 7, "s": 3},
+    ]
+}
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -125,6 +133,23 @@ def test_mult_and_iterate(spec_file, capsys):
     # depth pushes the rank past the default budget
     assert main(["iterate", "--spec", str(spec_file), "--k", "64"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_iterate_huge_depth_exits_2(tmp_path, capsys):
+    wide = write_json(tmp_path / "wide.json", TWO_BLOCK_SPEC)
+    assert main(["iterate", "--spec", wide, "--k", str(10**9)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank 2^(3^1000000000)") and err.count("\n") == 1
+
+
+def test_string_vectors_are_an_input_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
+    table = write_json(tmp_path / "t.json", {"blocks": {"t1": [["70", "00"], ["00", "00"]]}})
+    for command in ("check-table", "oracle"):
+        assert main([command, "--spec", spec, "--table", table]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_purity_exit_codes(tmp_path, capsys):

@@ -209,7 +209,15 @@ def test_element_json_round_trip():
     assert data == {"t1": ["2/7", "0"], "t2": ["-3/5"]}
     assert element_from_dict(data) == g
     assert element_from_dict({}) == AmbientElement.zero()
+    parsed = element_from_dict({"t1": [3, "-2/7"]})
+    assert parsed == AmbientElement.of({"t1": [3, Fraction(-2, 7)]})
     with pytest.raises(ValueError):
         element_from_dict({"t1": "nope"})
     with pytest.raises(ValueError):
         element_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("coord", [1.5, True, None, [1], "1.5", "x", " 3", "3 "])
+def test_element_from_dict_rejects_non_fraction_coordinates(coord):
+    with pytest.raises(ValueError):
+        element_from_dict({"t1": [coord, "0"]})

@@ -11,7 +11,6 @@ from crqmult.groups import (
     ensure_valid,
     main_decomposition,
     random_spec,
-    regulator_index,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -77,7 +76,6 @@ def test_regulator_index():
         make_type("t2", [11], 1, 6),
         make_type("t3", [7], 1, 12),
     )
-    assert regulator_index(spec) == 12
     assert spec.n == 12
 
 
@@ -95,6 +93,13 @@ def test_t0_and_lookup():
         spec.data_for("t9")
 
 
+def test_lookup_keeps_the_first_of_repeated_ids():
+    first = make_type("t1", [5], 2, 1)
+    spec = CRQGroupSpec((first, make_type("t1", [3], 1, 1)))
+    assert spec.data_for("t1") is first
+    assert [v.code for v in spec.violations] == ["DUPLICATE_TYPE"]
+
+
 def test_unit_modulus_normalizes_coefficient():
     d = make_type("t1", [5], 2, 1, 0)
     assert d.m == 1 and d.s == 1
@@ -109,7 +114,6 @@ def test_main_decomposition_counts():
     decomp = main_decomposition(spec)
     assert decomp.clipped == ("t1", "t2")
     assert dict(decomp.complement) == {"t1": 1, "t2": 0, "t3": 4}
-    assert decomp.complement_rank("t1") == 1
     # one slot per clipped type is absorbed by the cyclic part
     total = sum(k for _, k in decomp.complement)
     assert total == sum(t.rank for t in spec.types) - len(decomp.clipped)
@@ -132,6 +136,9 @@ def test_spec_from_dict_rejects_bad_shapes():
         spec_from_dict({})
     with pytest.raises(ValueError):
         spec_from_dict({"types": [{"id": "t1"}]})
+    entry = {"id": "t1", "inf_primes": [5, True], "rank": 1, "m": 1, "s": 1}
+    with pytest.raises(ValueError, match="inf_primes must not contain booleans"):
+        spec_from_dict({"types": [entry]})
 
 
 def test_random_spec_is_deterministic():

@@ -122,6 +122,21 @@ def test_iterate_validates_depth_and_rank_budget():
     assert [t.s for t in desc.spec.types] == [2, 3]
 
 
+def test_iterate_huge_depth_is_bounded():
+    # the depth is never turned into 3**k: rank one stays put, and rank two
+    # is refused once 3**k passes the bit length of the bound
+    solo = CRQGroupSpec.of(
+        [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)]
+    )
+    desc = iterate_mult(solo, 10**9)
+    assert desc.depth == 10**9
+    assert [(t.rank, t.s) for t in desc.spec.types] == [(1, 2), (1, 3)]
+    odd = iterate_mult(solo, 10**9 + 1)
+    assert [(t.rank, t.s) for t in odd.spec.types] == [(1, 4), (1, 5)]
+    with pytest.raises(RankLimitError):
+        iterate_mult(two_block_spec(), 10**9)
+
+
 def test_coset_identity_presentation():
     spec = two_block_spec()
     report = coset_relation(spec, 1, AmbientElement.zero(), samples=10, seed=0)

@@ -10,7 +10,6 @@ from crqmult.numth import (
     condition_m_check,
     coprime_part,
     crt_solve,
-    euler_phi,
     fraction_residue,
     has_factor_in,
     is_p_integer,
@@ -21,6 +20,7 @@ from crqmult.numth import (
     p0_inverse,
     prime_factors,
 )
+from reference import euler_phi
 
 
 def test_mod_inverse_frozen_values():

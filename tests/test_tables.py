@@ -10,7 +10,6 @@ from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
 from crqmult.numth import PrimeSet
 from crqmult.tables import (
     MultTable,
-    border_scaling_check,
     build_product,
     closure_oracle,
     decide_membership,
@@ -218,14 +217,14 @@ def test_build_product_is_bilinear():
 
 def test_border_scaling_check():
     spec = two_block_spec()
-    assert border_scaling_check(spec, generator_x(spec))
-    assert border_scaling_check(spec, MultTable.zero())
+    assert in_M1(spec, generator_x(spec))
+    assert in_M1(spec, MultTable.zero())
     rng = random.Random(91)
     unscaled = sample_unscaled_border_table(spec, rng)
-    assert not border_scaling_check(spec, unscaled)
+    assert not in_M1(spec, unscaled)
     # interior entries are unconstrained
     data = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
-    assert border_scaling_check(spec, MultTable.of(data))
+    assert in_M1(spec, MultTable.of(data))
 
 
 def test_rescale_round_trip():
@@ -266,7 +265,45 @@ def test_table_json_round_trip():
     data = table_to_dict(table)
     assert table_from_dict(data) == table
     assert table_from_dict({"blocks": {}}) == MultTable.zero()
+    mixed = table_from_dict(
+        {"blocks": {"t2": [[[35]]], "t1": [[[7, "-14/5"], [0, 0]], [[0, 0], [0, "1"]]]}}
+    )
+    assert mixed.matrix("t1", 2)[0][0] == (Fraction(7), Fraction(-14, 5))
+    assert mixed.matrix("t2", 1)[0][0] == (Fraction(35),)
     with pytest.raises(ValueError):
         table_from_dict({"blocks": {"t1": [[1]]}})
     with pytest.raises(ValueError):
         table_from_dict("nonsense")
+
+
+def test_table_from_dict_rejects_strings_as_vectors():
+    # each string would otherwise be read as a vector of its characters
+    with pytest.raises(ValueError):
+        table_from_dict({"blocks": {"t1": [["70", "00"], ["00", "00"]]}})
+
+
+@pytest.mark.parametrize("coord", [7.0, False, None, {"n": 7}, "7.0", "1e3", "7/0"])
+def test_table_from_dict_rejects_non_fraction_coordinates(coord):
+    data = {"blocks": {"t2": [[[coord]]]}}
+    with pytest.raises(ValueError):
+        table_from_dict(data)
+
+
+def test_spec_is_validated_once(monkeypatch):
+    import crqmult.groups
+
+    calls = []
+    original = crqmult.groups.validate_spec
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    rng = random.Random(6)
+    tables = [sample_member_table(two_block_spec(), rng)[0] for _ in range(10)]
+    monkeypatch.setattr(crqmult.groups, "validate_spec", counting)
+    spec = two_block_spec()
+    for table in tables:
+        assert decide_membership(spec, table).member
+        assert closure_oracle(spec, table)
+    assert len(calls) == 1
