@@ -3,23 +3,26 @@
 An ambient element stores one coordinate vector per critical type, with exact
 rational coordinates over the canonical basis.  Blocks that are entirely zero
 are dropped, so structural equality is equality of supports and coordinates.
+The block container behind it is shared with product tables, which keep one
+cube per type instead of one vector.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Union
 
 from .groups import CRQGroupSpec, ensure_valid
 from .numth import coprime_part, fraction_residue, is_p_integer, lcm_all, mod_inverse, crt_solve
 
 __all__ = [
     "AmbientElement",
+    "Blocks",
     "GMembership",
     "basis_element",
-    "check_element_shape",
     "element_d",
     "project",
     "in_scaled_A_tau",
@@ -34,35 +37,68 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-_Coords = Union[Iterable[Union[int, str, Fraction]], "tuple[Fraction, ...]"]
+
+
+def _leaves(block, depth: int) -> list:
+    """Leaves of a block nested `depth` levels deep, in row-major order."""
+    for _ in range(depth - 1):
+        block = [x for part in block for x in part]
+    return list(block)
+
+
+def _nest(leaves: list, size: int, depth: int) -> tuple:
+    """Inverse of _leaves for a block whose every level has `size` items."""
+    out = tuple(leaves)
+    for _ in range(depth - 1):
+        out = tuple(out[i : i + size] for i in range(0, len(out), size))
+    return out
 
 
 @dataclass(frozen=True)
-class AmbientElement:
-    """Rational coordinate vectors per type, zero blocks dropped."""
+class Blocks:
+    """Exact rational blocks per type id, sorted by id, all-zero blocks dropped.
 
-    blocks: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
+    A block is nested `depth` levels deep and every level of it has the
+    block's length: a vector at depth 1, a cube at depth 3.  Arithmetic runs
+    on the flat list of a block's leaves.
+    """
+
+    blocks: tuple[tuple[str, tuple], ...] = ()
+    depth: ClassVar[int]
 
     @classmethod
-    def of(cls, mapping: Mapping[str, _Coords]) -> "AmbientElement":
-        blocks = []
+    def of(cls, mapping: Mapping[str, Iterable]):
+        """Container from nested iterables per type id; leaves become fractions."""
+        sized = {}
         for tid in sorted(mapping):
-            vec = tuple(Fraction(c) for c in mapping[tid])
-            if any(vec):
-                blocks.append((tid, vec))
-        return cls(tuple(blocks))
+            level = list(mapping[tid])
+            size = len(level)
+            for _ in range(cls.depth - 1):
+                level = [list(part) for part in level]
+                if any(len(part) != size for part in level):
+                    raise ValueError(f"block {tid!r} is not {size} wide at every level")
+                level = [x for part in level for x in part]
+            sized[tid] = (size, [c if type(c) is Fraction else Fraction(c) for c in level])
+        return cls._from_leaves(sized)
 
     @classmethod
-    def zero(cls) -> "AmbientElement":
+    def _from_leaves(cls, sized: Mapping[str, tuple[int, list]]):
+        return cls(
+            tuple(
+                (tid, _nest(leaves, size, cls.depth))
+                for tid, (size, leaves) in sorted(sized.items())
+                if any(leaves)
+            )
+        )
+
+    @classmethod
+    def zero(cls):
         return cls(())
 
-    def as_dict(self) -> dict[str, tuple[Fraction, ...]]:
-        return dict(self.blocks)
-
-    def block(self, tid: str) -> tuple[Fraction, ...]:
-        for t, vec in self.blocks:
+    def block(self, tid: str) -> tuple:
+        for t, b in self.blocks:
             if t == tid:
-                return vec
+                return b
         return ()
 
     @property
@@ -73,32 +109,46 @@ class AmbientElement:
     def is_zero(self) -> bool:
         return not self.blocks
 
-    def _combine(self, other: "AmbientElement", sign: int) -> "AmbientElement":
-        out: dict[str, list[Fraction]] = {t: list(v) for t, v in self.blocks}
-        for t, vec in other.blocks:
-            if t in out:
-                if len(out[t]) != len(vec):
-                    raise ValueError(f"block {t!r} has mismatched lengths")
-                for i, c in enumerate(vec):
-                    out[t][i] += sign * c
-            else:
-                out[t] = [sign * c for c in vec]
-        return AmbientElement.of(out)
+    def check_shape(self, spec: CRQGroupSpec) -> None:
+        """Raise unless every block matches a type of the spec and its rank."""
+        for tid, b in self.blocks:
+            rank = spec.data_for(tid).rank
+            if len(b) != rank:
+                raise ValueError(f"block {tid!r} has size {len(b)}, expected {rank}")
 
-    def __add__(self, other: "AmbientElement") -> "AmbientElement":
-        return self._combine(other, 1)
+    def _combine(self, other: "Blocks", op: Callable):
+        if type(other) is not type(self):
+            return NotImplemented
+        sized = {t: (len(b), _leaves(b, self.depth)) for t, b in self.blocks}
+        for t, b in other.blocks:
+            size, ours = sized.get(t, (len(b), [0] * len(b) ** self.depth))
+            if size != len(b):
+                raise ValueError(f"block {t!r} has mismatched sizes")
+            sized[t] = (size, list(map(op, ours, _leaves(b, self.depth))))
+        return self._from_leaves(sized)
 
-    def __sub__(self, other: "AmbientElement") -> "AmbientElement":
-        return self._combine(other, -1)
+    def __add__(self, other: "Blocks"):
+        return self._combine(other, operator.add)
 
-    def __neg__(self) -> "AmbientElement":
-        return AmbientElement(tuple((t, tuple(-c for c in v)) for t, v in self.blocks))
+    def __sub__(self, other: "Blocks"):
+        return self._combine(other, operator.sub)
 
-    def __mul__(self, scalar: Scalar) -> "AmbientElement":
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, scalar: Scalar):
         factor = Fraction(scalar)
-        return AmbientElement.of({t: [factor * c for c in v] for t, v in self.blocks})
+        return self._from_leaves(
+            {t: (len(b), [factor * c for c in _leaves(b, self.depth)]) for t, b in self.blocks}
+        )
 
     __rmul__ = __mul__
+
+
+class AmbientElement(Blocks):
+    """Rational coordinate vectors per type, zero blocks dropped."""
+
+    depth = 1
 
 
 @dataclass(frozen=True)
@@ -107,16 +157,6 @@ class GMembership:
 
     k: int
     a: AmbientElement
-
-
-def check_element_shape(spec: CRQGroupSpec, g: AmbientElement) -> None:
-    """Raise unless every block of g matches a type and its rank."""
-    for tid, vec in g.blocks:
-        data = spec.data_for(tid)
-        if len(vec) != data.rank:
-            raise ValueError(
-                f"block {tid!r} has {len(vec)} coordinates, expected {data.rank}"
-            )
 
 
 def basis_element(spec: CRQGroupSpec, tid: str, slot: int, coeff: Scalar = 1) -> AmbientElement:
@@ -172,7 +212,7 @@ def in_scaled_A_tau(spec: CRQGroupSpec, g: AmbientElement, tid: str, scale: int)
     data = spec.data_for(tid)
     if any(t != tid for t in g.support):
         raise ValueError(f"element has support outside type {tid!r}")
-    check_element_shape(spec, g)
+    g.check_shape(spec)
     return all(_coord_in_r(c / scale, data.inf_primes) for c in g.block(tid))
 
 
@@ -183,7 +223,7 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     exists because n is the order of d over the regulator.
     """
     ensure_valid(spec)
-    check_element_shape(spec, g)
+    g.check_shape(spec)
     d = element_d(spec)
     current = g
     for k in range(spec.n):
@@ -196,7 +236,7 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
 def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Same decomposition as in_G, with k solved from slot-0 congruences."""
     ensure_valid(spec)
-    check_element_shape(spec, g)
+    g.check_shape(spec)
     congruences = []
     for data in spec.types:
         inf = data.inf_primes
@@ -232,7 +272,7 @@ def order_mod_A(spec: CRQGroupSpec, g: AmbientElement) -> int:
     Per coordinate this is the part of the reduced denominator supported away
     from the infinite primes; the result is the lcm over all coordinates.
     """
-    check_element_shape(spec, g)
+    g.check_shape(spec)
     parts = [1]
     for tid, vec in g.blocks:
         inf = spec.data_for(tid).inf_primes

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .elements import AmbientElement, check_element_shape
+from .elements import AmbientElement
 from .groups import (
     CRQGroupSpec,
     CriticalTypeData,
@@ -251,7 +251,7 @@ def coset_relation(
     agree on sampled tables; otherwise the pair is reported not applicable.
     """
     ensure_valid(spec)
-    check_element_shape(spec, b)
+    b.check_shape(spec)
     if gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")
     t0 = set(spec.t0_ids)
@@ -354,15 +354,12 @@ class CrossBasisReport:
         return self.doubly_scaled_member_both and all(c.ok for c in self.cases)
 
 
-def _fresh_primes(count: int, excluded: set[int]) -> list[int]:
-    out: list[int] = []
+def _fresh_prime(excluded: set[int], avoid: int) -> int:
+    """Least prime outside `excluded` that does not divide `avoid`."""
     candidate = 2
-    while len(out) < count:
-        if is_prime(candidate) and candidate not in excluded:
-            out.append(candidate)
-            excluded.add(candidate)
+    while candidate in excluded or avoid % candidate == 0 or not is_prime(candidate):
         candidate += 1
-    return out
+    return candidate
 
 
 def cross_basis_example(
@@ -392,11 +389,10 @@ def cross_basis_example(
 
     inf1 = set(prime_factors(s1 + m))
     inf2 = set(prime_factors(s2 + m))
-    used = set(inf1) | set(inf2) | set(prime_factors(m * s1 * s2))
     if inf1 <= inf2:
-        inf1.add(_fresh_primes(1, used)[0])
+        inf1.add(_fresh_prime(inf1 | inf2, m * s1 * s2))
     if inf2 <= inf1:
-        inf2.add(_fresh_primes(1, used)[0])
+        inf2.add(_fresh_prime(inf1 | inf2, m * s1 * s2))
 
     first = CriticalTypeData(IdempotentType("t1", PrimeSet.of(inf1)), 1, m, s1)
     second = CriticalTypeData(IdempotentType("t2", PrimeSet.of(inf2)), 1, m, s2)

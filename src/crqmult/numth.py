@@ -110,11 +110,7 @@ def is_p_integer(x: int, allowed: Iterable[int]) -> bool:
     """True when every prime factor of |x| lies in `allowed`; +-1 always passes."""
     if x == 0:
         raise ValueError("0 is not a P-integer for any prime set")
-    x = abs(x)
-    for p in allowed:
-        while x % p == 0:
-            x //= p
-    return x == 1
+    return coprime_part(x, allowed) == 1
 
 
 def has_factor_in(x: int, primes: Iterable[int]) -> bool:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from .elements import (
     AmbientElement,
+    Blocks,
+    Scalar,
     basis_element,
-    check_element_shape,
     coords_from_json,
     element_d,
     in_G,
@@ -33,7 +34,6 @@ __all__ = [
     "MultTable",
     "MembershipFailure",
     "MembershipVerdict",
-    "check_table_shape",
     "single_entry_table",
     "generator_x",
     "in_M1",
@@ -51,100 +51,23 @@ __all__ = [
     "table_from_dict",
 ]
 
-Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Vector, ...], ...]
 
 
-def _zero_matrix(rank: int) -> Matrix:
-    zero_vec = (Fraction(0),) * rank
-    return tuple((zero_vec,) * rank for _ in range(rank))
-
-
-@dataclass(frozen=True)
-class MultTable:
+class MultTable(Blocks):
     """Per-type matrices of basis-product coordinate vectors, zero blocks dropped."""
 
-    blocks: tuple[tuple[str, Matrix], ...] = ()
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, Iterable[Iterable[Iterable[Scalar]]]]) -> "MultTable":
-        blocks = []
-        for tid in sorted(mapping):
-            rows = tuple(
-                tuple(tuple(Fraction(c) for c in vec) for vec in row) for row in mapping[tid]
-            )
-            rank = len(rows)
-            for row in rows:
-                if len(row) != rank:
-                    raise ValueError(f"block {tid!r} is not a square matrix")
-                for vec in row:
-                    if len(vec) != rank:
-                        raise ValueError(
-                            f"block {tid!r} has an entry of length {len(vec)}, expected {rank}"
-                        )
-            if any(c for row in rows for vec in row for c in vec):
-                blocks.append((tid, rows))
-        return cls(tuple(blocks))
-
-    @classmethod
-    def zero(cls) -> "MultTable":
-        return cls(())
-
-    def block(self, tid: str) -> Optional[Matrix]:
-        for t, mat in self.blocks:
-            if t == tid:
-                return mat
-        return None
+    depth = 3
 
     def matrix(self, tid: str, rank: int) -> Matrix:
         stored = self.block(tid)
-        if stored is not None:
-            if len(stored) != rank:
-                raise ValueError(f"block {tid!r} has size {len(stored)}, expected {rank}")
-            return stored
-        return _zero_matrix(rank)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.blocks)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def _combine(self, other: "MultTable", sign: int) -> "MultTable":
-        out: dict[str, list[list[list[Fraction]]]] = {
-            t: [[list(vec) for vec in row] for row in mat] for t, mat in self.blocks
-        }
-        for t, mat in other.blocks:
-            if t in out:
-                if len(out[t]) != len(mat):
-                    raise ValueError(f"block {t!r} has mismatched sizes")
-                for i, row in enumerate(mat):
-                    for j, vec in enumerate(row):
-                        for k, c in enumerate(vec):
-                            out[t][i][j][k] += sign * c
-            else:
-                out[t] = [[[sign * c for c in vec] for vec in row] for row in mat]
-        return MultTable.of(out)
-
-    def __add__(self, other: "MultTable") -> "MultTable":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "MultTable") -> "MultTable":
-        return self._combine(other, -1)
-
-    def __mul__(self, scalar: Scalar) -> "MultTable":
-        factor = Fraction(scalar)
-        return MultTable.of(
-            {
-                t: [[[factor * c for c in vec] for vec in row] for row in mat]
-                for t, mat in self.blocks
-            }
-        )
-
-    __rmul__ = __mul__
+        if not stored:
+            zero_vec = (Fraction(0),) * rank
+            return ((zero_vec,) * rank,) * rank
+        if len(stored) != rank:
+            raise ValueError(f"block {tid!r} has size {len(stored)}, expected {rank}")
+        return stored
 
 
 @dataclass(frozen=True)
@@ -164,14 +87,6 @@ class MembershipVerdict:
     member: bool
     alpha: Optional[tuple[int, int]] = None
     failure: Optional[MembershipFailure] = None
-
-
-def check_table_shape(spec: CRQGroupSpec, table: MultTable) -> None:
-    """Raise unless every stored block matches a type and its rank."""
-    for tid, mat in table.blocks:
-        data = spec.data_for(tid)
-        if len(mat) != data.rank:
-            raise ValueError(f"block {tid!r} has size {len(mat)}, expected {data.rank}")
 
 
 def single_entry_table(
@@ -206,10 +121,7 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
     for d in spec.types:
-        mat = table.block(d.id)
-        if mat is None:
-            continue
-        for i, row in enumerate(mat):
+        for i, row in enumerate(table.block(d.id)):
             for j, vec in enumerate(row):
                 for c in vec:
                     if not is_p_integer(c.denominator, d.inf_primes):
@@ -242,7 +154,7 @@ def _unscaled_border(d: CriticalTypeData, mat: Matrix) -> Optional[tuple[int, in
 def in_M1(spec: CRQGroupSpec, table: MultTable) -> bool:
     """All entries integral, with row 0 and column 0 of clipped types m-scaled."""
     ensure_valid(spec)
-    check_table_shape(spec, table)
+    table.check_shape(spec)
     if _entries_in_A(spec, table) is not None:
         return False
     return all(
@@ -274,7 +186,7 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     The witness alpha is that multiple, reported modulo the regulator index.
     """
     ensure_valid(spec)
-    check_table_shape(spec, table)
+    table.check_shape(spec)
     failure = _entries_in_A(spec, table)
     if failure is not None:
         return MembershipVerdict(False, None, failure)
@@ -330,11 +242,11 @@ def build_product(
 ) -> Callable[[AmbientElement, AmbientElement], AmbientElement]:
     """Bilinear evaluator induced by the table; cross-type terms vanish."""
     ensure_valid(spec)
-    check_table_shape(spec, table)
+    table.check_shape(spec)
 
     def product(g: AmbientElement, h: AmbientElement) -> AmbientElement:
-        check_element_shape(spec, g)
-        check_element_shape(spec, h)
+        g.check_shape(spec)
+        h.check_shape(spec)
         out: dict[str, list[Fraction]] = {}
         for tid in g.support:
             hv = h.block(tid)
@@ -368,7 +280,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     every basis vector land in the regulator.
     """
     ensure_valid(spec)
-    check_table_shape(spec, table)
+    table.check_shape(spec)
     if _entries_in_A(spec, table) is not None:
         return False
     product = build_product(spec, table)
@@ -400,7 +312,7 @@ def rescale_slot0_coords(
     invert=True undoes that.
     """
     ensure_valid(spec)
-    check_table_shape(spec, table)
+    table.check_shape(spec)
     factors: dict[str, Fraction] = {}
     for tid, raw in units.items():
         data = spec.data_for(tid)

@@ -21,6 +21,7 @@ from crqmult.elements import (
 )
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
 from crqmult.numth import PrimeSet
+from crqmult.tables import MultTable
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -52,6 +53,53 @@ def test_element_rejects_mixed_lengths():
     b = AmbientElement.of({"t1": [1]})
     with pytest.raises(ValueError):
         a + b
+
+
+BLOCK_RANKS = {"t1": 2, "t2": 1, "t3": 3}
+
+
+def random_block(rng, rank, depth):
+    if depth == 0:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return [random_block(rng, rank, depth - 1) for _ in range(rank)]
+
+
+def random_blocks(cls, rng):
+    tids = rng.sample(sorted(BLOCK_RANKS), rng.randint(0, len(BLOCK_RANKS)))
+    return cls.of({t: random_block(rng, BLOCK_RANKS[t], cls.depth) for t in tids})
+
+
+@pytest.mark.parametrize("cls", [AmbientElement, MultTable])
+def test_block_container_group_laws(cls):
+    rng = random.Random(3)
+    for _ in range(40):
+        a, b = random_blocks(cls, rng), random_blocks(cls, rng)
+        assert (a + b) - b == a
+        assert (a + (-a)).is_zero
+        assert 2 * a == a + a
+        assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+        assert type(a + b) is cls
+
+
+@pytest.mark.parametrize("cls", [AmbientElement, MultTable])
+def test_block_container_drops_zero_blocks(cls):
+    rng = random.Random(4)
+    while True:
+        a = random_blocks(cls, rng)
+        if "t1" in a.support:
+            break
+    zero_t2 = [[[0]]] if cls.depth == 3 else [0]
+    assert cls.of({"t2": zero_t2}).support == ()
+    assert cls.of({"t2": zero_t2, "t1": a.block("t1")}).support == ("t1",)
+    assert "t1" not in (a - cls.of({"t1": a.block("t1")})).support
+    assert (0 * a).is_zero and a.block("missing") == ()
+
+
+def test_block_container_kinds_never_mix():
+    assert AmbientElement.zero() != MultTable.zero()
+    assert AmbientElement.of({"t1": [0]}) != MultTable.of({"t1": [[[0]]]})
+    with pytest.raises(TypeError):
+        AmbientElement.zero() + MultTable.zero()
 
 
 def test_element_d_standard_form():

@@ -239,6 +239,20 @@ def test_cross_basis_nested_factor_sets_get_fresh_primes():
     assert report.intersection_is_regulator
 
 
+def test_cross_basis_large_prime_scales_stay_fast():
+    # prime scales near 10**9: m * s1 * s2 is never factored, so this takes
+    # milliseconds rather than a trial division up to min(s1, s2)
+    report = cross_basis_example(1000000007, 1000000009, 5, samples_per_case=1)
+    assert report.intersection_is_regulator
+
+    # 1000000363 + 5 and 2 * 1000000363 + 5 + 5 share one factor set; the
+    # fresh primes skip 5, which divides m
+    report = cross_basis_example(1000000363, 2000000731, 5, samples_per_case=1)
+    assert report.inf_primes_1 == (2, 3, 7, 197, 35251)
+    assert report.inf_primes_2 == (2, 3, 11, 197, 35251)
+    assert report.intersection_is_regulator
+
+
 def test_cross_basis_rejects_bad_hypotheses():
     with pytest.raises(ValueError):
         cross_basis_example(2, 3, 5)  # 5 divides 4 - 9

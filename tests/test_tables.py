@@ -63,6 +63,11 @@ def test_table_arithmetic():
 def test_table_shape_validation():
     with pytest.raises(ValueError):
         MultTable.of({"t1": [[[1, 2]], [[3]]]})  # ragged cube
+    cube_1 = MultTable.of({"t1": [[[1]]]})
+    cube_2 = MultTable.of({"t1": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+    for combine in (MultTable.__add__, MultTable.__sub__):
+        with pytest.raises(ValueError):
+            combine(cube_1, cube_2)
 
 
 def test_generator_x_form():
