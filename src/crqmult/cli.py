@@ -8,6 +8,7 @@ structured output is byte-identical for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -16,9 +17,10 @@ from .elements import element_from_dict
 from .groups import (
     CRQGroupSpec,
     GenBounds,
+    MainDecomposition,
     main_decomposition,
     random_spec,
-    spec_from_json,
+    spec_from_dict,
     spec_to_dict,
     spec_to_json,
 )
@@ -57,11 +59,6 @@ def _load_json(path: str) -> object:
         return json.load(handle)
 
 
-def _load_spec(path: str) -> CRQGroupSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return spec_from_json(handle.read())
-
-
 def _spec_summary_lines(spec: CRQGroupSpec) -> list[str]:
     lines = []
     for d in spec.types:
@@ -86,6 +83,13 @@ def _verdict_to_dict(verdict: MembershipVerdict) -> dict:
     return out
 
 
+def _decomposition_to_dict(decomposition: MainDecomposition) -> dict:
+    return {
+        "clipped": list(decomposition.clipped),
+        "complement": dict(decomposition.complement),
+    }
+
+
 def _descriptor_to_dict(desc: MultGroupDescriptor) -> dict:
     return {
         "depth": desc.depth,
@@ -99,10 +103,7 @@ def _descriptor_to_dict(desc: MultGroupDescriptor) -> dict:
             }
             for block in desc.regulator
         ],
-        "decomposition": {
-            "clipped": list(desc.decomposition.clipped),
-            "complement": {tid: k for tid, k in desc.decomposition.complement},
-        },
+        "decomposition": _decomposition_to_dict(desc.decomposition),
         "basis": None
         if desc.basis is None
         else {tid: table_to_dict(table) for tid, table in desc.basis},
@@ -140,23 +141,13 @@ def _cross_report_to_dict(report: CrossBasisReport, seed: int) -> dict:
         "inf_primes_1": list(report.inf_primes_1),
         "inf_primes_2": list(report.inf_primes_2),
         "doubly_scaled_member_both": report.doubly_scaled_member_both,
-        "cases": [
-            {
-                "alpha": c.alpha,
-                "member_first": c.member_first,
-                "rejected_second": c.rejected_second,
-                "member_second": c.member_second,
-                "rejected_first": c.rejected_first,
-                "oracles_consistent": c.oracles_consistent,
-            }
-            for c in report.cases
-        ],
+        "cases": [dataclasses.asdict(c) for c in report.cases],
         "intersection_is_regulator": report.intersection_is_regulator,
     }
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     violations = spec.violations
     report = {
         "command": "validate",
@@ -173,17 +164,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     decomposition = main_decomposition(spec)
     report = {
         "command": "describe",
         "spec": spec_to_dict(spec),
         "regulator_index": spec.n,
         "clipped_types": list(spec.t0_ids),
-        "decomposition": {
-            "clipped": list(decomposition.clipped),
-            "complement": {tid: k for tid, k in decomposition.complement},
-        },
+        "decomposition": _decomposition_to_dict(decomposition),
     }
     lines = [f"regulator index: {spec.n}"]
     lines.extend(_spec_summary_lines(spec))
@@ -197,7 +185,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     desc = compute_mult_group(spec)
     report = {"command": "mult", **_descriptor_to_dict(desc)}
     lines = ["multiplication group structure:"]
@@ -208,7 +196,7 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     desc = iterate_mult(spec, args.k, max_rank=args.max_rank)
     report = {"command": "iterate", **_descriptor_to_dict(desc)}
     lines = [f"structure after {args.k} application(s):"]
@@ -220,7 +208,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_table(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     table = table_from_dict(_load_json(args.table))
     verdict = decide_membership(spec, table)
     report = {"command": "check-table", **_verdict_to_dict(verdict)}
@@ -236,7 +224,7 @@ def _cmd_check_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     table = table_from_dict(_load_json(args.table))
     closed = closure_oracle(spec, table)
     report = {"command": "oracle", "defines_multiplication": closed}
@@ -250,7 +238,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_purity(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     ids = [args.type] if args.type else list(spec.type_ids)
     results = {tid: purity_oracle(spec, tid) for tid in ids}
     report = {"command": "purity", "pure": results}
@@ -262,7 +250,7 @@ def _cmd_purity(args: argparse.Namespace) -> int:
 
 
 def _cmd_coset(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(_load_json(args.spec))
     shift = element_from_dict(_load_json(args.b))
     report_data = coset_relation(
         spec, args.gamma, shift, samples=args.samples, seed=args.seed
@@ -325,43 +313,37 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    with_spec = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_spec.add_argument("--spec", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a spec file")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("validate", parents=[with_spec], help="validate a spec file")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("describe", parents=[common], help="invariants and decomposition")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("describe", parents=[with_spec], help="invariants and decomposition")
     p.set_defaults(handler=_cmd_describe)
 
-    p = sub.add_parser("mult", parents=[common], help="structure of the multiplication group")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("mult", parents=[with_spec], help="structure of the multiplication group")
     p.set_defaults(handler=_cmd_mult)
 
-    p = sub.add_parser("iterate", parents=[common], help="iterated multiplication groups")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("iterate", parents=[with_spec], help="iterated multiplication groups")
     p.add_argument("--k", type=int, required=True, help="number of applications")
     p.add_argument("--max-rank", type=int, default=10**18, help="symbolic rank bound")
     p.set_defaults(handler=_cmd_iterate)
 
-    p = sub.add_parser("check-table", parents=[common], help="membership decision for a table")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("check-table", parents=[with_spec], help="membership decision for a table")
     p.add_argument("--table", required=True)
     p.set_defaults(handler=_cmd_check_table)
 
-    p = sub.add_parser("oracle", parents=[common], help="direct closure check for a table")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("oracle", parents=[with_spec], help="direct closure check for a table")
     p.add_argument("--table", required=True)
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("purity", parents=[common], help="purity of regulator blocks")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("purity", parents=[with_spec], help="purity of regulator blocks")
     p.add_argument("--type", default=None, help="restrict to one type id")
     p.set_defaults(handler=_cmd_purity)
 
-    p = sub.add_parser("coset", parents=[common], help="compare two presentations")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("coset", parents=[with_spec], help="compare two presentations")
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--b", required=True, help="shift element file")
     p.add_argument("--samples", type=int, default=20)

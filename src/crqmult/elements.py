@@ -13,10 +13,10 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .groups import CRQGroupSpec, ensure_valid
-from .numth import coprime_part, fraction_residue, is_p_integer, lcm_all, mod_inverse, crt_solve
+from .numth import coprime_part, crt_solve, fraction_residue, gcd, is_p_integer, lcm_all, mod_inverse
 
 __all__ = [
     "AmbientElement",
@@ -39,11 +39,14 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-def _leaves(block, depth: int) -> list:
-    """Leaves of a block nested `depth` levels deep, in row-major order."""
+def _leaves(block, depth: int) -> Sequence:
+    """Leaves of a block nested `depth` levels deep, in row-major order.
+
+    A depth-1 block is returned as it is, so callers must not mutate the result.
+    """
     for _ in range(depth - 1):
         block = [x for part in block for x in part]
-    return list(block)
+    return block
 
 
 def _nest(leaves: list, size: int, depth: int) -> tuple:
@@ -116,6 +119,21 @@ class Blocks:
             if len(b) != rank:
                 raise ValueError(f"block {tid!r} has size {len(b)}, expected {rank}")
 
+    def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
+        """(type id, leaf index) of the first coordinate outside the regulator, or None.
+
+        A coordinate lies in the regulator block of its type when its
+        denominator has no prime outside the type's infinite primes.
+        """
+        for tid, b in self.blocks:
+            inf = spec.data_for(tid).inf_primes
+            leaves = _leaves(b, self.depth)
+            for c in leaves:
+                if not is_p_integer(c.denominator, inf):
+                    # an equal coordinate earlier in the block would have failed first
+                    return tid, leaves.index(c)
+        return None
+
     def _combine(self, other: "Blocks", op: Callable):
         if type(other) is not type(self):
             return NotImplemented
@@ -171,11 +189,10 @@ def basis_element(spec: CRQGroupSpec, tid: str, slot: int, coeff: Scalar = 1) ->
 
 def _element_d_unchecked(spec: CRQGroupSpec) -> AmbientElement:
     blocks = {}
-    for d in spec.types:
-        if d.m > 1:
-            vec = [Fraction(0)] * d.rank
-            vec[0] = Fraction(d.s, d.m)
-            blocks[d.id] = vec
+    for d in spec.clipped:
+        vec = [Fraction(0)] * d.rank
+        vec[0] = Fraction(d.s, d.m)
+        blocks[d.id] = vec
     return AmbientElement.of(blocks)
 
 
@@ -192,28 +209,15 @@ def project(spec: CRQGroupSpec, g: AmbientElement, tid: str) -> AmbientElement:
     return AmbientElement.of({tid: vec}) if vec else AmbientElement.zero()
 
 
-def _coord_in_r(c: Fraction, inf_primes) -> bool:
-    return is_p_integer(c.denominator, inf_primes)
-
-
-def _element_in_A(spec: CRQGroupSpec, g: AmbientElement) -> bool:
-    for tid, vec in g.blocks:
-        inf = spec.data_for(tid).inf_primes
-        for c in vec:
-            if not _coord_in_r(c, inf):
-                return False
-    return True
-
-
 def in_scaled_A_tau(spec: CRQGroupSpec, g: AmbientElement, tid: str, scale: int) -> bool:
     """True when g, supported on the block of tid, lies in scale * A_tau."""
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
-    data = spec.data_for(tid)
+    spec.data_for(tid)
     if any(t != tid for t in g.support):
         raise ValueError(f"element has support outside type {tid!r}")
     g.check_shape(spec)
-    return all(_coord_in_r(c / scale, data.inf_primes) for c in g.block(tid))
+    return (g * Fraction(1, scale)).outside_regulator(spec) is None
 
 
 def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
@@ -227,43 +231,34 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     d = element_d(spec)
     current = g
     for k in range(spec.n):
-        if _element_in_A(spec, current):
+        if current.outside_regulator(spec) is None:
             return GMembership(k, current)
         current = current - d
     return None
 
 
 def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
-    """Same decomposition as in_G, with k solved from slot-0 congruences."""
+    """Same decomposition as in_G, with k solved from slot-0 congruences.
+
+    Slot 0 of a clipped type forces k * s == m * g_0 modulo m; an absent
+    block forces k == 0 modulo m.
+    """
     ensure_valid(spec)
     g.check_shape(spec)
     congruences = []
-    for data in spec.types:
-        inf = data.inf_primes
-        vec = g.block(data.id)
-        if not vec:
-            continue
-        for i, c in enumerate(vec):
-            if data.m > 1 and i == 0:
-                continue
-            if not _coord_in_r(c, inf):
-                return None
-        if data.m > 1:
-            scaled = data.m * vec[0]
-            if not _coord_in_r(scaled, inf):
-                return None
-            residue = fraction_residue(scaled, data.m)
-            congruences.append((residue * mod_inverse(data.s, data.m) % data.m, data.m))
-    for data in spec.types:
-        # absent clipped blocks still constrain k: k * s/m must land in R_tau
-        if data.m > 1 and not g.block(data.id):
-            congruences.append((0, data.m))
+    for d in spec.clipped:
+        vec = g.block(d.id)
+        scaled = d.m * vec[0] if vec else Fraction(0)
+        if gcd(scaled.denominator, d.m) != 1:
+            # a prime of m lies outside the type's infinite primes
+            return None
+        congruences.append((fraction_residue(scaled, d.m) * mod_inverse(d.s, d.m) % d.m, d.m))
     solution = crt_solve(congruences)
     if solution is None:
         return None
     k = solution[0] % spec.n
     a = g - k * element_d(spec)
-    return GMembership(k, a)
+    return GMembership(k, a) if a.outside_regulator(spec) is None else None
 
 
 def order_mod_A(spec: CRQGroupSpec, g: AmbientElement) -> int:

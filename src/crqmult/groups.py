@@ -111,10 +111,15 @@ class CRQGroupSpec:
     def type_ids(self) -> tuple[str, ...]:
         return tuple(d.id for d in self.types)
 
+    @cached_property
+    def clipped(self) -> tuple[CriticalTypeData, ...]:
+        """Entries of the types with m > 1 (the clipped types), in spec order."""
+        return tuple(d for d in self.types if d.m > 1)
+
     @property
     def t0_ids(self) -> tuple[str, ...]:
-        """Ids of the types with m > 1 (the clipped types)."""
-        return tuple(d.id for d in self.types if d.m > 1)
+        """Ids of the clipped types."""
+        return tuple(d.id for d in self.clipped)
 
     @property
     def n(self) -> int:
@@ -251,6 +256,8 @@ class GenBounds:
 
 
 _M_PRIMES = (2, 3, 5, 7, 11)
+# drawing s lists the residues coprime to m, so generation is linear in max_m
+MAX_GEN_M = 10**5
 
 
 def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
@@ -263,6 +270,8 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
     """
     if bounds.max_types < 1 or bounds.max_rank < 1 or bounds.max_m < 1:
         raise GenerationError(f"bounds must be positive, got {bounds}")
+    if bounds.max_m > MAX_GEN_M:
+        raise GenerationError(f"max_m = {bounds.max_m} exceeds the limit {MAX_GEN_M}")
     if bounds.max_types == 1 and bounds.max_m > 1:
         raise GenerationError("a single type cannot share its prime powers, need max_m == 1")
     pool = sorted(set(bounds.prime_pool))

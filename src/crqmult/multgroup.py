@@ -11,7 +11,7 @@ two-basis intersection construction for rank-(1, 1) pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -62,6 +62,15 @@ __all__ = [
 ]
 
 
+# Bounds on user numbers that drive the work of the checks below: coset
+# verdicts are compared on `samples` tables, the two-basis construction runs
+# closure oracles whose G-membership scan is linear in m for each of m - 1
+# witness values, and it factors s_i + m by trial division.
+MAX_COSET_SAMPLES = 1000
+MAX_CROSS_BASIS_M = 101
+MAX_FACTORED = 10**12
+
+
 class RankLimitError(RuntimeError):
     """Raised when iterated ranks exceed the configured bound."""
 
@@ -84,26 +93,25 @@ class RegulatorBlock:
 class MultGroupDescriptor:
     """Symbolic structure of the group of multiplications.
 
-    `spec` describes it as a group of the same class; `basis` holds, per
-    clipped type, the corner table generating the clipped summand, and
-    `generator` is the distinguished coset generator in its standard form.
-    Both are omitted for deep iterates, whose ranks are kept symbolic.
+    `spec` describes it as a group of the same class, from which its regulator
+    blocks and main decomposition follow; `basis` holds, per clipped type, the
+    corner table generating the clipped summand, and `generator` is the
+    distinguished coset generator in its standard form.  Both are omitted for
+    deep iterates, whose ranks are kept symbolic.
     """
 
     spec: CRQGroupSpec
-    regulator: tuple[RegulatorBlock, ...]
-    decomposition: MainDecomposition
     basis: Optional[tuple[tuple[str, MultTable], ...]]
     generator: Optional[MultTable]
     depth: int = 1
 
-    def basis_table(self, tid: str) -> MultTable:
-        if self.basis is None:
-            raise ValueError("basis tables are not materialized at this depth")
-        for t, table in self.basis:
-            if t == tid:
-                return table
-        raise ValueError(f"no basis table for type {tid!r}")
+    @property
+    def regulator(self) -> tuple[RegulatorBlock, ...]:
+        return tuple(RegulatorBlock(d.id, d.rank, d.m * d.m, d.m) for d in self.spec.types)
+
+    @property
+    def decomposition(self) -> MainDecomposition:
+        return main_decomposition(self.spec)
 
 
 def _iterated_coefficient(d: CriticalTypeData, k: int) -> int:
@@ -145,7 +153,6 @@ def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
 def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroupDescriptor:
     """Structure of a valid spec after k applications; tables only when k == 1."""
     entries = []
-    regulator = []
     for d in spec.types:
         rank = _iterated_rank(d.rank, k, max_rank)
         if rank is None:
@@ -153,24 +160,14 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
                 f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {max_rank}"
             )
         entries.append(CriticalTypeData(d.type, rank, d.m, _iterated_coefficient(d, k)))
-        regulator.append(RegulatorBlock(d.id, rank, d.m * d.m, d.m))
     new_spec = CRQGroupSpec.of(entries)
-    desc = MultGroupDescriptor(
-        spec=new_spec,
-        regulator=tuple(regulator),
-        decomposition=main_decomposition(new_spec),
-        basis=None,
-        generator=None,
-        depth=k,
-    )
     if k > 1:
-        return desc
-    clipped = [spec.data_for(tid) for tid in spec.t0_ids]
+        return MultGroupDescriptor(new_spec, basis=None, generator=None, depth=k)
     basis = tuple(
-        (d.id, single_entry_table(d.id, d.rank, (0, 0), 0, d.m * d.m)) for d in clipped
+        (d.id, single_entry_table(d.id, d.rank, (0, 0), 0, d.m * d.m)) for d in spec.clipped
     )
-    inverses = {d.id: new_spec.data_for(d.id).s for d in clipped}
-    return replace(desc, basis=basis, generator=generator_x(spec, inverses))
+    inverses = {d.id: new_spec.data_for(d.id).s for d in spec.clipped}
+    return MultGroupDescriptor(new_spec, basis=basis, generator=generator_x(spec, inverses))
 
 
 def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
@@ -250,6 +247,8 @@ def coset_relation(
     the inverse of gamma up to doubly scaled tables, and membership verdicts
     agree on sampled tables; otherwise the pair is reported not applicable.
     """
+    if not 1 <= samples <= MAX_COSET_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_COSET_SAMPLES}, got {samples}")
     ensure_valid(spec)
     b.check_shape(spec)
     if gcd(gamma, spec.n) != 1:
@@ -262,25 +261,24 @@ def coset_relation(
             raise ValueError(f"shift element touches a non-clipped slot of type {tid!r}")
 
     s_prime: dict[str, int] = {}
-    for tid in spec.t0_ids:
-        d = spec.data_for(tid)
-        coeff = d.m * (b.block(tid)[0] if b.block(tid) else Fraction(0))
-        shifted = gamma * d.s + coeff
+    for d in spec.clipped:
+        vec = b.block(d.id)
+        shifted = gamma * d.s + d.m * (vec[0] if vec else Fraction(0))
         if shifted.denominator != 1:
             return CosetReport(
                 applicable=False,
-                reason=f"slot numerator {shifted} at type {tid!r} is not an integer",
+                reason=f"slot numerator {shifted} at type {d.id!r} is not an integer",
             )
         value = int(shifted)
         if has_factor_in(value, d.inf_primes):
             return CosetReport(
                 applicable=False,
                 reason=(
-                    f"slot numerator {value} at type {tid!r} has a factor among "
+                    f"slot numerator {value} at type {d.id!r} has a factor among "
                     "the infinite primes"
                 ),
             )
-        s_prime[tid] = value
+        s_prime[d.id] = value
 
     shifted_spec = spec.with_coefficients(s_prime)
     x_shifted = generator_x(shifted_spec)
@@ -386,6 +384,10 @@ def cross_basis_example(
         raise ValueError(f"m = {m} must not divide s1 or s2")
     if (s1 * s1 - s2 * s2) % m == 0:
         raise ValueError(f"m = {m} must not divide s1^2 - s2^2")
+    if m > MAX_CROSS_BASIS_M:
+        raise ValueError(f"m = {m} exceeds the limit {MAX_CROSS_BASIS_M}")
+    if max(s1, s2) + m > MAX_FACTORED:
+        raise ValueError(f"s1 + m and s2 + m must not exceed {MAX_FACTORED}")
 
     inf1 = set(prime_factors(s1 + m))
     inf2 = set(prime_factors(s2 + m))
@@ -406,7 +408,8 @@ def cross_basis_example(
     rng = random.Random(seed)
     cases = []
     for alpha in range(1, m):
-        outcomes = []
+        # one flag per CrossBasisCase field, each required of every trial
+        flags = [True] * 5
         for trial in range(samples_per_case):
             noise = (
                 MultTable.zero() if trial == 0 else sample_m2_table(spec_first, rng)
@@ -432,25 +435,15 @@ def cross_basis_example(
                 and closure_oracle(spec_second, table_second) == v_second.member
                 and closure_oracle(spec_first, table_as_first) == v_back.member
             )
-            outcomes.append(
-                CrossBasisCase(
-                    alpha=alpha,
-                    member_first=v_first.member and v_first.alpha[0] == alpha % m,
-                    rejected_second=not v_cross.member,
-                    member_second=v_second.member and v_second.alpha[0] == alpha % m,
-                    rejected_first=not v_back.member,
-                    oracles_consistent=oracles,
-                )
+            outcome = (
+                v_first.member and v_first.alpha[0] == alpha % m,
+                not v_cross.member,
+                v_second.member and v_second.alpha[0] == alpha % m,
+                not v_back.member,
+                oracles,
             )
-        merged = CrossBasisCase(
-            alpha=alpha,
-            member_first=all(o.member_first for o in outcomes),
-            rejected_second=all(o.rejected_second for o in outcomes),
-            member_second=all(o.member_second for o in outcomes),
-            rejected_first=all(o.rejected_first for o in outcomes),
-            oracles_consistent=all(o.oracles_consistent for o in outcomes),
-        )
-        cases.append(merged)
+            flags = [a and b for a, b in zip(flags, outcome)]
+        cases.append(CrossBasisCase(alpha, *flags))
 
     regulator_table = sample_m2_table(spec_first, rng)
     v_reg_first = decide_membership(spec_first, regulator_table)

@@ -25,7 +25,6 @@ from .elements import (
     coords_from_json,
     element_d,
     in_G,
-    _element_in_A,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
 from .numth import crt_solve, fraction_residue, gcd, is_p_integer, mod_inverse
@@ -106,9 +105,7 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
     """
     ensure_valid(spec)
     table = MultTable.zero()
-    for d in spec.types:
-        if d.m == 1:
-            continue
+    for d in spec.clipped:
         if inverses is not None and d.id in inverses:
             inv = inverses[d.id]
             if (d.s * inv - 1) % d.m != 0:
@@ -120,18 +117,17 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
-    for d in spec.types:
-        for i, row in enumerate(table.block(d.id)):
-            for j, vec in enumerate(row):
-                for c in vec:
-                    if not is_p_integer(c.denominator, d.inf_primes):
-                        return MembershipFailure(
-                            "ENTRY_OUTSIDE_A",
-                            d.id,
-                            (i, j),
-                            f"coordinate {c} is not integral at this type",
-                        )
-    return None
+    found = table.outside_regulator(spec)
+    if found is None:
+        return None
+    tid, leaf = found
+    rank = spec.rank_of(tid)
+    entry, slot = divmod(leaf, rank)
+    i, j = divmod(entry, rank)
+    c = table.block(tid)[i][j][slot]
+    return MembershipFailure(
+        "ENTRY_OUTSIDE_A", tid, (i, j), f"coordinate {c} is not integral at this type"
+    )
 
 
 def _vector_residues_zero(vec: Vector, modulus: int) -> bool:
@@ -157,24 +153,14 @@ def in_M1(spec: CRQGroupSpec, table: MultTable) -> bool:
     table.check_shape(spec)
     if _entries_in_A(spec, table) is not None:
         return False
-    return all(
-        _unscaled_border(d, table.matrix(d.id, d.rank)) is None
-        for d in spec.types
-        if d.m > 1
-    )
+    return all(_unscaled_border(d, table.matrix(d.id, d.rank)) is None for d in spec.clipped)
 
 
 def in_M2(spec: CRQGroupSpec, table: MultTable) -> bool:
     """Border scaling as in_M1 plus m^2-scaling of each clipped corner entry."""
-    if not in_M1(spec, table):
-        return False
-    for d in spec.types:
-        if d.m == 1:
-            continue
-        mat = table.matrix(d.id, d.rank)
-        if not _vector_residues_zero(mat[0][0], d.m * d.m):
-            return False
-    return True
+    return in_M1(spec, table) and all(
+        _vector_residues_zero(table.matrix(d.id, d.rank)[0][0], d.m * d.m) for d in spec.clipped
+    )
 
 
 def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict:
@@ -191,9 +177,7 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     if failure is not None:
         return MembershipVerdict(False, None, failure)
     congruences = []
-    for d in spec.types:
-        if d.m == 1:
-            continue
+    for d in spec.clipped:
         mat = table.matrix(d.id, d.rank)
         entry = _unscaled_border(d, mat)
         if entry is not None:
@@ -290,9 +274,9 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     for data in spec.types:
         for slot in range(data.rank):
             e = basis_element(spec, data.id, slot)
-            if not _element_in_A(spec, product(d, e)):
+            if product(d, e).outside_regulator(spec) is not None:
                 return False
-            if not _element_in_A(spec, product(e, d)):
+            if product(e, d).outside_regulator(spec) is not None:
                 return False
     return True
 
@@ -396,7 +380,7 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
     Returns None when every invariant equals 1, in which case every integral
     table is a member and this stratum is empty.
     """
-    clipped = [spec.data_for(tid) for tid in spec.t0_ids]
+    clipped = spec.clipped
     if not clipped:
         return None
     base, _ = sample_member_table(spec, rng)
@@ -427,11 +411,10 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
 
 def sample_unscaled_border_table(spec: CRQGroupSpec, rng: random.Random) -> Optional[MultTable]:
     """Integral table with one unscaled border entry of a clipped type."""
-    clipped = [spec.data_for(tid) for tid in spec.t0_ids]
-    if not clipped:
+    if not spec.clipped:
         return None
     base = sample_m2_table(spec, rng)
-    target = rng.choice(clipped)
+    target = rng.choice(spec.clipped)
     j = rng.randrange(target.rank)
     position = (0, j) if rng.random() < 0.5 else (j, 0)
     slot = rng.randrange(target.rank)

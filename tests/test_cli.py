@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -140,6 +141,39 @@ def test_iterate_huge_depth_exits_2(tmp_path, capsys):
     assert main(["iterate", "--spec", wide, "--k", str(10**9)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: rank 2^(3^1000000000)") and err.count("\n") == 1
+
+
+# Numbers that would drive unbounded or vacuous work; each is refused up front.
+# 10**20 + 3 meets the two-basis hypotheses with s2 = 3 and m = 7.
+WORK_REFUSALS = {
+    "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
+    "coset-huge-samples": [
+        "coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "1000000000"
+    ],
+    "example27-large-m": ["example27", "--s1", "2", "--s2", "3", "--m", "1009"],
+    "example27-huge-s1": ["example27", "--s1", str(10**20 + 3), "--s2", "3", "--m", "7"],
+    "gen-huge-max-m": ["gen", "--seed", "0", "--max-m", "1000000000000"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(WORK_REFUSALS))
+def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
+    files = {
+        "spec": write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC),
+        "b": write_json(tmp_path / "b.json", {}),
+    }
+    argv = [arg.format(**files) for arg in WORK_REFUSALS[case]]
+    started = time.perf_counter()
+    assert main(argv + ["--format", fmt]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if fmt == "json":
+        assert set(json.loads(captured.err)) == {"error"}
+    else:
+        assert captured.err.startswith("error: ")
 
 
 def test_string_vectors_are_an_input_error(tmp_path, capsys):

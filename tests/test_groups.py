@@ -177,6 +177,9 @@ def test_random_spec_rejects_impossible_bounds():
         random_spec(0, GenBounds(max_types=1, max_rank=1, max_m=6))
     with pytest.raises(GenerationError):
         random_spec(0, GenBounds(max_types=2, max_rank=2, max_m=6, prime_pool=(4,)))
+    with pytest.raises(GenerationError):
+        # drawing s is linear in max_m
+        random_spec(0, GenBounds(max_m=10**12))
 
 
 def test_random_spec_single_type_trivial_quotient():

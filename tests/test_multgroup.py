@@ -77,7 +77,7 @@ def test_structure_generator_and_basis_tables():
         # basis tables are the trivial members of the lattice
         v = decide_membership(spec, table)
         assert v.member and v.alpha == (0, 7)
-    assert desc.basis_table("t1") is not None
+    assert dict(desc.basis)["t1"] is not None
 
 
 def test_structure_without_clipped_types():
@@ -188,6 +188,9 @@ def test_coset_rejects_malformed_input():
     solo_unclipped = AmbientElement.of({"t9": [1]})
     with pytest.raises(ValueError):
         coset_relation(spec, 1, solo_unclipped)
+    for samples in (-5, 0, 1001):
+        with pytest.raises(ValueError):
+            coset_relation(spec, 1, AmbientElement.zero(), samples=samples)
 
 
 def test_coset_witness_relation_on_scaled_tables():
@@ -264,3 +267,7 @@ def test_cross_basis_rejects_bad_hypotheses():
         cross_basis_example(2, 3, 6)  # modulus not prime
     with pytest.raises(ValueError):
         cross_basis_example(2, 3, 3)  # modulus divides a scale
+    with pytest.raises(ValueError):
+        cross_basis_example(2, 3, 1009)  # m - 1 witness values, each an O(m) scan
+    with pytest.raises(ValueError):
+        cross_basis_example(10**20 + 3, 3, 7)  # s1 + m too large to factor
