@@ -28,7 +28,6 @@ from .multgroup import (
     CosetReport,
     CrossBasisReport,
     MultGroupDescriptor,
-    RankLimitError,
     compute_mult_group,
     coset_relation,
     cross_basis_example,
@@ -375,7 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, RankLimitError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         else:

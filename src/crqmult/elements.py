@@ -177,13 +177,13 @@ class GMembership:
     a: AmbientElement
 
 
-def basis_element(spec: CRQGroupSpec, tid: str, slot: int, coeff: Scalar = 1) -> AmbientElement:
-    """coeff times the basis vector of the given type and slot."""
+def basis_element(spec: CRQGroupSpec, tid: str, slot: int) -> AmbientElement:
+    """The basis vector of the given type and slot."""
     data = spec.data_for(tid)
     if not 0 <= slot < data.rank:
         raise ValueError(f"slot {slot} out of range for rank {data.rank}")
     vec = [Fraction(0)] * data.rank
-    vec[slot] = Fraction(coeff)
+    vec[slot] = Fraction(1)
     return AmbientElement.of({tid: vec})
 
 

@@ -24,7 +24,6 @@ from .numth import (
     condition_m_check,
     gcd,
     has_factor_in,
-    is_prime,
     lcm_all,
     p0_class_representative,
 )
@@ -252,9 +251,9 @@ class GenBounds:
     max_types: int = 3
     max_rank: int = 3
     max_m: int = 36
-    prime_pool: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+_PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _M_PRIMES = (2, 3, 5, 7, 11)
 # drawing s lists the residues coprime to m, so generation is linear in max_m
 MAX_GEN_M = 10**5
@@ -274,19 +273,16 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
         raise GenerationError(f"max_m = {bounds.max_m} exceeds the limit {MAX_GEN_M}")
     if bounds.max_types == 1 and bounds.max_m > 1:
         raise GenerationError("a single type cannot share its prime powers, need max_m == 1")
-    pool = sorted(set(bounds.prime_pool))
-    for p in pool:
-        if not is_prime(p):
-            raise GenerationError(f"prime pool member {p} is not prime")
-    if len(pool) < bounds.max_types:
+    if len(_PRIME_POOL) < bounds.max_types:
         raise GenerationError(
-            f"prime pool of size {len(pool)} cannot distinguish {bounds.max_types} types"
+            f"prime pool of size {len(_PRIME_POOL)} cannot distinguish "
+            f"{bounds.max_types} types"
         )
 
     rng = random.Random(seed)
     count = rng.randint(1, bounds.max_types)
-    distinguishing = rng.sample(pool, count)
-    shared_pool = [p for p in pool if p not in distinguishing]
+    distinguishing = rng.sample(_PRIME_POOL, count)
+    shared_pool = [p for p in _PRIME_POOL if p not in distinguishing]
     inf_sets: list[set[int]] = []
     for i in range(count):
         primes = {distinguishing[i]}

@@ -69,10 +69,13 @@ __all__ = [
 MAX_COSET_SAMPLES = 1000
 MAX_CROSS_BASIS_M = 101
 MAX_FACTORED = 10**12
+# Depth-1 basis tables are dense rank^3 cubes, one per clipped type; this
+# bounds the sum of those cubes (two rank-25 types fit, two rank-26 do not).
+MAX_TABLE_COORDS = 32**3
 
 
-class RankLimitError(RuntimeError):
-    """Raised when iterated ranks exceed the configured bound."""
+class RankLimitError(ValueError):
+    """Raised when iterated ranks or depth-1 tables exceed their bound."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,9 @@ def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
 
 def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroupDescriptor:
     """Structure of a valid spec after k applications; tables only when k == 1."""
+    coords = sum(d.rank**3 for d in spec.clipped) if k == 1 else 0
+    if coords > MAX_TABLE_COORDS:
+        raise RankLimitError(f"clipped ranks cubed sum to {coords}, over {MAX_TABLE_COORDS}")
     entries = []
     for d in spec.types:
         rank = _iterated_rank(d.rank, k, max_rank)
@@ -292,7 +298,7 @@ def coset_relation(
     agree = True
     checked = 0
     while checked < samples:
-        for table in _strata_sample(spec, rng):
+        for table in _strata_sample(spec, rng)[: samples - checked]:
             original = decide_membership(spec, table)
             shifted = decide_membership(shifted_spec, table)
             if original.member != shifted.member:
@@ -360,9 +366,7 @@ def _fresh_prime(excluded: set[int], avoid: int) -> int:
     return candidate
 
 
-def cross_basis_example(
-    s1: int, s2: int, m: int, *, seed: int = 0, samples_per_case: int = 2
-) -> CrossBasisReport:
+def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasisReport:
     """Two rank-1 types sharing a prime invariant, probed through two bases.
 
     Requires s1, s2 > 1 coprime, m prime dividing neither s1, s2 nor
@@ -404,29 +408,24 @@ def cross_basis_example(
         raise ValueError("construction produced an invalid spec: " + str(violations[0]))
     spec_second = spec_first.with_coefficients({"t1": 1, "t2": 1})
     units = {"t1": Fraction(s1 + m), "t2": Fraction(s2 + m)}
+    inverse_units = {tid: 1 / w for tid, w in units.items()}
 
     rng = random.Random(seed)
+    zero = MultTable.zero()
     cases = []
     for alpha in range(1, m):
-        # one flag per CrossBasisCase field, each required of every trial
+        noisy = (sample_m2_table(spec_first, rng), sample_m2_table(spec_second, rng))
+        # one flag per CrossBasisCase field, each required of the exact and the noisy trial
         flags = [True] * 5
-        for trial in range(samples_per_case):
-            noise = (
-                MultTable.zero() if trial == 0 else sample_m2_table(spec_first, rng)
-            )
-            table_first = alpha * generator_x(spec_first) + noise
+        for noise_first, noise_second in ((zero, zero), noisy):
+            table_first = alpha * generator_x(spec_first) + noise_first
             v_first = decide_membership(spec_first, table_first)
             table_as_second = rescale_slot0_coords(spec_first, table_first, units)
             v_cross = decide_membership(spec_second, table_as_second)
 
-            noise_second = (
-                MultTable.zero() if trial == 0 else sample_m2_table(spec_second, rng)
-            )
             table_second = alpha * generator_x(spec_second) + noise_second
             v_second = decide_membership(spec_second, table_second)
-            table_as_first = rescale_slot0_coords(
-                spec_first, table_second, units, invert=True
-            )
+            table_as_first = rescale_slot0_coords(spec_first, table_second, inverse_units)
             v_back = decide_membership(spec_first, table_as_first)
 
             oracles = (

@@ -29,9 +29,9 @@ __all__ = [
     "fraction_residue",
 ]
 
-# Witness bases that make Miller-Rabin deterministic for all inputs below
-# 3.3 * 10**24, far beyond anything this package handles.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases; MAX_PRIME_TESTED is the least strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TESTED = 3317044064679887385961981
 
 
 def gcd(a: int, b: int) -> int:
@@ -60,7 +60,9 @@ def mod_inverse(s: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for n below MAX_PRIME_TESTED."""
+    if n >= MAX_PRIME_TESTED:
+        raise ValueError(f"primality is only decided below {MAX_PRIME_TESTED}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -52,6 +52,12 @@ __all__ = [
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Vector, ...], ...]
+# sampled coordinates: |numerator| <= _NUM_BOUND, listed primes up to _MAX_POWER in the
+# denominator, and the shares of nonzero entries and of nonzero coordinates in them
+_NUM_BOUND = 9
+_MAX_POWER = 2
+_ENTRY_DENSITY = 0.7
+_COORD_DENSITY = 0.8
 
 
 class MultTable(Blocks):
@@ -88,13 +94,17 @@ class MembershipVerdict:
     failure: Optional[MembershipFailure] = None
 
 
+def _single_entry_block(rank: int, entry: tuple[int, int], slot: int, value: Scalar) -> list:
+    mat = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    mat[entry[0]][entry[1]][slot] = value
+    return mat
+
+
 def single_entry_table(
     tid: str, rank: int, entry: tuple[int, int], slot: int, value: Scalar
 ) -> MultTable:
     """Table whose only nonzero coordinate is `value`, at `slot` of one entry of one block."""
-    mat = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    mat[entry[0]][entry[1]][slot] = value
-    return MultTable.of({tid: mat})
+    return MultTable.of({tid: _single_entry_block(rank, entry, slot, value)})
 
 
 def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None) -> MultTable:
@@ -104,7 +114,7 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
     same residue class yields a table in the same coset over the scaled part.
     """
     ensure_valid(spec)
-    table = MultTable.zero()
+    blocks = {}
     for d in spec.clipped:
         if inverses is not None and d.id in inverses:
             inv = inverses[d.id]
@@ -112,8 +122,8 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
                 raise ValueError(f"{inv} does not invert {d.s} modulo {d.m}")
         else:
             inv = mod_inverse(d.s, d.m)
-        table += single_entry_table(d.id, d.rank, (0, 0), 0, d.m * inv)
-    return table
+        blocks[d.id] = _single_entry_block(d.rank, (0, 0), 0, d.m * inv)
+    return MultTable.of(blocks)
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -282,18 +292,14 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
 
 
 def rescale_slot0_coords(
-    spec: CRQGroupSpec,
-    table: MultTable,
-    units: Mapping[str, Scalar],
-    *,
-    invert: bool = False,
+    spec: CRQGroupSpec, table: MultTable, units: Mapping[str, Scalar]
 ) -> MultTable:
     """Rewrite entry coordinates after rescaling slot-0 basis vectors by units.
 
     Each unit must be invertible in the localization of its type, so the
-    rescaled vectors generate the same regulator block.  With invert=False the
-    slot-0 coordinate is divided by the unit (coordinates over the new basis);
-    invert=True undoes that.
+    rescaled vectors generate the same regulator block.  The slot-0
+    coordinate is divided by the unit (coordinates over the new basis);
+    reciprocal units undo that.
     """
     ensure_valid(spec)
     table.check_shape(spec)
@@ -308,7 +314,7 @@ def rescale_slot0_coords(
             and is_p_integer(w.denominator, data.inf_primes)
         ):
             raise ValueError(f"{w} is not invertible in the localization of type {tid!r}")
-        factors[tid] = w if invert else 1 / w
+        factors[tid] = 1 / w
     out: dict[str, list[list[list[Fraction]]]] = {}
     for tid, mat in table.blocks:
         rows = [[list(vec) for vec in row] for row in mat]
@@ -320,28 +326,28 @@ def rescale_slot0_coords(
     return MultTable.of(out)
 
 
-def random_r_fraction(
-    rng: random.Random, inf_primes, *, num_bound: int = 9, max_power: int = 2
-) -> Fraction:
+def random_r_fraction(rng: random.Random, inf_primes) -> Fraction:
     """Random element of the localization: integer over a product of listed primes."""
-    num = rng.randint(-num_bound, num_bound)
+    num = rng.randint(-_NUM_BOUND, _NUM_BOUND)
     den = 1
     inf = tuple(inf_primes)
     if inf and rng.random() < 0.5:
-        den = rng.choice(inf) ** rng.randint(1, max_power)
+        den = rng.choice(inf) ** rng.randint(1, _MAX_POWER)
         if len(inf) > 1 and rng.random() < 0.3:
             den *= rng.choice(inf)
     return Fraction(num, den)
 
 
-def _random_vector(rng: random.Random, rank: int, inf, density: float) -> list[Fraction]:
+def _random_entry(rng: random.Random, rank: int, inf) -> list[Fraction]:
+    if rng.random() >= _ENTRY_DENSITY:
+        return [Fraction(0)] * rank
     return [
-        random_r_fraction(rng, inf) if rng.random() < density else Fraction(0)
+        random_r_fraction(rng, inf) if rng.random() < _COORD_DENSITY else Fraction(0)
         for _ in range(rank)
     ]
 
 
-def sample_m2_table(spec: CRQGroupSpec, rng: random.Random, *, density: float = 0.7) -> MultTable:
+def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
     """Random table with scaled borders and doubly scaled corners."""
     ensure_valid(spec)
     blocks = {}
@@ -350,10 +356,7 @@ def sample_m2_table(spec: CRQGroupSpec, rng: random.Random, *, density: float = 
         for i in range(d.rank):
             row = []
             for j in range(d.rank):
-                if rng.random() < density:
-                    vec = _random_vector(rng, d.rank, d.inf_primes, 0.8)
-                else:
-                    vec = [Fraction(0)] * d.rank
+                vec = _random_entry(rng, d.rank, d.inf_primes)
                 if d.m > 1:
                     if i == 0 and j == 0:
                         scale = d.m * d.m

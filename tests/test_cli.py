@@ -143,8 +143,32 @@ def test_iterate_huge_depth_exits_2(tmp_path, capsys):
     assert err.startswith("error: rank 2^(3^1000000000)") and err.count("\n") == 1
 
 
-# Numbers that would drive unbounded or vacuous work; each is refused up front.
-# 10**20 + 3 meets the two-basis hypotheses with s2 = 3 and m = 7.
+# Two clipped rank-48 types: their depth-1 basis tables hold 2 * 48**3 coordinates.
+WIDE_SPEC = {
+    "types": [
+        {"id": "t1", "inf_primes": [5], "rank": 48, "m": 7, "s": 2},
+        {"id": "t2", "inf_primes": [2], "rank": 48, "m": 7, "s": 3},
+    ]
+}
+
+
+def with_inf_prime(p):
+    """TWO_BLOCK_SPEC with p added to the infinite primes of t2."""
+    t1, t2 = TWO_BLOCK_SPEC["types"]
+    return {"types": [t1, {**t2, "inf_primes": [2, p]}]}
+
+
+# Inputs that would drive unbounded or vacuous work, or be misread; each is
+# refused up front.  10**20 + 3 meets the two-basis hypotheses with s2 = 3 and
+# m = 7.  The first listed prime is a strong pseudoprime to the bases 2..37, the
+# second one to the bases 2..41, past which primality is not decided.
+INPUT_FILES = {
+    "spec": TWO_BLOCK_SPEC,
+    "b": {},
+    "wide": WIDE_SPEC,
+    "pseudoprime": with_inf_prime(318665857834031151167461),
+    "past_prime_bound": with_inf_prime(3317044064679887385961981),
+}
 WORK_REFUSALS = {
     "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
     "coset-huge-samples": [
@@ -153,6 +177,10 @@ WORK_REFUSALS = {
     "example27-large-m": ["example27", "--s1", "2", "--s2", "3", "--m", "1009"],
     "example27-huge-s1": ["example27", "--s1", str(10**20 + 3), "--s2", "3", "--m", "7"],
     "gen-huge-max-m": ["gen", "--seed", "0", "--max-m", "1000000000000"],
+    "mult-wide-ranks": ["mult", "--spec", "{wide}"],
+    "iterate-k1-wide-ranks": ["iterate", "--spec", "{wide}", "--k", "1"],
+    "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
+    "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
 }
 
 
@@ -160,8 +188,7 @@ WORK_REFUSALS = {
 @pytest.mark.parametrize("case", sorted(WORK_REFUSALS))
 def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
     files = {
-        "spec": write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC),
-        "b": write_json(tmp_path / "b.json", {}),
+        name: write_json(tmp_path / f"{name}.json", data) for name, data in INPUT_FILES.items()
     }
     argv = [arg.format(**files) for arg in WORK_REFUSALS[case]]
     started = time.perf_counter()

@@ -111,7 +111,7 @@ def test_element_d_standard_form():
 
 def test_basis_element_and_projection():
     spec = two_block_spec()
-    e = basis_element(spec, "t1", 1, Fraction(5, 3))
+    e = Fraction(5, 3) * basis_element(spec, "t1", 1)
     assert e.block("t1") == (Fraction(0), Fraction(5, 3))
     with pytest.raises(ValueError):
         basis_element(spec, "t1", 2)

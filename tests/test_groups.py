@@ -176,7 +176,8 @@ def test_random_spec_rejects_impossible_bounds():
         # a single type cannot satisfy the shared prime power requirement
         random_spec(0, GenBounds(max_types=1, max_rank=1, max_m=6))
     with pytest.raises(GenerationError):
-        random_spec(0, GenBounds(max_types=2, max_rank=2, max_m=6, prime_pool=(4,)))
+        # thirteen pool primes distinguish at most thirteen types
+        random_spec(0, GenBounds(max_types=14, max_rank=1, max_m=6))
     with pytest.raises(GenerationError):
         # drawing s is linear in max_m
         random_spec(0, GenBounds(max_m=10**12))

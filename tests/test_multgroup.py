@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 
 from crqmult.elements import AmbientElement
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType, validate_spec
+from crqmult.groups import (
+    CRQGroupSpec,
+    CriticalTypeData,
+    IdempotentType,
+    random_spec,
+    validate_spec,
+)
 from crqmult.multgroup import (
+    MAX_COSET_SAMPLES,
     RankLimitError,
     compute_mult_group,
     coset_relation,
@@ -137,6 +144,25 @@ def test_iterate_huge_depth_is_bounded():
         iterate_mult(two_block_spec(), 10**9)
 
 
+def test_depth_one_tables_are_bounded():
+    # basis tables are dense rank^3 cubes: two clipped rank-25 types hold
+    # 31250 coordinates and fit under 32**3, two rank-26 types hold 35152
+    def pair(rank):
+        return CRQGroupSpec.of(
+            [make_type("t1", [5], rank, 7, 2), make_type("t2", [2], rank, 7, 3)]
+        )
+
+    assert len(compute_mult_group(pair(25)).basis) == 2
+    with pytest.raises(RankLimitError, match="sum to 35152"):
+        compute_mult_group(pair(26))
+    with pytest.raises(RankLimitError):
+        iterate_mult(pair(26), 1)
+    # deeper iterates build no tables, and unclipped types get none
+    assert iterate_mult(pair(26), 2).basis is None
+    unclipped = CRQGroupSpec.of([make_type("t1", [5], 40, 1), make_type("t2", [2], 40, 1)])
+    assert compute_mult_group(unclipped).basis == ()
+
+
 def test_coset_identity_presentation():
     spec = two_block_spec()
     report = coset_relation(spec, 1, AmbientElement.zero(), samples=10, seed=0)
@@ -193,6 +219,15 @@ def test_coset_rejects_malformed_input():
             coset_relation(spec, 1, AmbientElement.zero(), samples=samples)
 
 
+def test_coset_checks_exactly_the_requested_samples():
+    # random_spec(7) has four strata; whole batches would check 4, 8 and 24
+    spec = random_spec(7)
+    for samples in (1, 5, 21, MAX_COSET_SAMPLES):
+        report = coset_relation(spec, 1, AmbientElement.zero(), samples=samples, seed=3)
+        assert report.samples_checked == samples
+        assert report.witness_doubly_scaled and report.verdicts_agree
+
+
 def test_coset_witness_relation_on_scaled_tables():
     # membership witnesses transform by the scale factor between presentations
     spec = two_block_spec()
@@ -222,12 +257,12 @@ def test_cross_basis_small_case():
 
 
 def test_cross_basis_other_parameterizations():
-    report = cross_basis_example(3, 4, 11, seed=1, samples_per_case=1)
+    report = cross_basis_example(3, 4, 11, seed=1)
     assert report.inf_primes_1 == (2, 7)
     assert report.inf_primes_2 == (3, 5)
     assert report.intersection_is_regulator
 
-    report = cross_basis_example(2, 5, 13, seed=1, samples_per_case=1)
+    report = cross_basis_example(2, 5, 13, seed=1)
     assert report.inf_primes_1 == (3, 5)
     assert report.inf_primes_2 == (2, 3)
     assert report.intersection_is_regulator
@@ -236,7 +271,7 @@ def test_cross_basis_other_parameterizations():
 def test_cross_basis_nested_factor_sets_get_fresh_primes():
     # 3 + 7 and 13 + 7 share the factor set {2, 5}; distinguishing primes keep
     # the two types incomparable
-    report = cross_basis_example(3, 13, 7, seed=2, samples_per_case=1)
+    report = cross_basis_example(3, 13, 7, seed=2)
     assert report.inf_primes_1 == (2, 5, 11)
     assert report.inf_primes_2 == (2, 5, 17)
     assert report.intersection_is_regulator
@@ -245,12 +280,12 @@ def test_cross_basis_nested_factor_sets_get_fresh_primes():
 def test_cross_basis_large_prime_scales_stay_fast():
     # prime scales near 10**9: m * s1 * s2 is never factored, so this takes
     # milliseconds rather than a trial division up to min(s1, s2)
-    report = cross_basis_example(1000000007, 1000000009, 5, samples_per_case=1)
+    report = cross_basis_example(1000000007, 1000000009, 5)
     assert report.intersection_is_regulator
 
     # 1000000363 + 5 and 2 * 1000000363 + 5 + 5 share one factor set; the
     # fresh primes skip 5, which divides m
-    report = cross_basis_example(1000000363, 2000000731, 5, samples_per_case=1)
+    report = cross_basis_example(1000000363, 2000000731, 5)
     assert report.inf_primes_1 == (2, 3, 7, 197, 35251)
     assert report.inf_primes_2 == (2, 3, 11, 197, 35251)
     assert report.intersection_is_regulator

@@ -74,6 +74,18 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(2**32 + 1)
 
 
+def test_is_prime_rejects_strong_pseudoprimes_and_refuses_past_its_bound():
+    # a strong pseudoprime to every prime base up to 37
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(399165290221 * 798330580441)
+    # the least strong pseudoprime to every prime base up to 41, and beyond
+    for n in (3317044064679887385961981, 10**30 + 57):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        PrimeSet.of([5, 3317044064679887385961981])
+
+
 def test_prime_factors():
     assert prime_factors(1) == {}
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}

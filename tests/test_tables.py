@@ -1,13 +1,14 @@
 """Multiplication tables, the layered filtration, and the membership decision."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from crqmult.elements import AmbientElement, basis_element, element_d, in_G
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
-from crqmult.numth import PrimeSet
+from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
     MultTable,
     build_product,
@@ -22,6 +23,7 @@ from crqmult.tables import (
     sample_m2_table,
     sample_member_table,
     sample_unscaled_border_table,
+    single_entry_table,
     table_from_dict,
     table_to_dict,
 )
@@ -87,6 +89,23 @@ def test_generator_x_accepts_any_inverse_in_the_class():
     assert in_M2(spec, shifted - generator_x(spec))
     with pytest.raises(ValueError):
         generator_x(spec, inverses={"t1": 3, "t2": 5})  # 3 is not inverse to 2
+
+
+def test_generator_x_is_linear_in_clipped_types():
+    # 800 rank-1 types with m = 3, each distinguished by its own prime
+    primes = [p for p in range(5, 7000) if is_prime(p)][:800]
+    spec = CRQGroupSpec.of(
+        make_type(f"t{i:03d}", [p], 1, 3, 1 + i % 2) for i, p in enumerate(primes)
+    )
+    assert len(spec.clipped) == 800 and spec.violations == ()
+    started = time.perf_counter()
+    x = generator_x(spec)
+    assert time.perf_counter() - started < 0.5
+    # s is its own inverse modulo 3; summed pairwise, so the reference is not quadratic
+    tables = [single_entry_table(d.id, 1, (0, 0), 0, 3 * d.s) for d in spec.clipped]
+    while len(tables) > 1:
+        tables = [sum(tables[i : i + 2], MultTable.zero()) for i in range(0, len(tables), 2)]
+    assert x == tables[0]
 
 
 def test_filtration_layers():
@@ -238,7 +257,7 @@ def test_rescale_round_trip():
     table, _ = sample_member_table(spec, rng)
     units = {"t1": Fraction(5), "t2": Fraction(1, 2)}
     forward = rescale_slot0_coords(spec, table, units)
-    back = rescale_slot0_coords(spec, forward, units, invert=True)
+    back = rescale_slot0_coords(spec, forward, {tid: 1 / w for tid, w in units.items()})
     assert back == table
     with pytest.raises(ValueError):
         rescale_slot0_coords(spec, table, {"t1": Fraction(3)})  # 3 not a unit there
