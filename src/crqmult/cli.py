@@ -11,9 +11,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .elements import element_from_dict
 from .groups import (
     CRQGroupSpec,
     GenBounds,
@@ -24,23 +23,12 @@ from .groups import (
     spec_to_dict,
     spec_to_json,
 )
-from .multgroup import (
-    CosetReport,
-    CrossBasisReport,
-    MultGroupDescriptor,
-    compute_mult_group,
-    coset_relation,
-    cross_basis_example,
-    iterate_mult,
-)
-from .tables import (
-    MembershipVerdict,
-    closure_oracle,
-    decide_membership,
-    table_from_dict,
-    table_to_dict,
-)
-from .elements import purity_oracle
+
+# Each handler imports the table and multiplication-group layers it uses, so a
+# run of `validate`, `describe` or `gen` does not load them.
+if TYPE_CHECKING:
+    from .multgroup import CosetReport, CrossBasisReport, MultGroupDescriptor
+    from .tables import MembershipVerdict
 
 __all__ = ["main"]
 
@@ -90,6 +78,8 @@ def _decomposition_to_dict(decomposition: MainDecomposition) -> dict:
 
 
 def _descriptor_to_dict(desc: MultGroupDescriptor) -> dict:
+    from .tables import table_to_dict
+
     return {
         "depth": desc.depth,
         "spec": spec_to_dict(desc.spec),
@@ -111,6 +101,8 @@ def _descriptor_to_dict(desc: MultGroupDescriptor) -> dict:
 
 
 def _coset_report_to_dict(report: CosetReport, gamma: int, seed: int) -> dict:
+    from .tables import table_to_dict
+
     out: dict = {
         "gamma": gamma,
         "seed": seed,
@@ -184,6 +176,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
+    from .multgroup import compute_mult_group
+
     spec = spec_from_dict(_load_json(args.spec))
     desc = compute_mult_group(spec)
     report = {"command": "mult", **_descriptor_to_dict(desc)}
@@ -195,6 +189,8 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    from .multgroup import iterate_mult
+
     spec = spec_from_dict(_load_json(args.spec))
     desc = iterate_mult(spec, args.k, max_rank=args.max_rank)
     report = {"command": "iterate", **_descriptor_to_dict(desc)}
@@ -207,6 +203,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_table(args: argparse.Namespace) -> int:
+    from .tables import decide_membership, table_from_dict
+
     spec = spec_from_dict(_load_json(args.spec))
     table = table_from_dict(_load_json(args.table))
     verdict = decide_membership(spec, table)
@@ -223,6 +221,8 @@ def _cmd_check_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .tables import closure_oracle, table_from_dict
+
     spec = spec_from_dict(_load_json(args.spec))
     table = table_from_dict(_load_json(args.table))
     closed = closure_oracle(spec, table)
@@ -237,6 +237,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_purity(args: argparse.Namespace) -> int:
+    from .elements import purity_oracle
+
     spec = spec_from_dict(_load_json(args.spec))
     ids = [args.type] if args.type else list(spec.type_ids)
     results = {tid: purity_oracle(spec, tid) for tid in ids}
@@ -249,6 +251,9 @@ def _cmd_purity(args: argparse.Namespace) -> int:
 
 
 def _cmd_coset(args: argparse.Namespace) -> int:
+    from .elements import element_from_dict
+    from .multgroup import coset_relation
+
     spec = spec_from_dict(_load_json(args.spec))
     shift = element_from_dict(_load_json(args.b))
     report_data = coset_relation(
@@ -271,6 +276,8 @@ def _cmd_coset(args: argparse.Namespace) -> int:
 
 
 def _cmd_example27(args: argparse.Namespace) -> int:
+    from .multgroup import cross_basis_example
+
     report_data = cross_basis_example(args.s1, args.s2, args.m, seed=args.seed)
     report = {"command": "example27", **_cross_report_to_dict(report_data, args.seed)}
     lines = [

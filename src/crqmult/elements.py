@@ -5,18 +5,25 @@ rational coordinates over the canonical basis.  Blocks that are entirely zero
 are dropped, so structural equality is equality of supports and coordinates.
 The block container behind it is shared with product tables, which keep one
 cube per type instead of one vector.
+
+A block is kept as one positive denominator and a flat tuple of integer
+numerators in row-major order, reduced so that the denominator and the
+numerators have no common factor.  That form is unique for each value, and
+arithmetic and the regulator test run on integers; `block` and `blocks`
+rebuild the coordinates as fractions for readers.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .groups import CRQGroupSpec, ensure_valid
-from .numth import coprime_part, crt_solve, fraction_residue, gcd, is_p_integer, lcm_all, mod_inverse
+from .numth import coprime_part, crt_solve, fraction_residue, gcd, lcm_all, mod_inverse
 
 __all__ = [
     "AmbientElement",
@@ -37,24 +44,32 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-
-
-def _leaves(block, depth: int) -> Sequence:
-    """Leaves of a block nested `depth` levels deep, in row-major order.
-
-    A depth-1 block is returned as it is, so callers must not mutate the result.
-    """
-    for _ in range(depth - 1):
-        block = [x for part in block for x in part]
-    return block
+# (size, denominator, numerators) of one stored block
+Part = tuple[int, int, tuple[int, ...]]
 
 
 def _nest(leaves: list, size: int, depth: int) -> tuple:
-    """Inverse of _leaves for a block whose every level has `size` items."""
+    """Nested tuples of a block whose every level has `size` items, from its flat leaves."""
     out = tuple(leaves)
     for _ in range(depth - 1):
         out = tuple(out[i : i + size] for i in range(0, len(out), size))
     return out
+
+
+def _reduced(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Denominator and numerators with their common factor divided out."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(x // g for x in nums)
+
+
+def _common_form(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Reduced block form of the coordinates nums[i] / dens[i], dens positive."""
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, tuple(nums)
+    return _reduced(den, [x * (den // d) for x, d in zip(nums, dens)])
 
 
 @dataclass(frozen=True)
@@ -62,41 +77,81 @@ class Blocks:
     """Exact rational blocks per type id, sorted by id, all-zero blocks dropped.
 
     A block is nested `depth` levels deep and every level of it has the
-    block's length: a vector at depth 1, a cube at depth 3.  Arithmetic runs
-    on the flat list of a block's leaves.
+    block's length: a vector at depth 1, a cube at depth 3.  `parts` holds
+    one (type id, size, denominator, numerators) entry per nonzero block.
     """
 
-    blocks: tuple[tuple[str, tuple], ...] = ()
+    parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()
     depth: ClassVar[int]
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable]):
-        """Container from nested iterables per type id; leaves become fractions."""
-        sized = {}
+        """Container from nested iterables of integers or fractions per type id."""
+        coords = {}
         for tid in sorted(mapping):
             level = list(mapping[tid])
             size = len(level)
             for _ in range(cls.depth - 1):
                 level = [list(part) for part in level]
                 if any(len(part) != size for part in level):
-                    raise ValueError(f"block {tid!r} is not {size} wide at every level")
+                    raise cls._ragged(tid, size)
                 level = [x for part in level for x in part]
-            sized[tid] = (size, [c if type(c) is Fraction else Fraction(c) for c in level])
-        return cls._from_leaves(sized)
+            level = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in level]
+            coords[tid] = (size, [c.numerator for c in level], [c.denominator for c in level])
+        return cls.from_coords(coords)
+
+    @staticmethod
+    def _ragged(tid: str, size: int) -> ValueError:
+        return ValueError(f"block {tid!r} is not {size} wide at every level")
 
     @classmethod
-    def _from_leaves(cls, sized: Mapping[str, tuple[int, list]]):
-        return cls(
-            tuple(
-                (tid, _nest(leaves, size, cls.depth))
-                for tid, (size, leaves) in sorted(sized.items())
-                if any(leaves)
-            )
-        )
+    def from_coords(
+        cls, coords: Mapping[str, tuple[int, list[int], list[int]]], ragged: Iterable[str] = ()
+    ):
+        """Container from (size, numerators, denominators) per type id.
+
+        `ragged` names the blocks that are not `size` wide at every level;
+        the least of them is refused, as `of` refuses it.
+        """
+        ragged = sorted(ragged)
+        if ragged:
+            raise cls._ragged(ragged[0], coords[ragged[0]][0])
+        parts = []
+        for tid in sorted(coords):
+            size, nums, dens = coords[tid]
+            den, flat = _common_form(nums, dens)
+            if any(flat):
+                parts.append((tid, size, den, flat))
+        return cls(tuple(parts))
+
+    @classmethod
+    def from_parts(cls, parts: Mapping[str, tuple[int, int, Sequence[int]]]):
+        """Container from (size, denominator, numerators) per type id, not yet reduced."""
+        out = []
+        for tid in sorted(parts):
+            size, den, nums = parts[tid]
+            if any(nums):
+                out.append((tid, size, *_reduced(den, nums)))
+        return cls(tuple(out))
 
     @classmethod
     def zero(cls):
         return cls(())
+
+    def part(self, tid: str) -> Optional[Part]:
+        """(size, denominator, numerators) of the block of tid, or None when it is zero."""
+        for t, size, den, nums in self.parts:
+            if t == tid:
+                return size, den, nums
+        return None
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[str, tuple], ...]:
+        """(type id, nested block of fractions) per nonzero block."""
+        return tuple(
+            (tid, _nest([Fraction(x, den) for x in nums], size, self.depth))
+            for tid, size, den, nums in self.parts
+        )
 
     def block(self, tid: str) -> tuple:
         for t, b in self.blocks:
@@ -106,58 +161,74 @@ class Blocks:
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.blocks)
+        return tuple(p[0] for p in self.parts)
 
     @property
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.parts
 
     def check_shape(self, spec: CRQGroupSpec) -> None:
         """Raise unless every block matches a type of the spec and its rank."""
-        for tid, b in self.blocks:
+        for tid, size, _, _ in self.parts:
             rank = spec.data_for(tid).rank
-            if len(b) != rank:
-                raise ValueError(f"block {tid!r} has size {len(b)}, expected {rank}")
+            if size != rank:
+                raise ValueError(f"block {tid!r} has size {size}, expected {rank}")
 
     def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
 
         A coordinate lies in the regulator block of its type when its
-        denominator has no prime outside the type's infinite primes.
+        denominator has no prime outside the type's infinite primes.  The
+        block denominator is the lcm of those denominators, so the leaves are
+        only scanned when it fails.
         """
-        for tid, b in self.blocks:
+        for tid, _, den, nums in self.parts:
+            if den == 1:
+                continue
             inf = spec.data_for(tid).inf_primes
-            leaves = _leaves(b, self.depth)
-            for c in leaves:
-                if not is_p_integer(c.denominator, inf):
-                    # an equal coordinate earlier in the block would have failed first
-                    return tid, leaves.index(c)
+            if coprime_part(den, inf) == 1:
+                continue
+            for i, x in enumerate(nums):
+                if coprime_part(den // math.gcd(x, den), inf) != 1:
+                    return tid, i
         return None
 
-    def _combine(self, other: "Blocks", op: Callable):
+    def _combine(self, other: "Blocks", sign: int):
         if type(other) is not type(self):
             return NotImplemented
-        sized = {t: (len(b), _leaves(b, self.depth)) for t, b in self.blocks}
-        for t, b in other.blocks:
-            size, ours = sized.get(t, (len(b), [0] * len(b) ** self.depth))
-            if size != len(b):
-                raise ValueError(f"block {t!r} has mismatched sizes")
-            sized[t] = (size, list(map(op, ours, _leaves(b, self.depth))))
-        return self._from_leaves(sized)
+        out = {tid: (size, den, nums) for tid, size, den, nums in self.parts}
+        for tid, size, den, nums in other.parts:
+            mine = out.get(tid)
+            if mine is None:
+                out[tid] = (size, den, nums if sign > 0 else [-x for x in nums])
+                continue
+            if mine[0] != size:
+                raise ValueError(f"block {tid!r} has mismatched sizes")
+            _, d1, n1 = mine
+            if d1 == den:
+                combined = [x + sign * y for x, y in zip(n1, nums)]
+            else:
+                g = math.gcd(d1, den)
+                a, b = den // g, d1 // g
+                combined = [x * a + sign * b * y for x, y in zip(n1, nums)]
+                den = d1 * a
+            out[tid] = (size, den, combined)
+        return self.from_parts(out)
 
     def __add__(self, other: "Blocks"):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Blocks"):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self * -1
 
     def __mul__(self, scalar: Scalar):
-        factor = Fraction(scalar)
-        return self._from_leaves(
-            {t: (len(b), [factor * c for c in _leaves(b, self.depth)]) for t, b in self.blocks}
+        factor = scalar if type(scalar) is Fraction else Fraction(scalar)
+        p, q = factor.numerator, factor.denominator
+        return self.from_parts(
+            {tid: (size, den * q, [p * x for x in nums]) for tid, size, den, nums in self.parts}
         )
 
     __rmul__ = __mul__
@@ -182,18 +253,15 @@ def basis_element(spec: CRQGroupSpec, tid: str, slot: int) -> AmbientElement:
     data = spec.data_for(tid)
     if not 0 <= slot < data.rank:
         raise ValueError(f"slot {slot} out of range for rank {data.rank}")
-    vec = [Fraction(0)] * data.rank
-    vec[slot] = Fraction(1)
-    return AmbientElement.of({tid: vec})
+    nums = [0] * data.rank
+    nums[slot] = 1
+    return AmbientElement(((tid, data.rank, 1, tuple(nums)),))
 
 
 def _element_d_unchecked(spec: CRQGroupSpec) -> AmbientElement:
-    blocks = {}
-    for d in spec.clipped:
-        vec = [Fraction(0)] * d.rank
-        vec[0] = Fraction(d.s, d.m)
-        blocks[d.id] = vec
-    return AmbientElement.of(blocks)
+    return AmbientElement.from_parts(
+        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
+    )
 
 
 def element_d(spec: CRQGroupSpec) -> AmbientElement:
@@ -205,8 +273,8 @@ def element_d(spec: CRQGroupSpec) -> AmbientElement:
 def project(spec: CRQGroupSpec, g: AmbientElement, tid: str) -> AmbientElement:
     """Component of g in the block of one type."""
     spec.data_for(tid)
-    vec = g.block(tid)
-    return AmbientElement.of({tid: vec}) if vec else AmbientElement.zero()
+    part = g.part(tid)
+    return AmbientElement(((tid, *part),)) if part else AmbientElement.zero()
 
 
 def in_scaled_A_tau(spec: CRQGroupSpec, g: AmbientElement, tid: str, scale: int) -> bool:
@@ -265,14 +333,11 @@ def order_mod_A(spec: CRQGroupSpec, g: AmbientElement) -> int:
     """Least t >= 1 with t*g in the regulator.
 
     Per coordinate this is the part of the reduced denominator supported away
-    from the infinite primes; the result is the lcm over all coordinates.
+    from the infinite primes; the lcm over a block is that part of the block
+    denominator, and the result is the lcm over all blocks.
     """
     g.check_shape(spec)
-    parts = [1]
-    for tid, vec in g.blocks:
-        inf = spec.data_for(tid).inf_primes
-        parts.extend(coprime_part(c.denominator, inf) for c in vec)
-    return lcm_all(parts)
+    return lcm_all(coprime_part(den, spec.data_for(tid).inf_primes) for tid, _, den, _ in g.parts)
 
 
 def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:
@@ -304,34 +369,52 @@ def element_to_dict(g: AmbientElement) -> dict[str, list[str]]:
     return {tid: [str(c) for c in vec] for tid, vec in g.blocks}
 
 
-_FRACTION_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# ASCII digits only: [0-9], unlike \d, matches no other script's digits
+_FRACTION_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def coords_from_json(vec: object, tid: str) -> list[Fraction]:
-    """Coordinate vector from JSON; only a list of integers or fraction strings is accepted."""
+def coords_from_json(vec: object, tid: str, nums: list[int], dens: list[int]) -> None:
+    """Append the numerators and denominators of a JSON coordinate vector.
+
+    Only a list of integers or fraction strings is accepted; denominators
+    may be unreduced but not zero.
+    """
     if not isinstance(vec, list):
         raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
-    out = []
+    match = _FRACTION_STRING.fullmatch
     for c in vec:
-        if isinstance(c, bool) or not (
-            isinstance(c, int) or isinstance(c, str) and _FRACTION_STRING.fullmatch(c)
-        ):
-            raise ValueError(
-                f"block {tid!r} has coordinate {c!r}, expected an integer or a fraction string"
-            )
-        try:
-            out.append(Fraction(c))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
-    return out
+        if isinstance(c, str):
+            found = match(c)
+            if found is not None:
+                num, den = found.groups()
+                try:
+                    nums.append(int(num))
+                    dens.append(1 if den is None else int(den))
+                except ValueError as exc:
+                    raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
+                if dens[-1] == 0:
+                    raise ValueError(
+                        f"block {tid!r} has a malformed coordinate: Fraction({nums[-1]}, 0)"
+                    )
+                continue
+        elif isinstance(c, int) and not isinstance(c, bool):
+            nums.append(int(c))
+            dens.append(1)
+            continue
+        raise ValueError(
+            f"block {tid!r} has coordinate {c!r}, expected an integer or a fraction string"
+        )
 
 
 def element_from_dict(data: object) -> AmbientElement:
     if not isinstance(data, dict):
         raise ValueError("element document must be an object")
-    blocks = {}
+    coords = {}
     for tid, vec in data.items():
         if not isinstance(tid, str):
             raise ValueError("block keys must be type ids")
-        blocks[tid] = coords_from_json(vec, tid)
-    return AmbientElement.of(blocks)
+        nums: list[int] = []
+        dens: list[int] = []
+        coords_from_json(vec, tid, nums, dens)
+        coords[tid] = (len(nums), nums, dens)
+    return AmbientElement.from_coords(coords)

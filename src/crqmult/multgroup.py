@@ -72,6 +72,10 @@ MAX_FACTORED = 10**12
 # Depth-1 basis tables are dense rank^3 cubes, one per clipped type; this
 # bounds the sum of those cubes (two rank-25 types fit, two rank-26 do not).
 MAX_TABLE_COORDS = 32**3
+# Every sampled coset table fills a dense rank^3 cube for every type; this
+# bounds samples times the sum of those cubes (1000 samples of three rank-3
+# types fit, 20 samples of two rank-16 types do not).
+MAX_SAMPLED_COORDS = 10**5
 
 
 class RankLimitError(ValueError):
@@ -256,6 +260,12 @@ def coset_relation(
     if not 1 <= samples <= MAX_COSET_SAMPLES:
         raise ValueError(f"samples must be between 1 and {MAX_COSET_SAMPLES}, got {samples}")
     ensure_valid(spec)
+    coords = samples * sum(d.rank**3 for d in spec.types)
+    if coords > MAX_SAMPLED_COORDS:
+        raise ValueError(
+            f"samples times the cubed ranks come to {coords} coordinates, "
+            f"over {MAX_SAMPLED_COORDS}"
+        )
     b.check_shape(spec)
     if gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PrimeSet",
@@ -193,10 +195,15 @@ def condition_m_check(ms: Mapping[object, int]) -> bool:
     for v in values:
         if v < 1:
             raise ValueError(f"invariants must be positive, got {v}")
+    # suffix[i] is the lcm of values[i:]; the running prefix is that of values[:i]
+    suffix = [1] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        suffix[i] = math.lcm(values[i], suffix[i + 1])
+    prefix = 1
     for i, v in enumerate(values):
-        rest = lcm_all(values[:i] + values[i + 1 :])
-        if rest % v != 0:
+        if math.lcm(prefix, suffix[i + 1]) % v != 0:
             return False
+        prefix = math.lcm(prefix, v)
     return True
 
 

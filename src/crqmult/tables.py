@@ -15,11 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .elements import (
     AmbientElement,
     Blocks,
+    Part,
     Scalar,
     basis_element,
     coords_from_json,
@@ -27,7 +28,7 @@ from .elements import (
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
-from .numth import crt_solve, fraction_residue, gcd, is_p_integer, mod_inverse
+from .numth import crt_solve, gcd, is_p_integer, mod_inverse
 
 __all__ = [
     "MultTable",
@@ -131,29 +132,38 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
     if found is None:
         return None
     tid, leaf = found
-    rank = spec.rank_of(tid)
-    entry, slot = divmod(leaf, rank)
-    i, j = divmod(entry, rank)
-    c = table.block(tid)[i][j][slot]
+    size, den, nums = table.part(tid)
+    entry, slot = divmod(leaf, size)
+    i, j = divmod(entry, size)
+    c = Fraction(nums[leaf], den)
     return MembershipFailure(
         "ENTRY_OUTSIDE_A", tid, (i, j), f"coordinate {c} is not integral at this type"
     )
 
 
-def _vector_residues_zero(vec: Vector, modulus: int) -> bool:
-    return all(fraction_residue(c, modulus) == 0 for c in vec)
+# Once every entry is integral at its type, the block denominator is a product
+# of the type's infinite primes and so a unit modulo m: a coordinate x / den
+# is divisible by a power of m exactly when its numerator x is.
 
 
-def _unscaled_border(d: CriticalTypeData, mat: Matrix) -> Optional[tuple[int, int]]:
+def _entry_scaled(nums: Sequence[int], start: int, size: int, modulus: int) -> bool:
+    return not any(x % modulus for x in nums[start : start + size])
+
+
+def _unscaled_border(d: CriticalTypeData, part: Optional[Part]) -> Optional[tuple[int, int]]:
     """First entry of row 0 or column 0 that is not m-scaled, or None.
 
     Entries are visited as (0, j) then (j, 0) for increasing j, and must
     already be integral at the type.
     """
-    for j in range(d.rank):
-        for entry in ((0, j), (j, 0)):
-            if not _vector_residues_zero(mat[entry[0]][entry[1]], d.m):
-                return entry
+    if part is None:
+        return None
+    size, _, nums = part
+    for j in range(size):
+        if not _entry_scaled(nums, j * size, size, d.m):
+            return 0, j
+        if not _entry_scaled(nums, j * size * size, size, d.m):
+            return j, 0
     return None
 
 
@@ -163,14 +173,18 @@ def in_M1(spec: CRQGroupSpec, table: MultTable) -> bool:
     table.check_shape(spec)
     if _entries_in_A(spec, table) is not None:
         return False
-    return all(_unscaled_border(d, table.matrix(d.id, d.rank)) is None for d in spec.clipped)
+    return all(_unscaled_border(d, table.part(d.id)) is None for d in spec.clipped)
 
 
 def in_M2(spec: CRQGroupSpec, table: MultTable) -> bool:
     """Border scaling as in_M1 plus m^2-scaling of each clipped corner entry."""
-    return in_M1(spec, table) and all(
-        _vector_residues_zero(table.matrix(d.id, d.rank)[0][0], d.m * d.m) for d in spec.clipped
-    )
+    if not in_M1(spec, table):
+        return False
+    for d in spec.clipped:
+        part = table.part(d.id)
+        if part is not None and not _entry_scaled(part[2], 0, d.rank, d.m * d.m):
+            return False
+    return True
 
 
 def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict:
@@ -188,8 +202,8 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
         return MembershipVerdict(False, None, failure)
     congruences = []
     for d in spec.clipped:
-        mat = table.matrix(d.id, d.rank)
-        entry = _unscaled_border(d, mat)
+        part = table.part(d.id)
+        entry = _unscaled_border(d, part)
         if entry is not None:
             return MembershipVerdict(
                 False,
@@ -201,9 +215,13 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
                     f"entry is not divisible by m = {d.m}",
                 ),
             )
-        corner = tuple(c / d.m for c in mat[0][0])
+        if part is None:
+            congruences.append((0, d.m))
+            continue
+        _, den, nums = part
+        # the reduced corner is the corner over m; its residues are x / m times 1 / den
         for slot in range(1, d.rank):
-            if fraction_residue(corner[slot], d.m) != 0:
+            if nums[slot] % (d.m * d.m):
                 return MembershipVerdict(
                     False,
                     None,
@@ -214,7 +232,7 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
                         f"slot {slot} of the reduced corner is nonzero modulo {d.m}",
                     ),
                 )
-        alpha_t = fraction_residue(corner[0], d.m) * d.s % d.m
+        alpha_t = nums[0] // d.m * mod_inverse(den, d.m) * d.s % d.m
         congruences.append((alpha_t, d.m))
     solution = crt_solve(congruences)
     if solution is None:
@@ -237,31 +255,33 @@ def build_product(
     """Bilinear evaluator induced by the table; cross-type terms vanish."""
     ensure_valid(spec)
     table.check_shape(spec)
+    cubes = {tid: (den, nums) for tid, _, den, nums in table.parts}
 
     def product(g: AmbientElement, h: AmbientElement) -> AmbientElement:
         g.check_shape(spec)
         h.check_shape(spec)
-        out: dict[str, list[Fraction]] = {}
-        for tid in g.support:
-            hv = h.block(tid)
-            if not hv:
+        out: dict[str, tuple[int, int, list[int]]] = {}
+        for tid, size, g_den, g_nums in g.parts:
+            h_part = h.part(tid)
+            cube = cubes.get(tid)
+            if h_part is None or cube is None:
                 continue
-            gv = g.block(tid)
-            rank = spec.rank_of(tid)
-            mat = table.matrix(tid, rank)
-            acc = [Fraction(0)] * rank
-            for i, gi in enumerate(gv):
+            _, h_den, h_nums = h_part
+            t_den, t_nums = cube
+            acc = [0] * size
+            for i, gi in enumerate(g_nums):
                 if not gi:
                     continue
-                for j, hj in enumerate(hv):
+                for j, hj in enumerate(h_nums):
                     if not hj:
                         continue
                     coeff = gi * hj
-                    for k, c in enumerate(mat[i][j]):
+                    start = (i * size + j) * size
+                    for k, c in enumerate(t_nums[start : start + size]):
                         if c:
                             acc[k] += coeff * c
-            out[tid] = acc
-        return AmbientElement.of(out)
+            out[tid] = (size, g_den * h_den * t_den, acc)
+        return AmbientElement.from_parts(out)
 
     return product
 
@@ -441,11 +461,23 @@ def table_from_dict(data: object) -> MultTable:
     raw = data["blocks"]
     if not isinstance(raw, dict):
         raise ValueError("'blocks' must map type ids to matrices")
-    blocks = {}
+    coords = {}
+    ragged = []
     for tid, mat in raw.items():
         if not isinstance(tid, str):
             raise ValueError("block keys must be type ids")
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise ValueError(f"block {tid!r} must be a matrix")
-        blocks[tid] = [[coords_from_json(vec, tid) for vec in row] for row in mat]
-    return MultTable.of(blocks)
+        size = len(mat)
+        nums: list[int] = []
+        dens: list[int] = []
+        wide = True
+        for row in mat:
+            wide = wide and len(row) == size
+            for vec in row:
+                coords_from_json(vec, tid, nums, dens)
+                wide = wide and len(vec) == size
+        if not wide:
+            ragged.append(tid)
+        coords[tid] = (size, nums, dens)
+    return MultTable.from_coords(coords, ragged)

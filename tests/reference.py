@@ -4,7 +4,9 @@ Each function computes a fact by a different route from the library's own,
 so acceptance criteria can check one against the other.
 """
 
-from crqmult.numth import is_p_integer, prime_factors
+from fractions import Fraction
+
+from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
 
 
 def euler_phi(m):
@@ -33,3 +35,76 @@ def border_scaling_check(spec, table):
             if not all(is_p_integer((c / d.m).denominator, d.inf_primes) for c in vec):
                 return False
     return True
+
+
+# -- Fraction reference for the integer block kernel ---------------------------
+#
+# A reference container is a dict from type id to the flat row-major list of a
+# block's coordinates as Fractions, with all-zero blocks left out.
+
+
+def ref_drop_zero(blocks):
+    return {tid: leaves for tid, leaves in blocks.items() if any(leaves)}
+
+
+def ref_combine(a, b, sign):
+    out = dict(a)
+    for tid, leaves in b.items():
+        mine = out.get(tid, [Fraction(0)] * len(leaves))
+        out[tid] = [x + sign * y for x, y in zip(mine, leaves)]
+    return ref_drop_zero(out)
+
+
+def ref_scale(a, scalar):
+    return ref_drop_zero({tid: [scalar * x for x in leaves] for tid, leaves in a.items()})
+
+
+def ref_outside_regulator(spec, a):
+    """(type id, leaf index) of the first coordinate whose reduced denominator
+    has a prime outside the type's infinite primes, in type id order."""
+    for tid in sorted(a):
+        inf = spec.data_for(tid).inf_primes
+        for i, c in enumerate(a[tid]):
+            if not is_p_integer(c.denominator, inf):
+                return tid, i
+    return None
+
+
+def ref_decide(spec, cubes):
+    """Membership decision on Fraction coordinates, reduced with fraction_residue.
+
+    `cubes` maps type ids to flat row-major cubes.  Returns (member, alpha,
+    failure code, failure type, failure entry, failure detail).
+    """
+    found = ref_outside_regulator(spec, cubes)
+    if found is not None:
+        tid, leaf = found
+        rank = spec.rank_of(tid)
+        entry = divmod(leaf // rank, rank)
+        c = cubes[tid][leaf]
+        return (False, None, "ENTRY_OUTSIDE_A", tid, entry,
+                f"coordinate {c} is not integral at this type")
+    congruences = []
+    for d in spec.clipped:
+        r = d.rank
+        cube = cubes.get(d.id, [Fraction(0)] * r**3)
+
+        def vec(i, j):
+            return cube[(i * r + j) * r : (i * r + j + 1) * r]
+
+        for j in range(r):
+            for entry in ((0, j), (j, 0)):
+                if any(fraction_residue(c, d.m) for c in vec(*entry)):
+                    return (False, None, "BORDER_NOT_SCALED", d.id, entry,
+                            f"entry is not divisible by m = {d.m}")
+        corner = [c / d.m for c in vec(0, 0)]
+        for slot in range(1, r):
+            if fraction_residue(corner[slot], d.m):
+                return (False, None, "CORNER_RESIDUE", d.id, (0, 0),
+                        f"slot {slot} of the reduced corner is nonzero modulo {d.m}")
+        congruences.append((fraction_residue(corner[0], d.m) * d.s % d.m, d.m))
+    solution = crt_solve(congruences)
+    if solution is None:
+        return (False, None, "ALPHA_INCONSISTENT", None, None,
+                "corner congruences admit no common witness")
+    return (True, (solution[0] % spec.n, spec.n), None, None, None, "")

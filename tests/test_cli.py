@@ -7,7 +7,7 @@ import time
 import pytest
 
 from crqmult.cli import main
-from crqmult.groups import spec_from_json, spec_to_json
+from crqmult.groups import MAX_TYPES, spec_from_json, spec_to_json
 from crqmult.tables import (
     sample_broken_corner_table,
     sample_member_table,
@@ -158,6 +158,20 @@ def with_inf_prime(p):
     return {"types": [t1, {**t2, "inf_primes": [2, p]}]}
 
 
+def with_ranks(rank):
+    """TWO_BLOCK_SPEC with both types at the given rank."""
+    return {"types": [{**t, "rank": rank} for t in TWO_BLOCK_SPEC["types"]]}
+
+
+# One type past the bound; the spec is refused before any check reads it.
+TOO_MANY_TYPES = {
+    "types": [
+        {"id": f"t{i}", "inf_primes": [2], "rank": 1, "m": 1, "s": 1}
+        for i in range(MAX_TYPES + 1)
+    ]
+}
+
+
 # Inputs that would drive unbounded or vacuous work, or be misread; each is
 # refused up front.  10**20 + 3 meets the two-basis hypotheses with s2 = 3 and
 # m = 7.  The first listed prime is a strong pseudoprime to the bases 2..37, the
@@ -168,6 +182,9 @@ INPUT_FILES = {
     "wide": WIDE_SPEC,
     "pseudoprime": with_inf_prime(318665857834031151167461),
     "past_prime_bound": with_inf_prime(3317044064679887385961981),
+    "rank16": with_ranks(16),
+    "rank32": with_ranks(32),
+    "too_many_types": TOO_MANY_TYPES,
 }
 WORK_REFUSALS = {
     "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
@@ -179,6 +196,9 @@ WORK_REFUSALS = {
     "gen-huge-max-m": ["gen", "--seed", "0", "--max-m", "1000000000000"],
     "mult-wide-ranks": ["mult", "--spec", "{wide}"],
     "iterate-k1-wide-ranks": ["iterate", "--spec", "{wide}", "--k", "1"],
+    "coset-rank-16": ["coset", "--spec", "{rank16}", "--gamma", "1", "--b", "{b}"],
+    "coset-rank-32": ["coset", "--spec", "{rank32}", "--gamma", "1", "--b", "{b}"],
+    "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],
     "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
     "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
 }

@@ -1,8 +1,11 @@
 """Spec validation, invariants, decomposition, and the random generator."""
 
+import time
+
 import pytest
 
 from crqmult.groups import (
+    MAX_TYPES,
     CRQGroupSpec,
     CriticalTypeData,
     GenBounds,
@@ -17,7 +20,7 @@ from crqmult.groups import (
     spec_to_json,
     validate_spec,
 )
-from crqmult.numth import PrimeSet, condition_m_check, prime_factors
+from crqmult.numth import PrimeSet, condition_m_check, is_prime, prime_factors
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -35,6 +38,18 @@ def test_valid_spec_has_no_violations():
     )
     assert validate_spec(spec) == []
     ensure_valid(spec)
+
+
+def test_validation_at_the_type_bound_is_quick():
+    # pairwise incomparable single-prime types; one past the bound is refused unread
+    primes = [p for p in range(5, 10**4) if is_prime(p)][: MAX_TYPES + 1]
+    types = [make_type(f"t{i:04d}", [p], 1, 3) for i, p in enumerate(primes)]
+    spec = CRQGroupSpec.of(types[:MAX_TYPES])
+    started = time.perf_counter()
+    assert validate_spec(spec) == []
+    assert time.perf_counter() - started < 0.5
+    with pytest.raises(ValueError, match="over the limit"):
+        validate_spec(CRQGroupSpec.of(types))
 
 
 def test_codes_for_broken_specs():

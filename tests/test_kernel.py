@@ -1,0 +1,179 @@
+"""The integer block kernel against a Fraction reference, and the coordinate language.
+
+Blocks keep one denominator and integer numerators per block; every property
+here rebuilds the same facts from plain Fractions in `reference.py`.  The
+searches are derandomized with a fixed example count, so a run is repeatable.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crqmult.elements import AmbientElement, element_from_dict
+from crqmult.groups import GenBounds, random_spec
+from crqmult.tables import MultTable, decide_membership, table_from_dict
+from reference import (
+    ref_combine,
+    ref_decide,
+    ref_drop_zero,
+    ref_outside_regulator,
+    ref_scale,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+CONTAINERS = [AmbientElement, MultTable]  # depths 1 and 3
+RANKS = {"t1": 1, "t2": 2, "t3": 3}
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 12, 25, 49)
+SCALARS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(DENOMINATORS))
+
+
+def nest(leaves, size, depth):
+    for _ in range(depth - 1):
+        leaves = [leaves[i : i + size] for i in range(0, len(leaves), size)]
+    return leaves
+
+
+def flat(blocks):
+    """Reference form of a container: flat Fraction leaves per type id."""
+    out = {}
+    for tid, block in blocks.blocks:
+        for _ in range(blocks.depth - 1):
+            block = [x for part in block for x in part]
+        out[tid] = list(block)
+    return out
+
+
+def build(cls, ref, ranks):
+    return cls.of({tid: nest(leaves, ranks[tid], cls.depth) for tid, leaves in ref.items()})
+
+
+def reference_blocks(draw, ranks, depth, dens=DENOMINATORS):
+    out = {}
+    for tid in sorted(draw(st.lists(st.sampled_from(sorted(ranks)), unique=True))):
+        size = ranks[tid] ** depth
+        nums = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+        below = draw(st.lists(st.sampled_from(dens), min_size=size, max_size=size))
+        out[tid] = [Fraction(x, y) for x, y in zip(nums, below)]
+    return out
+
+
+@pytest.mark.parametrize("cls", CONTAINERS)
+@PROPERTY
+@given(data=st.data())
+def test_arithmetic_matches_fractions(cls, data):
+    a = reference_blocks(data.draw, RANKS, cls.depth)
+    b = reference_blocks(data.draw, RANKS, cls.depth)
+    # blocks of b that cancel blocks of a exactly
+    for tid in data.draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[tid] = [-x for x in a[tid]]
+    q = data.draw(SCALARS)
+    A, B = build(cls, a, RANKS), build(cls, b, RANKS)
+
+    assert flat(A) == ref_drop_zero(a) and A.support == tuple(sorted(ref_drop_zero(a)))
+    assert flat(A + B) == ref_combine(a, b, 1)
+    assert flat(A - B) == ref_combine(a, b, -1)
+    assert flat(q * A) == flat(A * q) == ref_scale(a, q)
+    assert flat(-A) == ref_scale(a, -1)
+    assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+    assert (A == B) == (ref_drop_zero(a) == ref_drop_zero(b))
+    assert (A - A).is_zero and (0 * A).is_zero
+
+
+@st.composite
+def valid_specs(draw):
+    return random_spec(draw(st.integers(0, 10**4)), GenBounds(3, 3, 36))
+
+
+def spec_denominators(spec):
+    """Denominators that are often integral at some type and often not."""
+    inf = sorted({p for d in spec.types for p in d.inf_primes})
+    return tuple(inf) + tuple(p * p for p in inf[:2]) + (1, 1, 2, 3, 5, 7)
+
+
+@pytest.mark.parametrize("cls", CONTAINERS)
+@PROPERTY
+@given(spec=valid_specs(), data=st.data())
+def test_outside_regulator_matches_fractions(cls, spec, data):
+    ranks = {d.id: d.rank for d in spec.types}
+    a = reference_blocks(data.draw, ranks, cls.depth, spec_denominators(spec))
+    assert build(cls, a, ranks).outside_regulator(spec) == ref_outside_regulator(spec, a)
+
+
+@st.composite
+def tables_near_the_filtration(draw, spec):
+    """Flat cubes with integral, m-scaled borders and m^2-scaled corners, then
+    up to two coordinates made fractional, unscaled, or m-scaled on a corner.
+
+    Slot 0 of each corner carries one common witness alpha, as alpha times the
+    corner generator m / s; the "witness" change moves one type off it.
+    """
+    alpha = draw(st.integers(0, 10**3))
+    cubes = {}
+    for d in spec.types:
+        r = d.rank
+        nums = draw(st.lists(st.integers(-9, 9), min_size=r**3, max_size=r**3))
+        dens = draw(st.lists(st.sampled_from((1, *d.inf_primes)), min_size=r**3, max_size=r**3))
+        cube = [Fraction(x, y) for x, y in zip(nums, dens)]
+        for leaf in range(r**3):
+            i, j = divmod(leaf // r, r)
+            cube[leaf] *= d.m * d.m if (i, j) == (0, 0) else d.m if 0 in (i, j) else 1
+        if d.m > 1:
+            cube[0] += d.m * (alpha * pow(d.s, -1, d.m) % d.m)
+        cubes[d.id] = cube
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.sampled_from(spec.types))
+        kind = draw(st.sampled_from(["fraction", "unscaled", "corner", "witness"]))
+        if kind == "witness":
+            cubes[d.id][0] += d.m * draw(st.integers(1, 9))
+        elif kind == "corner" and d.rank > 1:
+            cubes[d.id][draw(st.integers(1, d.rank - 1))] = Fraction(d.m * draw(st.integers(1, 9)))
+        else:
+            leaf = draw(st.integers(0, d.rank**3 - 1))
+            value = Fraction(draw(st.integers(1, 9)))
+            if kind == "fraction":
+                value = cubes[d.id][leaf] + value / draw(st.sampled_from(DENOMINATORS))
+            cubes[d.id][leaf] = value
+    return ref_drop_zero(cubes)
+
+
+@PROPERTY
+@given(spec=valid_specs(), data=st.data())
+def test_decision_residues_match_fractions(spec, data):
+    cubes = data.draw(tables_near_the_filtration(spec))
+    ranks = {d.id: d.rank for d in spec.types}
+    v = decide_membership(spec, build(MultTable, cubes, ranks))
+    f = v.failure
+    got = (v.member, v.alpha) + ((None,) * 4 if f is None else (f.code, f.type_id, f.entry, f.detail))
+    expected = ref_decide(spec, cubes)
+    assert got == (expected if not expected[0] else expected[:2] + (None,) * 4)
+
+
+# Outcomes checked at the commit before the integer kernel: None is a refusal.
+PINNED_COORDINATES = [
+    ("+1", None),
+    (" 1", None),
+    ("1_0", None),
+    ("١", None),  # ARABIC-INDIC DIGIT ONE
+    ("1.5", None),
+    ("0x1", None),
+    (True, None),
+    ("1/0", None),
+    ("-0/7", Fraction(0)),
+    ("007/010", Fraction(7, 10)),
+]
+
+
+@pytest.mark.parametrize("coord, value", PINNED_COORDINATES)
+def test_coordinate_language_is_pinned(coord, value):
+    table_doc = {"blocks": {"t1": [[[coord, 1], [0, 0]], [[0, 0], [0, 0]]]}}
+    element_doc = {"t1": [coord, 1]}
+    if value is None:
+        with pytest.raises(ValueError):
+            table_from_dict(table_doc)
+        with pytest.raises(ValueError):
+            element_from_dict(element_doc)
+    else:
+        assert table_from_dict(table_doc).matrix("t1", 2)[0][0] == (value, 1)
+        assert element_from_dict(element_doc).block("t1") == (value, 1)
