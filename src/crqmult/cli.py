@@ -17,6 +17,7 @@ from .groups import (
     CRQGroupSpec,
     GenBounds,
     MainDecomposition,
+    ensure_valid,
     main_decomposition,
     random_spec,
     spec_from_dict,
@@ -43,7 +44,23 @@ def _emit(report: dict, fmt: str, lines: list[str]) -> None:
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to parse") from None
+
+
+def _check_blocks(spec: CRQGroupSpec, blocks: dict) -> None:
+    """Refuse a parsed document block of an unknown type or of the wrong size.
+
+    The containers drop all-zero blocks, so their own shape check never sees
+    those; this one reads the document itself, after the spec is found valid.
+    """
+    ensure_valid(spec)
+    for tid in sorted(blocks):
+        rank = spec.data_for(tid).rank
+        if len(blocks[tid]) != rank:
+            raise ValueError(f"block {tid!r} has size {len(blocks[tid])}, expected {rank}")
 
 
 def _spec_summary_lines(spec: CRQGroupSpec) -> list[str]:
@@ -206,7 +223,9 @@ def _cmd_check_table(args: argparse.Namespace) -> int:
     from .tables import decide_membership, table_from_dict
 
     spec = spec_from_dict(_load_json(args.spec))
-    table = table_from_dict(_load_json(args.table))
+    doc = _load_json(args.table)
+    table = table_from_dict(doc)
+    _check_blocks(spec, doc["blocks"])
     verdict = decide_membership(spec, table)
     report = {"command": "check-table", **_verdict_to_dict(verdict)}
     if verdict.member:
@@ -224,7 +243,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .tables import closure_oracle, table_from_dict
 
     spec = spec_from_dict(_load_json(args.spec))
-    table = table_from_dict(_load_json(args.table))
+    doc = _load_json(args.table)
+    table = table_from_dict(doc)
+    _check_blocks(spec, doc["blocks"])
     closed = closure_oracle(spec, table)
     report = {"command": "oracle", "defines_multiplication": closed}
     lines = [
@@ -255,7 +276,9 @@ def _cmd_coset(args: argparse.Namespace) -> int:
     from .multgroup import coset_relation
 
     spec = spec_from_dict(_load_json(args.spec))
-    shift = element_from_dict(_load_json(args.b))
+    doc = _load_json(args.b)
+    shift = element_from_dict(doc)
+    _check_blocks(spec, doc)
     report_data = coset_relation(
         spec, args.gamma, shift, samples=args.samples, seed=args.seed
     )

@@ -9,8 +9,7 @@ cube per type instead of one vector.
 A block is kept as one positive denominator and a flat tuple of integer
 numerators in row-major order, reduced so that the denominator and the
 numerators have no common factor.  That form is unique for each value, and
-arithmetic and the regulator test run on integers; `block` and `blocks`
-rebuild the coordinates as fractions for readers.
+arithmetic, the regulator test and the JSON forms all run on those integers.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .groups import CRQGroupSpec, ensure_valid
-from .numth import coprime_part, crt_solve, fraction_residue, gcd, lcm_all, mod_inverse
+from .numth import coprime_part, crt_solve, lcm_all, mod_inverse
 
 __all__ = [
     "AmbientElement",
@@ -44,16 +42,19 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
+# in_G tries up to n candidates; the scan of two rank-1 types takes about 11 us
+# per candidate (Python 3.11, one Xeon core), so n at this bound costs about 0.25 s.
+MAX_SCAN_INDEX = 20000
 # (size, denominator, numerators) of one stored block
 Part = tuple[int, int, tuple[int, ...]]
 
 
-def _nest(leaves: list, size: int, depth: int) -> tuple:
-    """Nested tuples of a block whose every level has `size` items, from its flat leaves."""
-    out = tuple(leaves)
-    for _ in range(depth - 1):
-        out = tuple(out[i : i + size] for i in range(0, len(out), size))
-    return out
+def format_coord(num: int, den: int) -> str:
+    """The string of the fraction num / den, den positive, as `str(Fraction)` writes it."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def _reduced(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -144,20 +145,6 @@ class Blocks:
             if t == tid:
                 return size, den, nums
         return None
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[str, tuple], ...]:
-        """(type id, nested block of fractions) per nonzero block."""
-        return tuple(
-            (tid, _nest([Fraction(x, den) for x in nums], size, self.depth))
-            for tid, size, den, nums in self.parts
-        )
-
-    def block(self, tid: str) -> tuple:
-        for t, b in self.blocks:
-            if t == tid:
-                return b
-        return ()
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -292,9 +279,12 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
     Tries each candidate k in turn; the decomposition is unique when it
-    exists because n is the order of d over the regulator.
+    exists because n is the order of d over the regulator.  A regulator
+    index past MAX_SCAN_INDEX is refused.
     """
     ensure_valid(spec)
+    if spec.n > MAX_SCAN_INDEX:
+        raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
     g.check_shape(spec)
     d = element_d(spec)
     current = g
@@ -315,12 +305,14 @@ def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembers
     g.check_shape(spec)
     congruences = []
     for d in spec.clipped:
-        vec = g.block(d.id)
-        scaled = d.m * vec[0] if vec else Fraction(0)
-        if gcd(scaled.denominator, d.m) != 1:
+        part = g.part(d.id)
+        num, den = (d.m * part[2][0], part[1]) if part else (0, 1)
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if math.gcd(den, d.m) != 1:
             # a prime of m lies outside the type's infinite primes
             return None
-        congruences.append((fraction_residue(scaled, d.m) * mod_inverse(d.s, d.m) % d.m, d.m))
+        congruences.append((num * mod_inverse(den * d.s, d.m) % d.m, d.m))
     solution = crt_solve(congruences)
     if solution is None:
         return None
@@ -366,7 +358,7 @@ def purity_witness(spec: CRQGroupSpec, tid: str) -> Optional[tuple[AmbientElemen
 
 def element_to_dict(g: AmbientElement) -> dict[str, list[str]]:
     """JSON-ready form: reduced fraction strings per block."""
-    return {tid: [str(c) for c in vec] for tid, vec in g.blocks}
+    return {tid: [format_coord(x, den) for x in nums] for tid, _, den, nums in g.parts}
 
 
 # ASCII digits only: [0-9], unlike \d, matches no other script's digits

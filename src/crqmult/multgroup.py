@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elements import AmbientElement
+from .elements import AmbientElement, format_coord
 from .groups import (
     CRQGroupSpec,
     CriticalTypeData,
@@ -270,22 +270,25 @@ def coset_relation(
     if gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")
     t0 = set(spec.t0_ids)
-    for tid, vec in b.blocks:
+    for tid, _, _, nums in b.parts:
         if tid not in t0:
             raise ValueError(f"shift element touches unclipped type {tid!r}")
-        if any(vec[1:]):
+        if any(nums[1:]):
             raise ValueError(f"shift element touches a non-clipped slot of type {tid!r}")
 
     s_prime: dict[str, int] = {}
     for d in spec.clipped:
-        vec = b.block(d.id)
-        shifted = gamma * d.s + d.m * (vec[0] if vec else Fraction(0))
-        if shifted.denominator != 1:
+        part = b.part(d.id)
+        b0, den = (part[2][0], part[1]) if part else (0, 1)
+        # gamma * s + m * b0 / den, over den
+        num = gamma * d.s * den + d.m * b0
+        if num % den:
             return CosetReport(
                 applicable=False,
-                reason=f"slot numerator {shifted} at type {d.id!r} is not an integer",
+                reason=f"slot numerator {format_coord(num, den)} at type {d.id!r} "
+                "is not an integer",
             )
-        value = int(shifted)
+        value = num // den
         if has_factor_in(value, d.inf_primes):
             return CosetReport(
                 applicable=False,

@@ -25,6 +25,7 @@ from .elements import (
     basis_element,
     coords_from_json,
     element_d,
+    format_coord,
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
@@ -51,8 +52,6 @@ __all__ = [
     "table_from_dict",
 ]
 
-Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Vector, ...], ...]
 # sampled coordinates: |numerator| <= _NUM_BOUND, listed primes up to _MAX_POWER in the
 # denominator, and the shares of nonzero entries and of nonzero coordinates in them
 _NUM_BOUND = 9
@@ -65,15 +64,6 @@ class MultTable(Blocks):
     """Per-type matrices of basis-product coordinate vectors, zero blocks dropped."""
 
     depth = 3
-
-    def matrix(self, tid: str, rank: int) -> Matrix:
-        stored = self.block(tid)
-        if not stored:
-            zero_vec = (Fraction(0),) * rank
-            return ((zero_vec,) * rank,) * rank
-        if len(stored) != rank:
-            raise ValueError(f"block {tid!r} has size {len(stored)}, expected {rank}")
-        return stored
 
 
 @dataclass(frozen=True)
@@ -95,17 +85,18 @@ class MembershipVerdict:
     failure: Optional[MembershipFailure] = None
 
 
-def _single_entry_block(rank: int, entry: tuple[int, int], slot: int, value: Scalar) -> list:
-    mat = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    mat[entry[0]][entry[1]][slot] = value
-    return mat
+def _single_entry(rank: int, entry: tuple[int, int], slot: int, num: int) -> list[int]:
+    nums = [0] * rank**3
+    nums[(entry[0] * rank + entry[1]) * rank + slot] = num
+    return nums
 
 
 def single_entry_table(
     tid: str, rank: int, entry: tuple[int, int], slot: int, value: Scalar
 ) -> MultTable:
     """Table whose only nonzero coordinate is `value`, at `slot` of one entry of one block."""
-    return MultTable.of({tid: _single_entry_block(rank, entry, slot, value)})
+    nums = _single_entry(rank, entry, slot, value.numerator)
+    return MultTable.from_parts({tid: (rank, value.denominator, nums)})
 
 
 def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None) -> MultTable:
@@ -123,8 +114,8 @@ def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None
                 raise ValueError(f"{inv} does not invert {d.s} modulo {d.m}")
         else:
             inv = mod_inverse(d.s, d.m)
-        blocks[d.id] = _single_entry_block(d.rank, (0, 0), 0, d.m * inv)
-    return MultTable.of(blocks)
+        blocks[d.id] = (d.rank, 1, _single_entry(d.rank, (0, 0), 0, d.m * inv))
+    return MultTable.from_parts(blocks)
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -135,10 +126,8 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
     size, den, nums = table.part(tid)
     entry, slot = divmod(leaf, size)
     i, j = divmod(entry, size)
-    c = Fraction(nums[leaf], den)
-    return MembershipFailure(
-        "ENTRY_OUTSIDE_A", tid, (i, j), f"coordinate {c} is not integral at this type"
-    )
+    detail = f"coordinate {format_coord(nums[leaf], den)} is not integral at this type"
+    return MembershipFailure("ENTRY_OUTSIDE_A", tid, (i, j), detail)
 
 
 # Once every entry is integral at its type, the block denominator is a product
@@ -177,14 +166,14 @@ def in_M1(spec: CRQGroupSpec, table: MultTable) -> bool:
 
 
 def in_M2(spec: CRQGroupSpec, table: MultTable) -> bool:
-    """Border scaling as in_M1 plus m^2-scaling of each clipped corner entry."""
-    if not in_M1(spec, table):
-        return False
-    for d in spec.clipped:
-        part = table.part(d.id)
-        if part is not None and not _entry_scaled(part[2], 0, d.rank, d.m * d.m):
-            return False
-    return True
+    """Border scaling as in_M1 plus m^2-scaling of each clipped corner entry.
+
+    Those are exactly the members of witness 0: the witness is 0 modulo every
+    m when each corner's slot 0 is m^2-scaled, and the decision already
+    requires that of the other corner slots.
+    """
+    verdict = decide_membership(spec, table)
+    return verdict.member and verdict.alpha[0] == 0
 
 
 def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict:
@@ -301,7 +290,10 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     d = element_d(spec)
     if in_G(spec, product(d, d)) is None:
         return False
-    for data in spec.types:
+    # d lives on the clipped types, so its products with any other basis vector vanish
+    for data in spec.clipped:
+        if table.part(data.id) is None:
+            continue
         for slot in range(data.rank):
             e = basis_element(spec, data.id, slot)
             if product(d, e).outside_regulator(spec) is not None:
@@ -323,7 +315,7 @@ def rescale_slot0_coords(
     """
     ensure_valid(spec)
     table.check_shape(spec)
-    factors: dict[str, Fraction] = {}
+    factors: dict[str, tuple[int, int]] = {}
     for tid, raw in units.items():
         data = spec.data_for(tid)
         w = Fraction(raw)
@@ -334,20 +326,23 @@ def rescale_slot0_coords(
             and is_p_integer(w.denominator, data.inf_primes)
         ):
             raise ValueError(f"{w} is not invertible in the localization of type {tid!r}")
-        factors[tid] = 1 / w
-    out: dict[str, list[list[list[Fraction]]]] = {}
-    for tid, mat in table.blocks:
-        rows = [[list(vec) for vec in row] for row in mat]
+        # slot 0 takes the factor 1 / w = q / p; put over |p|, which keeps the block
+        # denominator positive, that is q * sign(p) on slot 0 and |p| on every other slot
+        sign = 1 if w > 0 else -1
+        factors[tid] = (sign * w.denominator, sign * w.numerator)
+    out = {}
+    for tid, size, den, nums in table.parts:
         if tid in factors:
-            for row in rows:
-                for vec in row:
-                    vec[0] *= factors[tid]
-        out[tid] = rows
-    return MultTable.of(out)
+            up, down = factors[tid]
+            den = den * down
+            nums = [x * (down if i % size else up) for i, x in enumerate(nums)]
+        out[tid] = (size, den, nums)
+    return MultTable.from_parts(out)
 
 
-def random_r_fraction(rng: random.Random, inf_primes) -> Fraction:
-    """Random element of the localization: integer over a product of listed primes."""
+def random_r_fraction(rng: random.Random, inf_primes) -> tuple[int, int]:
+    """Random element of the localization as (numerator, denominator), not reduced:
+    an integer over a product of listed primes."""
     num = rng.randint(-_NUM_BOUND, _NUM_BOUND)
     den = 1
     inf = tuple(inf_primes)
@@ -355,14 +350,14 @@ def random_r_fraction(rng: random.Random, inf_primes) -> Fraction:
         den = rng.choice(inf) ** rng.randint(1, _MAX_POWER)
         if len(inf) > 1 and rng.random() < 0.3:
             den *= rng.choice(inf)
-    return Fraction(num, den)
+    return num, den
 
 
-def _random_entry(rng: random.Random, rank: int, inf) -> list[Fraction]:
+def _random_entry(rng: random.Random, rank: int, inf: tuple[int, ...]) -> list[tuple[int, int]]:
     if rng.random() >= _ENTRY_DENSITY:
-        return [Fraction(0)] * rank
+        return [(0, 1)] * rank
     return [
-        random_r_fraction(rng, inf) if rng.random() < _COORD_DENSITY else Fraction(0)
+        random_r_fraction(rng, inf) if rng.random() < _COORD_DENSITY else (0, 1)
         for _ in range(rank)
     ]
 
@@ -370,25 +365,24 @@ def _random_entry(rng: random.Random, rank: int, inf) -> list[Fraction]:
 def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
     """Random table with scaled borders and doubly scaled corners."""
     ensure_valid(spec)
-    blocks = {}
+    coords = {}
     for d in spec.types:
-        mat = []
+        inf = tuple(d.inf_primes)
+        nums: list[int] = []
+        dens: list[int] = []
         for i in range(d.rank):
-            row = []
             for j in range(d.rank):
-                vec = _random_entry(rng, d.rank, d.inf_primes)
-                if d.m > 1:
-                    if i == 0 and j == 0:
-                        scale = d.m * d.m
-                    elif i == 0 or j == 0:
-                        scale = d.m
-                    else:
-                        scale = 1
-                    vec = [scale * c for c in vec]
-                row.append(vec)
-            mat.append(row)
-        blocks[d.id] = mat
-    return MultTable.of(blocks)
+                if d.m == 1 or (i and j):
+                    scale = 1
+                elif i or j:
+                    scale = d.m
+                else:
+                    scale = d.m * d.m
+                for num, den in _random_entry(rng, d.rank, inf):
+                    nums.append(scale * num)
+                    dens.append(den)
+        coords[d.id] = (d.rank, nums, dens)
+    return MultTable.from_coords(coords)
 
 
 def sample_member_table(spec: CRQGroupSpec, rng: random.Random) -> tuple[MultTable, int]:
@@ -446,12 +440,12 @@ def sample_unscaled_border_table(spec: CRQGroupSpec, rng: random.Random) -> Opti
 
 def table_to_dict(table: MultTable) -> dict:
     """JSON-ready form: nested lists of reduced fraction strings per block."""
-    return {
-        "blocks": {
-            tid: [[[str(c) for c in vec] for vec in row] for row in mat]
-            for tid, mat in table.blocks
-        }
-    }
+    out = {}
+    for tid, size, den, nums in table.parts:
+        coords = [format_coord(x, den) for x in nums]
+        vecs = [coords[k : k + size] for k in range(0, len(coords), size)]
+        out[tid] = [vecs[k : k + size] for k in range(0, len(vecs), size)]
+    return {"blocks": out}
 
 
 def table_from_dict(data: object) -> MultTable:

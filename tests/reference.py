@@ -19,6 +19,31 @@ def euler_phi(m):
     return result
 
 
+def fraction_block(blocks, tid):
+    """Nested tuples of Fractions of the block of tid, () when it is zero.
+
+    Every level of a block has the block's length: a vector for an element,
+    a matrix of vectors for a table.
+    """
+    part = blocks.part(tid)
+    if part is None:
+        return ()
+    size, den, nums = part
+    out = tuple(Fraction(x, den) for x in nums)
+    for _ in range(blocks.depth - 1):
+        out = tuple(out[i : i + size] for i in range(0, len(out), size))
+    return out
+
+
+def fraction_matrix(table, tid, rank):
+    """Matrix of Fraction coordinate vectors of one table block, zero when it is absent."""
+    block = fraction_block(table, tid)
+    if not block:
+        zero = (Fraction(0),) * rank
+        return ((zero,) * rank,) * rank
+    return block
+
+
 def border_scaling_check(spec, table):
     """Row 0 and column 0 of every clipped type are m-scaled.
 
@@ -29,7 +54,7 @@ def border_scaling_check(spec, table):
     for d in spec.types:
         if d.m == 1:
             continue
-        mat = table.matrix(d.id, d.rank)
+        mat = fraction_matrix(table, d.id, d.rank)
         border = list(mat[0]) + [row[0] for row in mat]
         for vec in border:
             if not all(is_p_integer((c / d.m).denominator, d.inf_primes) for c in vec):

@@ -42,7 +42,7 @@ from crqmult.tables import (
     sample_member_table,
     sample_unscaled_border_table,
 )
-from reference import border_scaling_check, euler_phi
+from reference import border_scaling_check, euler_phi, fraction_matrix
 
 SPEC_COUNT = 200
 TABLES_PER_SPEC = 20
@@ -148,7 +148,7 @@ def test_criterion_2_multiplication_group_structure():
             assert verdict.member and verdict.alpha == (1 % spec.n, spec.n)
             assert closure_oracle(spec, gen)
             for tid, table in desc.basis:
-                corner = table.matrix(tid, spec.rank_of(tid))[0][0]
+                corner = fraction_matrix(table, tid, spec.rank_of(tid))[0][0]
                 m = spec.data_for(tid).m
                 assert corner[0] == m * m
                 assert all(c == 0 for c in corner[1:])

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from crqmult.cli import main
+from crqmult.elements import MAX_SCAN_INDEX
 from crqmult.groups import MAX_TYPES, spec_from_json, spec_to_json
+from crqmult.numth import is_prime
 from crqmult.tables import (
     sample_broken_corner_table,
     sample_member_table,
@@ -172,6 +174,16 @@ TOO_MANY_TYPES = {
 }
 
 
+# Two rank-1 types sharing the least prime invariant past the in_G scan bound.
+LARGE_INDEX = next(m for m in range(MAX_SCAN_INDEX + 1, 2 * MAX_SCAN_INDEX) if is_prime(m))
+LARGE_INDEX_SPEC = {
+    "types": [
+        {"id": "t1", "inf_primes": [2], "rank": 1, "m": LARGE_INDEX, "s": 1},
+        {"id": "t2", "inf_primes": [3], "rank": 1, "m": LARGE_INDEX, "s": 1},
+    ]
+}
+
+
 # Inputs that would drive unbounded or vacuous work, or be misread; each is
 # refused up front.  10**20 + 3 meets the two-basis hypotheses with s2 = 3 and
 # m = 7.  The first listed prime is a strong pseudoprime to the bases 2..37, the
@@ -185,6 +197,8 @@ INPUT_FILES = {
     "rank16": with_ranks(16),
     "rank32": with_ranks(32),
     "too_many_types": TOO_MANY_TYPES,
+    "large_index": LARGE_INDEX_SPEC,
+    "unit_table": {"blocks": {"t1": [[["1"]]]}},
 }
 WORK_REFUSALS = {
     "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
@@ -201,6 +215,7 @@ WORK_REFUSALS = {
     "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],
     "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
     "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
+    "oracle-large-index": ["oracle", "--spec", "{large_index}", "--table", "{unit_table}"],
 }
 
 
@@ -231,6 +246,50 @@ def test_string_vectors_are_an_input_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# A zero block is dropped on parsing, but its type id and size are still read.
+SHAPE_CASES = [
+    ("table", {"zz": [[["0"]]]}, "unknown type id 'zz'"),
+    ("table", {"zz": [[["1"]]]}, "unknown type id 'zz'"),
+    ("table", {"t1": [[["0"] * 3] * 3] * 3}, "block 't1' has size 3, expected 2"),
+    ("table", {"t1": [[["1"] * 3] * 3] * 3}, "block 't1' has size 3, expected 2"),
+    ("b", {"t1": ["0"] * 3}, "block 't1' has size 3, expected 2"),
+    ("b", {"t1": ["1"] * 3}, "block 't1' has size 3, expected 2"),
+    ("b", {"zz": ["0"]}, "unknown type id 'zz'"),
+]
+
+
+@pytest.mark.parametrize("kind, blocks, message", SHAPE_CASES)
+def test_blocks_must_match_the_spec_even_when_zero(tmp_path, capsys, kind, blocks, message):
+    spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
+    if kind == "table":
+        doc = write_json(tmp_path / "t.json", {"blocks": blocks})
+        commands = [[c, "--spec", spec, "--table", doc] for c in ("check-table", "oracle")]
+    else:
+        doc = write_json(tmp_path / "b.json", blocks)
+        commands = [["coset", "--spec", spec, "--gamma", "1", "--b", doc]]
+    for argv in commands:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.dumps cannot nest this deep, so the file is written as text
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
+    for argv in (
+        ["validate", "--spec", str(deep)],
+        ["check-table", "--spec", spec, "--table", str(deep)],
+        ["oracle", "--spec", spec, "--table", str(deep)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {deep} is nested too deeply to parse\n"
 
 
 def test_purity_exit_codes(tmp_path, capsys):

