@@ -8,10 +8,8 @@ structured output is byte-identical for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
 
 from .groups import (
     CRQGroupSpec,
@@ -26,8 +24,12 @@ from .groups import (
 )
 
 # Each handler imports the table and multiplication-group layers it uses, so a
-# run of `validate`, `describe` or `gen` does not load them.
+# run of `validate`, `describe` or `gen` does not load them.  TYPE_CHECKING is
+# true only for type checkers, so typing stays unloaded at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Optional
+
     from .multgroup import CosetReport, CrossBasisReport, MultGroupDescriptor
     from .tables import MembershipVerdict
 
@@ -149,7 +151,7 @@ def _cross_report_to_dict(report: CrossBasisReport, seed: int) -> dict:
         "inf_primes_1": list(report.inf_primes_1),
         "inf_primes_2": list(report.inf_primes_2),
         "doubly_scaled_member_both": report.doubly_scaled_member_both,
-        "cases": [dataclasses.asdict(c) for c in report.cases],
+        "cases": [{name: getattr(c, name) for name in c.__match_args__} for c in report.cases],
         "intersection_is_regulator": report.intersection_is_regulator,
     }
 

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import record
 from .groups import CRQGroupSpec, ensure_valid
 from .numth import coprime_part, crt_solve, lcm_all, mod_inverse
+
+# true only for type checkers, so typing and fractions stay unloaded at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import ClassVar, Iterable, Mapping, Optional, Sequence, TypeAlias
 
 __all__ = [
     "AmbientElement",
@@ -41,10 +45,15 @@ __all__ = [
     "coords_from_json",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar: TypeAlias = "int | Fraction"
 # in_G tries up to n candidates; the scan of two rank-1 types takes about 11 us
 # per candidate (Python 3.11, one Xeon core), so n at this bound costs about 0.25 s.
 MAX_SCAN_INDEX = 20000
+# Each candidate also subtracts d and rescans, in time linear in the coordinates
+# stored in g and d, so a scan costs about n * (10 us + 70 ns per coordinate).
+# Full scans with n times those coordinates near this bound took 0.19-0.26 s at
+# n = 2003 and n = 211, and 0.46-0.48 s at n = 19997 (Python 3.11, 2-vCPU VM).
+MAX_SCAN_WORK = 3 * 10**6
 # (size, denominator, numerators) of one stored block
 Part = tuple[int, int, tuple[int, ...]]
 
@@ -73,7 +82,7 @@ def _common_form(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, tuple[i
     return _reduced(den, [x * (den // d) for x, d in zip(nums, dens)])
 
 
-@dataclass(frozen=True)
+@record
 class Blocks:
     """Exact rational blocks per type id, sorted by id, all-zero blocks dropped.
 
@@ -85,9 +94,15 @@ class Blocks:
     parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()
     depth: ClassVar[int]
 
+    def __init__(self, parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()):
+        # written out, not bound by the record: every arithmetic step builds one
+        object.__setattr__(self, "parts", parts)
+
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable]):
         """Container from nested iterables of integers or fractions per type id."""
+        from fractions import Fraction
+
         coords = {}
         for tid in sorted(mapping):
             level = list(mapping[tid])
@@ -212,8 +227,13 @@ class Blocks:
         return self * -1
 
     def __mul__(self, scalar: Scalar):
-        factor = scalar if type(scalar) is Fraction else Fraction(scalar)
-        p, q = factor.numerator, factor.denominator
+        if isinstance(scalar, int):
+            p, q = scalar, 1
+        else:
+            from fractions import Fraction
+
+            factor = scalar if type(scalar) is Fraction else Fraction(scalar)
+            p, q = factor.numerator, factor.denominator
         return self.from_parts(
             {tid: (size, den * q, [p * x for x in nums]) for tid, size, den, nums in self.parts}
         )
@@ -227,7 +247,7 @@ class AmbientElement(Blocks):
     depth = 1
 
 
-@dataclass(frozen=True)
+@record
 class GMembership:
     """Witness that an element equals k*d + a with a in the regulator."""
 
@@ -266,6 +286,8 @@ def project(spec: CRQGroupSpec, g: AmbientElement, tid: str) -> AmbientElement:
 
 def in_scaled_A_tau(spec: CRQGroupSpec, g: AmbientElement, tid: str, scale: int) -> bool:
     """True when g, supported on the block of tid, lies in scale * A_tau."""
+    from fractions import Fraction
+
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
     spec.data_for(tid)
@@ -280,18 +302,27 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
 
     Tries each candidate k in turn; the decomposition is unique when it
     exists because n is the order of d over the regulator.  A regulator
-    index past MAX_SCAN_INDEX is refused.
+    index past MAX_SCAN_INDEX is refused.  Past k = 0, so is a scan whose n
+    times the coordinates stored in g and d passes MAX_SCAN_WORK.
     """
     ensure_valid(spec)
     if spec.n > MAX_SCAN_INDEX:
         raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
     g.check_shape(spec)
+    if g.outside_regulator(spec) is None:
+        return GMembership(0, g)
     d = element_d(spec)
+    work = spec.n * sum(len(p[3]) for p in g.parts + d.parts)
+    if work > MAX_SCAN_WORK:
+        raise ValueError(
+            f"regulator index {spec.n} times the stored coordinates comes to {work}, "
+            f"over the scan limit {MAX_SCAN_WORK}"
+        )
     current = g
-    for k in range(spec.n):
+    for k in range(1, spec.n):
+        current = current - d
         if current.outside_regulator(spec) is None:
             return GMembership(k, current)
-        current = current - d
     return None
 
 

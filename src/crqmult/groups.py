@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
+from ._record import record
 from .numth import (
     PrimeSet,
     condition_m_check,
@@ -27,6 +26,11 @@ from .numth import (
     lcm_all,
     p0_class_representative,
 )
+
+# true only for type checkers, so typing stays unloaded at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Mapping
 
 __all__ = [
     "IdempotentType",
@@ -53,7 +57,7 @@ __all__ = [
 MAX_TYPES = 1000
 
 
-@dataclass(frozen=True)
+@record
 class IdempotentType:
     """Critical type identified by its set of infinite primes.
 
@@ -73,7 +77,7 @@ class IdempotentType:
         return a <= b or b <= a
 
 
-@dataclass(frozen=True)
+@record
 class CriticalTypeData:
     """Payload of one critical type: rank, invariant m, coefficient s.
 
@@ -101,7 +105,7 @@ class CriticalTypeData:
         return self.type.inf_primes
 
 
-@dataclass(frozen=True)
+@record
 class CRQGroupSpec:
     """Full symbolic description of a group: one entry per critical type.
 
@@ -167,7 +171,7 @@ class CRQGroupSpec:
         return CRQGroupSpec.of(out)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One validation failure with a machine-readable code."""
 
@@ -231,7 +235,7 @@ def ensure_valid(spec: CRQGroupSpec) -> None:
         raise ValueError("invalid spec: " + "; ".join(str(v) for v in spec.violations))
 
 
-@dataclass(frozen=True)
+@record
 class MainDecomposition:
     """Split into the clipped part (slot 0 of each type with m > 1) and its complement."""
 
@@ -258,7 +262,7 @@ class GenerationError(ValueError):
     """Raised when generator bounds cannot be satisfied."""
 
 
-@dataclass(frozen=True)
+@record
 class GenBounds:
     """Bounds for the random spec generator."""
 

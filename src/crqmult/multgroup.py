@@ -11,10 +11,8 @@ two-basis intersection construction for rank-(1, 1) pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
+from ._record import record
 from .elements import AmbientElement, format_coord
 from .groups import (
     CRQGroupSpec,
@@ -46,6 +44,11 @@ from .tables import (
     sample_unscaled_border_table,
     single_entry_table,
 )
+
+# true only for type checkers, so typing stays unloaded at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 __all__ = [
     "RegulatorBlock",
@@ -82,7 +85,7 @@ class RankLimitError(ValueError):
     """Raised when iterated ranks or depth-1 tables exceed their bound."""
 
 
-@dataclass(frozen=True)
+@record
 class RegulatorBlock:
     """Shape of one regulator block of the multiplication group.
 
@@ -96,7 +99,7 @@ class RegulatorBlock:
     border_scale: int
 
 
-@dataclass(frozen=True)
+@record
 class MultGroupDescriptor:
     """Symbolic structure of the group of multiplications.
 
@@ -206,7 +209,7 @@ def iterate_mult(
     return _structure(spec, k, max_rank)
 
 
-@dataclass(frozen=True)
+@record
 class CosetRelation:
     """Witness that two presentations generate the same membership coset."""
 
@@ -215,7 +218,7 @@ class CosetRelation:
     witness: MultTable
 
 
-@dataclass(frozen=True)
+@record
 class CosetReport:
     """Outcome of comparing the presentations by d and by gamma*d + b."""
 
@@ -332,7 +335,7 @@ def coset_relation(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CrossBasisCase:
     """One tested witness value in the two-basis intersection construction."""
 
@@ -354,7 +357,7 @@ class CrossBasisCase:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CrossBasisReport:
     """Result of intersecting the membership sets of two bases of one group."""
 
@@ -391,6 +394,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     membership sets therefore intersect exactly in the regulator
     multiplications.
     """
+    from fractions import Fraction
+
     if s1 <= 1 or s2 <= 1:
         raise ValueError("s1 and s2 must both exceed 1")
     if gcd(s1, s2) != 1:

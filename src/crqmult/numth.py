@@ -8,11 +8,14 @@ not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
+from ._record import record
+
+# true only for type checkers, so typing and fractions stay unloaded at run time
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable, Iterator, Mapping, Optional
 
 __all__ = [
     "PrimeSet",
@@ -217,7 +220,7 @@ def fraction_residue(value: Fraction, modulus: int) -> int:
     return value.numerator * den_inv % modulus
 
 
-@dataclass(frozen=True)
+@record
 class PrimeSet:
     """Finite set of distinct primes stored in strictly increasing order."""
 

@@ -13,15 +13,11 @@ generators.  Both must always agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
 
+from ._record import record
 from .elements import (
     AmbientElement,
     Blocks,
-    Part,
-    Scalar,
     basis_element,
     coords_from_json,
     element_d,
@@ -30,6 +26,13 @@ from .elements import (
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
 from .numth import crt_solve, gcd, is_p_integer, mod_inverse
+
+# true only for type checkers, so typing stays unloaded at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Mapping, Optional, Sequence
+
+    from .elements import Part, Scalar
 
 __all__ = [
     "MultTable",
@@ -66,7 +69,7 @@ class MultTable(Blocks):
     depth = 3
 
 
-@dataclass(frozen=True)
+@record
 class MembershipFailure:
     """First failed condition of a membership decision."""
 
@@ -76,13 +79,24 @@ class MembershipFailure:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class MembershipVerdict:
     """Outcome of the membership decision; alpha is (residue, regulator index)."""
 
     member: bool
     alpha: Optional[tuple[int, int]] = None
     failure: Optional[MembershipFailure] = None
+
+    def __init__(
+        self,
+        member: bool,
+        alpha: Optional[tuple[int, int]] = None,
+        failure: Optional[MembershipFailure] = None,
+    ):
+        # written out, not bound by the record: every decision builds one
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "failure", failure)
 
 
 def _single_entry(rank: int, entry: tuple[int, int], slot: int, num: int) -> list[int]:
@@ -313,6 +327,8 @@ def rescale_slot0_coords(
     coordinate is divided by the unit (coordinates over the new basis);
     reciprocal units undo that.
     """
+    from fractions import Fraction
+
     ensure_valid(spec)
     table.check_shape(spec)
     factors: dict[str, tuple[int, int]] = {}

@@ -1,8 +1,12 @@
 """Command line behavior: exit codes, formats, and determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,58 @@ def test_example27_command(capsys):
 
     assert main(["example27", "--s1", "2", "--s2", "4", "--m", "7"]) == 2
     assert capsys.readouterr().err
+
+
+# Commands run in a fresh interpreter, with what each may not load: the
+# standard library's data classes generate code at definition time (and load
+# inspect), typing serves annotations only, and fractions (which loads
+# decimal) serves only commands that build a Fraction.
+NO_CODEGEN = {"dataclasses", "inspect", "typing"}
+NO_FRACTIONS = NO_CODEGEN | {"fractions", "decimal"}
+COLD_COMMANDS = {
+    "validate": (["validate", "--spec", "{spec}"], NO_FRACTIONS),
+    "describe": (["describe", "--spec", "{spec}"], NO_FRACTIONS),
+    "check-table": (["check-table", "--spec", "{spec}", "--table", "{member}"], NO_FRACTIONS),
+    "oracle": (["oracle", "--spec", "{spec}", "--table", "{member}"], NO_FRACTIONS),
+    "purity": (["purity", "--spec", "{spec}"], NO_FRACTIONS),
+    "mult": (["mult", "--spec", "{spec}"], NO_CODEGEN),
+}
+
+
+def imported_by(args):
+    """Modules a child interpreter imports, read from its -X importtime report."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode in (0, 1), child.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in child.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    """What the interpreter and its site hooks load before any command runs."""
+    return imported_by(["-c", "pass"])
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
+def test_cold_start_loads_only_what_the_command_uses(tmp_path, startup_modules, command):
+    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text("utf-8"))
+    files = {
+        name: write_json(tmp_path / f"{name}.json", golden["inputs"][name])
+        for name in ("spec", "member")
+    }
+    argv, forbidden = COLD_COMMANDS[command]
+    loaded = imported_by(["-m", "crqmult.cli", *(a.format(**files) for a in argv)])
+    assert "crqmult.groups" in loaded
+    assert (loaded - startup_modules) & forbidden == set()

@@ -1,12 +1,15 @@
 """Ambient elements, group membership, order, and purity."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from crqmult.elements import (
+    MAX_SCAN_INDEX,
     AmbientElement,
+    GMembership,
     basis_element,
     element_d,
     element_from_dict,
@@ -20,7 +23,7 @@ from crqmult.elements import (
     purity_witness,
 )
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
-from crqmult.numth import PrimeSet
+from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import MultTable
 from reference import fraction_block
 
@@ -149,6 +152,35 @@ def test_in_G_on_generators():
     inside = AmbientElement.of({"t1": [Fraction(1, 5), 3], "t2": [-2]})
     hit = in_G(spec, inside)
     assert hit is not None and hit.k == 0 and hit.a == inside
+
+
+# (m, rank) of two clipped types sharing the prime invariant m: one index past
+# MAX_SCAN_INDEX, and the rank-1000 scan under it that took 4.67 s unbounded
+SCAN_REFUSALS = {
+    "index-past-bound": (next(m for m in range(MAX_SCAN_INDEX + 1, 10**5) if is_prime(m)), 1),
+    "rank-1000": (19997, 1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_REFUSALS))
+def test_in_G_refuses_large_scans_quickly(case):
+    m, rank = SCAN_REFUSALS[case]
+    spec = CRQGroupSpec.of([make_type("t1", [2], rank, m), make_type("t2", [3], rank, m)])
+    # a coordinate over 5 keeps g out of G, so an unbounded scan would try every k
+    g = AmbientElement.of({"t1": [Fraction(1, 5)] * rank, "t2": [Fraction(1, 5)] * rank})
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="scan limit"):
+        in_G(spec, g)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_in_G_answers_k_zero_past_the_work_bound():
+    # an element of the regulator needs no scan, even where a scan is refused
+    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
+    g = AmbientElement.of({"t1": [Fraction(1, 2)] * 1000})
+    started = time.perf_counter()
+    assert in_G(spec, g) == GMembership(0, g)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_in_G_closed_form_matches_scan():

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from crqmult import groups
+from crqmult.elements import AmbientElement, element_d, in_G
 from crqmult.groups import (
     MAX_TYPES,
     CRQGroupSpec,
@@ -11,6 +13,7 @@ from crqmult.groups import (
     GenBounds,
     GenerationError,
     IdempotentType,
+    Violation,
     ensure_valid,
     main_decomposition,
     random_spec,
@@ -20,7 +23,9 @@ from crqmult.groups import (
     spec_to_json,
     validate_spec,
 )
+from crqmult.multgroup import compute_mult_group, coset_relation, cross_basis_example
 from crqmult.numth import PrimeSet, condition_m_check, is_prime, prime_factors
+from crqmult.tables import MembershipFailure, MembershipVerdict
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -204,3 +209,108 @@ def test_random_spec_single_type_trivial_quotient():
     assert spec.types[0].m == 1
     assert spec.n == 1
     assert validate_spec(spec) == []
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record class of the library, by class name."""
+    spec = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
+    desc = compute_mult_group(spec)
+    coset = coset_relation(spec, 3, AmbientElement.zero(), samples=1)
+    cross = cross_basis_example(2, 3, 7)
+    failure = MembershipFailure("CORNER_RESIDUE", "t1", (0, 0), "slot 1 is nonzero")
+    samples = [
+        spec.types[0].inf_primes,
+        spec.types[0].type,
+        spec.types[0],
+        spec,
+        Violation("RANK_ZERO", ("t1",), "rank 0 is below 1"),
+        main_decomposition(spec),
+        GenBounds(),
+        element_d(spec),
+        in_G(spec, element_d(spec)),
+        failure,
+        MembershipVerdict(False, None, failure),
+        desc.regulator[0],
+        desc,
+        coset.relation,
+        coset,
+        cross.cases[0],
+        cross,
+    ]
+    return {type(r).__name__: r for r in samples}
+
+
+RECORD_NAMES = [
+    "PrimeSet",
+    "IdempotentType",
+    "CriticalTypeData",
+    "CRQGroupSpec",
+    "Violation",
+    "MainDecomposition",
+    "GenBounds",
+    "AmbientElement",
+    "GMembership",
+    "MembershipFailure",
+    "MembershipVerdict",
+    "RegulatorBlock",
+    "MultGroupDescriptor",
+    "CosetRelation",
+    "CosetReport",
+    "CrossBasisCase",
+    "CrossBasisReport",
+]
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_records_are_frozen_values(records, name):
+    r = records[name]
+    cls = type(r)
+    fields = cls.__match_args__
+    values = tuple(getattr(r, f) for f in fields)
+    # the hash is that of the field tuple, so set and dict order follow the fields
+    assert hash(r) == hash(values)
+    assert r == cls(*values) == cls(**dict(zip(fields, values)))
+    assert repr(r).startswith(f"{cls.__name__}({fields[0]}=")
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, f, None)
+        with pytest.raises(AttributeError):
+            delattr(r, f)
+    assert tuple(getattr(r, f) for f in fields) == values
+
+
+def test_records_bind_arguments_as_declared():
+    assert GenBounds() == GenBounds(3, 3, 36) == GenBounds(max_m=36, max_types=3)
+    assert GenBounds(5, max_m=7) == GenBounds(5, 3, 7)
+    assert repr(GenBounds()) == "GenBounds(max_types=3, max_rank=3, max_m=36)"
+    assert Violation("X").subjects == () and Violation("X").detail == ""
+    for bad in (
+        lambda: GenBounds(1, 2, 3, 4),
+        lambda: GenBounds(bogus=1),
+        lambda: GenBounds(1, max_types=2),
+        lambda: Violation(),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    # __post_init__ runs on positional and keyword construction alike
+    with pytest.raises(ValueError):
+        PrimeSet((4,))
+    with pytest.raises(ValueError):
+        PrimeSet(primes=(3, 2))
+    t = IdempotentType("t1", PrimeSet((5,)))
+    with pytest.raises(ValueError):
+        CriticalTypeData(t, 1, m=0)
+    assert CriticalTypeData(type=t, rank=1, m=1, s=4).s == 1
+
+
+def test_spec_computes_its_violations_once(monkeypatch):
+    calls = []
+    validate = groups.validate_spec
+    monkeypatch.setattr(groups, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    spec = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
+    for _ in range(3):
+        ensure_valid(spec)
+        assert spec.violations == ()
+    main_decomposition(spec)
+    assert calls == [spec]

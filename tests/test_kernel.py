@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, element_from_dict
+from crqmult.elements import AmbientElement, Blocks, element_from_dict
 from crqmult.groups import GenBounds, random_spec
+from crqmult.numth import PrimeSet
 from crqmult.tables import MultTable, decide_membership, table_from_dict
 from reference import (
     fraction_block,
@@ -73,7 +74,7 @@ def test_arithmetic_matches_fractions(cls, data):
     assert flat(A - B) == ref_combine(a, b, -1)
     assert flat(q * A) == flat(A * q) == ref_scale(a, q)
     assert flat(-A) == ref_scale(a, -1)
-    assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+    assert (A + B) - B == A and hash((A + B) - B) == hash(A) == hash((A.parts,))
     assert (A == B) == (ref_drop_zero(a) == ref_drop_zero(b))
     assert (A - A).is_zero and (0 * A).is_zero
 
@@ -174,3 +175,13 @@ def test_coordinate_language_is_pinned(coord, value):
     else:
         assert fraction_matrix(table_from_dict(table_doc), "t1", 2)[0][0] == (value, 1)
         assert fraction_block(element_from_dict(element_doc), "t1") == (value, 1)
+
+
+def test_records_of_different_classes_never_compare_equal():
+    # every one of these holds the single field value (), so all four hash alike
+    zeros = [Blocks(()), AmbientElement.zero(), MultTable.zero(), PrimeSet(())]
+    for i, a in enumerate(zeros):
+        for b in zeros[i + 1 :]:
+            assert a != b and not a == b
+            assert hash(a) == hash(b) == hash(((),))
+    assert Blocks.__match_args__ == ("parts",) and AmbientElement.depth == 1
