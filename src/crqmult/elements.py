@@ -196,26 +196,44 @@ class Blocks:
         return None
 
     def _combine(self, other: "Blocks", sign: int):
+        """Merge of the two sorted part lists; only blocks on both sides are reduced.
+
+        A block held by one side alone, or its negation, is already reduced.
+        """
         if type(other) is not type(self):
             return NotImplemented
-        out = {tid: (size, den, nums) for tid, size, den, nums in self.parts}
-        for tid, size, den, nums in other.parts:
-            mine = out.get(tid)
-            if mine is None:
-                out[tid] = (size, den, nums if sign > 0 else [-x for x in nums])
-                continue
-            if mine[0] != size:
-                raise ValueError(f"block {tid!r} has mismatched sizes")
-            _, d1, n1 = mine
-            if d1 == den:
-                combined = [x + sign * y for x, y in zip(n1, nums)]
+        mine, theirs = self.parts, other.parts
+        out = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            tid, size, d1, n1 = mine[i]
+            t2, size2, den, nums = theirs[j]
+            if tid < t2:
+                out.append(mine[i])
+                i += 1
+            elif t2 < tid:
+                out.append(theirs[j] if sign > 0 else (t2, size2, den, tuple(-x for x in nums)))
+                j += 1
             else:
-                g = math.gcd(d1, den)
-                a, b = den // g, d1 // g
-                combined = [x * a + sign * b * y for x, y in zip(n1, nums)]
-                den = d1 * a
-            out[tid] = (size, den, combined)
-        return self.from_parts(out)
+                i += 1
+                j += 1
+                if size != size2:
+                    raise ValueError(f"block {tid!r} has mismatched sizes")
+                if d1 == den:
+                    combined = [x + sign * y for x, y in zip(n1, nums)]
+                else:
+                    g = math.gcd(d1, den)
+                    a, b = den // g, d1 // g
+                    combined = [x * a + sign * b * y for x, y in zip(n1, nums)]
+                    den = d1 * a
+                if any(combined):
+                    out.append((tid, size, *_reduced(den, combined)))
+        out.extend(mine[i:])
+        if sign > 0:
+            out.extend(theirs[j:])
+        else:
+            out.extend((t, size, den, tuple(-x for x in nums)) for t, size, den, nums in theirs[j:])
+        return type(self)(tuple(out))
 
     def __add__(self, other: "Blocks"):
         return self._combine(other, 1)
@@ -406,6 +424,11 @@ def coords_from_json(vec: object, tid: str, nums: list[int], dens: list[int]) ->
         raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
     match = _FRACTION_STRING.fullmatch
     for c in vec:
+        # the commonest coordinate, so it skips the regex
+        if c == "0":
+            nums.append(0)
+            dens.append(1)
+            continue
         if isinstance(c, str):
             found = match(c)
             if found is not None:

@@ -134,7 +134,7 @@ class CRQGroupSpec:
         """Ids of the clipped types."""
         return tuple(d.id for d in self.clipped)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Regulator index: the order of the cyclic regulator quotient."""
         return lcm_all(d.m for d in self.types)

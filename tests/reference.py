@@ -6,7 +6,9 @@ so acceptance criteria can check one against the other.
 
 from fractions import Fraction
 
+from crqmult.elements import basis_element, element_d, in_G
 from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
+from crqmult.tables import build_product
 
 
 def euler_phi(m):
@@ -58,6 +60,31 @@ def border_scaling_check(spec, table):
         border = list(mat[0]) + [row[0] for row in mat]
         for vec in border:
             if not all(is_p_integer((c / d.m).denominator, d.inf_primes) for c in vec):
+                return False
+    return True
+
+
+def ref_closure_oracle(spec, table):
+    """Closure of the induced bilinear map, evaluated product by product.
+
+    Builds the generator d and every basis vector of each clipped type the
+    table stores, and multiplies them with `build_product`: d*d must lie in
+    the group, and d*e and e*d in the regulator.
+    """
+    if table.outside_regulator(spec) is not None:
+        return False
+    product = build_product(spec, table)
+    d = element_d(spec)
+    if in_G(spec, product(d, d)) is None:
+        return False
+    for data in spec.clipped:
+        if table.part(data.id) is None:
+            continue
+        for slot in range(data.rank):
+            e = basis_element(spec, data.id, slot)
+            if product(d, e).outside_regulator(spec) is not None:
+                return False
+            if product(e, d).outside_regulator(spec) is not None:
                 return False
     return True
 

@@ -25,7 +25,13 @@ from crqmult.groups import (
 )
 from crqmult.multgroup import compute_mult_group, coset_relation, cross_basis_example
 from crqmult.numth import PrimeSet, condition_m_check, is_prime, prime_factors
-from crqmult.tables import MembershipFailure, MembershipVerdict
+from crqmult.tables import (
+    MembershipFailure,
+    MembershipVerdict,
+    closure_oracle,
+    decide_membership,
+    generator_x,
+)
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -308,9 +314,18 @@ def test_spec_computes_its_violations_once(monkeypatch):
     calls = []
     validate = groups.validate_spec
     monkeypatch.setattr(groups, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    # the regulator index is an lcm over the types, read several times per table check
+    lcm_calls = []
+    lcm_all = groups.lcm_all
+    monkeypatch.setattr(groups, "lcm_all", lambda values: lcm_calls.append(1) or lcm_all(values))
     spec = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
     for _ in range(3):
         ensure_valid(spec)
         assert spec.violations == ()
     main_decomposition(spec)
     assert calls == [spec]
+    table = 3 * generator_x(spec)
+    for _ in range(2):
+        assert decide_membership(spec, table).alpha == (3, 7)
+        assert closure_oracle(spec, table)
+    assert spec.n == 7 and len(lcm_calls) == 1

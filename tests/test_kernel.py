@@ -1,23 +1,33 @@
-"""The integer block kernel against a Fraction reference, and the coordinate language.
+"""The integer block kernel against a Fraction reference, the closure oracle
+against its product-based reference, and the coordinate language.
 
-Blocks keep one denominator and integer numerators per block; every property
-here rebuilds the same facts from plain Fractions in `reference.py`.  The
+Blocks keep one denominator and integer numerators per block; the kernel
+properties rebuild the same facts from plain Fractions in `reference.py`, and
+the oracle properties compare its cube slices with `build_product`.  The
 searches are derandomized with a fixed example count, so a run is repeatable.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, Blocks, element_from_dict
+from crqmult.elements import AmbientElement, Blocks, basis_element, element_d, element_from_dict
 from crqmult.groups import GenBounds, random_spec
 from crqmult.numth import PrimeSet
-from crqmult.tables import MultTable, decide_membership, table_from_dict
+from crqmult.tables import (
+    MultTable,
+    _generator_products,
+    build_product,
+    closure_oracle,
+    decide_membership,
+    table_from_dict,
+)
 from reference import (
     fraction_block,
     fraction_matrix,
+    ref_closure_oracle,
     ref_combine,
     ref_decide,
     ref_drop_zero,
@@ -99,15 +109,10 @@ def test_outside_regulator_matches_fractions(cls, spec, data):
     assert build(cls, a, ranks).outside_regulator(spec) == ref_outside_regulator(spec, a)
 
 
-@st.composite
-def tables_near_the_filtration(draw, spec):
-    """Flat cubes with integral, m-scaled borders and m^2-scaled corners, then
-    up to two coordinates made fractional, unscaled, or m-scaled on a corner.
-
-    Slot 0 of each corner carries one common witness alpha, as alpha times the
-    corner generator m / s; the "witness" change moves one type off it.
-    """
-    alpha = draw(st.integers(0, 10**3))
+def member_cubes(draw, spec, alpha):
+    """Flat cubes of a member with witness alpha: integral, m-scaled borders,
+    m^2-scaled corners, and alpha times the corner generator m / s on slot 0
+    of each corner.  Alpha 0 gives a doubly scaled table."""
     cubes = {}
     for d in spec.types:
         r = d.rank
@@ -120,6 +125,18 @@ def tables_near_the_filtration(draw, spec):
         if d.m > 1:
             cube[0] += d.m * (alpha * pow(d.s, -1, d.m) % d.m)
         cubes[d.id] = cube
+    return cubes
+
+
+@st.composite
+def tables_near_the_filtration(draw, spec):
+    """Flat cubes with integral, m-scaled borders and m^2-scaled corners, then
+    up to two coordinates made fractional, unscaled, or m-scaled on a corner.
+
+    Slot 0 of each corner carries one common witness alpha, as alpha times the
+    corner generator m / s; the "witness" change moves one type off it.
+    """
+    cubes = member_cubes(draw, spec, draw(st.integers(0, 10**3)))
     for _ in range(draw(st.integers(0, 2))):
         d = draw(st.sampled_from(spec.types))
         kind = draw(st.sampled_from(["fraction", "unscaled", "corner", "witness"]))
@@ -148,6 +165,75 @@ def test_decision_residues_match_fractions(spec, data):
     assert got == (expected if not expected[0] else expected[:2] + (None,) * 4)
 
 
+@st.composite
+def wide_specs(draw):
+    """Specs past the acceptance bounds: up to 6 types, ranks up to 4, n <= 2000."""
+    bounds = GenBounds(6, 4, draw(st.sampled_from((36, 2000))))
+    spec = random_spec(draw(st.integers(0, 2**32)), bounds)
+    assume(spec.n <= 2000)
+    return spec
+
+
+@st.composite
+def tables_around_the_members(draw, spec):
+    """Flat cubes of a member or a doubly scaled table, then at most one
+    coordinate of one type made non-integral or unscaled on a border entry,
+    a corner slot or an interior entry."""
+    alpha = draw(st.integers(0, spec.n - 1)) if draw(st.booleans()) else 0
+    cubes = member_cubes(draw, spec, alpha)
+    kind = draw(st.sampled_from(["none", "fraction", "unscaled"]))
+    if kind != "none":
+        d = draw(st.sampled_from(spec.types))
+        r = d.rank
+        place = draw(st.sampled_from(["border", "corner", "interior"]))
+        if place == "corner" or r == 1:
+            entry = (0, 0)
+        elif place == "border":
+            j = draw(st.integers(1, r - 1))
+            entry = draw(st.sampled_from([(0, j), (j, 0)]))
+        else:
+            entry = (draw(st.integers(1, r - 1)), draw(st.integers(1, r - 1)))
+        leaf = (entry[0] * r + entry[1]) * r + draw(st.integers(0, r - 1))
+        step = Fraction(draw(st.integers(1, 9)))
+        if kind == "fraction":
+            step /= draw(st.sampled_from(DENOMINATORS))
+        cubes[d.id][leaf] += step
+    return ref_drop_zero(cubes)
+
+
+ORACLE_PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+@ORACLE_PROPERTY
+@given(spec=wide_specs(), data=st.data())
+def test_oracle_agrees_with_reference_and_decision(spec, data):
+    cubes = data.draw(tables_around_the_members(spec))
+    table = build(MultTable, cubes, {d.id: d.rank for d in spec.types})
+    closed = closure_oracle(spec, table)
+    assert closed == ref_closure_oracle(spec, table) == decide_membership(spec, table).member
+
+
+@ORACLE_PROPERTY
+@given(spec=wide_specs(), data=st.data())
+def test_generator_products_are_cube_slices(spec, data):
+    ranks = {d.id: d.rank for d in spec.types}
+    table = build(MultTable, reference_blocks(data.draw, ranks, 3, spec_denominators(spec)), ranks)
+    product = build_product(spec, table)
+    d = element_d(spec)
+    square, border = _generator_products(spec, table)
+    assert square == product(d, d)
+    leaves = flat(border)
+    assert set(leaves) <= {c.id for c in spec.clipped if table.part(c.id) is not None}
+    for c in spec.clipped:
+        r = c.rank
+        got = leaves.get(c.id, [0] * (2 * r * r))
+        for j in range(r):
+            e = basis_element(spec, c.id, j)
+            for side, value in enumerate((product(d, e), product(e, d))):
+                start = (2 * j + side) * r
+                assert got[start : start + r] == flat(value).get(c.id, [0] * r)
+
+
 # Outcomes checked at the commit before the integer kernel: None is a refusal.
 PINNED_COORDINATES = [
     ("+1", None),
@@ -160,6 +246,15 @@ PINNED_COORDINATES = [
     ("1/0", None),
     ("-0/7", Fraction(0)),
     ("007/010", Fraction(7, 10)),
+    # zeros, which skip the regex; checked at the commit before that path
+    ("0", Fraction(0)),
+    ("00", Fraction(0)),
+    ("-0", Fraction(0)),
+    ("0/1", Fraction(0)),
+    (0, Fraction(0)),
+    (" 0", None),
+    ("0/0", None),
+    ("٠", None),  # ARABIC-INDIC DIGIT ZERO
 ]
 
 
