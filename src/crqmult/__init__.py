@@ -17,7 +17,6 @@ _EXPORTS = {
         "PrimeSet",
         "condition_m_check",
         "crt_solve",
-        "gcd",
         "is_p_integer",
         "lcm_all",
         "mod_inverse",
@@ -28,7 +27,6 @@ _EXPORTS = {
         "CriticalTypeData",
         "GenBounds",
         "GenerationError",
-        "IdempotentType",
         "MainDecomposition",
         "Violation",
         "main_decomposition",
@@ -42,7 +40,6 @@ _EXPORTS = {
     "elements": (
         "AmbientElement",
         "GMembership",
-        "basis_element",
         "element_d",
         "element_from_dict",
         "element_to_dict",

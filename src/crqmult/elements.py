@@ -31,7 +31,6 @@ __all__ = [
     "AmbientElement",
     "Blocks",
     "GMembership",
-    "basis_element",
     "element_d",
     "project",
     "in_scaled_A_tau",
@@ -273,16 +272,6 @@ class GMembership:
     a: AmbientElement
 
 
-def basis_element(spec: CRQGroupSpec, tid: str, slot: int) -> AmbientElement:
-    """The basis vector of the given type and slot."""
-    data = spec.data_for(tid)
-    if not 0 <= slot < data.rank:
-        raise ValueError(f"slot {slot} out of range for rank {data.rank}")
-    nums = [0] * data.rank
-    nums[slot] = 1
-    return AmbientElement(((tid, data.rank, 1, tuple(nums)),))
-
-
 def _element_d_unchecked(spec: CRQGroupSpec) -> AmbientElement:
     return AmbientElement.from_parts(
         {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
@@ -387,9 +376,8 @@ def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:
     The block fails purity exactly when its invariant does not divide the lcm
     of the other invariants.
     """
-    data = spec.data_for(tid)
-    n1 = lcm_all(d.m for d in spec.types if d.id != tid)
-    return n1 % data.m == 0
+    m = spec.data_for(tid).m
+    return spec.lcm_without[tid] % m == 0
 
 
 def purity_witness(spec: CRQGroupSpec, tid: str) -> Optional[tuple[AmbientElement, int]]:
@@ -400,7 +388,7 @@ def purity_witness(spec: CRQGroupSpec, tid: str) -> Optional[tuple[AmbientElemen
     """
     if purity_oracle(spec, tid):
         return None
-    n1 = lcm_all(d.m for d in spec.types if d.id != tid)
+    n1 = spec.lcm_without[tid]
     x = n1 * project(spec, _element_d_unchecked(spec), tid)
     return x, spec.n // n1
 

@@ -1,10 +1,12 @@
 """Symbolic data for reduced block-rigid groups with cyclic regulator quotient.
 
-A group of ring type is recorded per critical type: the type itself (a finite
-set of primes with infinite height), the free rank of its regulator block, the
-near-isomorphism invariant m (the order of the generator's projection over the
-regulator) and the coefficient s of the standard representation of that
-generator.  The regulator quotient is cyclic of order n = lcm of the m values.
+A group of ring type is recorded as one flat record per critical type: its
+id, the type itself (a finite set of primes with infinite height), the free
+rank of its regulator block, the near-isomorphism invariant m (the order of
+the generator's projection over the regulator) and the coefficient s of the
+standard representation of that generator.  The fields follow the order of
+a type entry in the JSON form.  The regulator quotient is cyclic of order
+n = lcm of the m values.
 
 This module owns validation of such data, the main decomposition into the
 clipped part and its complement, a seeded random generator, and the canonical
@@ -14,6 +16,7 @@ JSON form.
 from __future__ import annotations
 
 import json
+import math
 import random
 from functools import cached_property
 
@@ -21,9 +24,9 @@ from ._record import record
 from .numth import (
     PrimeSet,
     condition_m_check,
-    gcd,
     has_factor_in,
     lcm_all,
+    lcm_of_others,
     p0_class_representative,
 )
 
@@ -33,7 +36,6 @@ if TYPE_CHECKING:
     from typing import Iterable, Mapping
 
 __all__ = [
-    "IdempotentType",
     "CriticalTypeData",
     "CRQGroupSpec",
     "Violation",
@@ -58,34 +60,15 @@ MAX_TYPES = 1000
 
 
 @record
-class IdempotentType:
-    """Critical type identified by its set of infinite primes.
-
-    Two types are comparable when one prime set contains the other; a valid
-    spec lists pairwise incomparable types.
-    """
-
-    id: str
-    inf_primes: PrimeSet
-
-    @cached_property
-    def prime_set(self) -> frozenset[int]:
-        return frozenset(self.inf_primes)
-
-    def comparable_with(self, other: "IdempotentType") -> bool:
-        a, b = self.prime_set, other.prime_set
-        return a <= b or b <= a
-
-
-@record
 class CriticalTypeData:
-    """Payload of one critical type: rank, invariant m, coefficient s.
+    """One critical type: id, infinite primes, rank, invariant m, coefficient s.
 
     The coefficient is only meaningful when m > 1 and is normalised to 1
     otherwise.  Slot 0 of a type with m > 1 is the clipped basis slot.
     """
 
-    type: IdempotentType
+    id: str
+    inf_primes: PrimeSet
     rank: int
     m: int
     s: int = 1
@@ -95,14 +78,6 @@ class CriticalTypeData:
             raise ValueError(f"invariant m must be positive, got {self.m}")
         if self.m == 1 and self.s != 1:
             object.__setattr__(self, "s", 1)
-
-    @property
-    def id(self) -> str:
-        return self.type.id
-
-    @property
-    def inf_primes(self) -> PrimeSet:
-        return self.type.inf_primes
 
 
 @record
@@ -157,15 +132,20 @@ class CRQGroupSpec:
         except KeyError:
             raise ValueError(f"unknown type id {tid!r}") from None
 
-    def rank_of(self, tid: str) -> int:
-        return self.data_for(tid).rank
+    @cached_property
+    def lcm_without(self) -> dict[str, int]:
+        """Per type id, the lcm of the m values of the entries with another id."""
+        ms: dict[str, int] = {}
+        for d in self.types:
+            ms[d.id] = math.lcm(ms.get(d.id, 1), d.m)
+        return dict(zip(ms, lcm_of_others(list(ms.values()))))
 
     def with_coefficients(self, coefficients: Mapping[str, int]) -> "CRQGroupSpec":
         """Copy of the spec with the s of the listed types replaced."""
         out = []
         for d in self.types:
             if d.id in coefficients:
-                out.append(CriticalTypeData(d.type, d.rank, d.m, coefficients[d.id]))
+                out.append(CriticalTypeData(d.id, d.inf_primes, d.rank, d.m, coefficients[d.id]))
             else:
                 out.append(d)
         return CRQGroupSpec.of(out)
@@ -211,17 +191,15 @@ def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
             violations.append(
                 Violation("S_NOT_P0", (d.id,), f"s = {d.s} has a factor among the infinite primes")
             )
-        if gcd(d.s, d.m) != 1:
+        if math.gcd(d.s, d.m) != 1:
             violations.append(
                 Violation("S_M_NOT_COPRIME", (d.id,), f"gcd({d.s}, {d.m}) != 1")
             )
-    types = [d.type for d in spec.types]
-    for i, a in enumerate(types):
-        for b in types[i + 1 :]:
-            if a.comparable_with(b) and a.id != b.id:
-                violations.append(
-                    Violation("COMPARABLE_TYPES", (a.id, b.id), "prime sets are nested")
-                )
+    prime_sets = [(d.id, frozenset(d.inf_primes)) for d in spec.types]
+    for i, (a, pa) in enumerate(prime_sets):
+        for b, pb in prime_sets[i + 1 :]:
+            if a != b and (pa <= pb or pb <= pa):
+                violations.append(Violation("COMPARABLE_TYPES", (a, b), "prime sets are nested"))
     if not condition_m_check({i: d.m for i, d in enumerate(spec.types)}):
         violations.append(
             Violation("CONDITION_M_FAILED", (), "some prime power divides only one m value")
@@ -334,9 +312,9 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
         if ms[i] == 1:
             s = 1
         else:
-            residues = [r for r in range(1, ms[i]) if gcd(r, ms[i]) == 1]
+            residues = [r for r in range(1, ms[i]) if math.gcd(r, ms[i]) == 1]
             s = p0_class_representative(rng.choice(residues), ms[i], inf)
-        entries.append(CriticalTypeData(IdempotentType(f"t{i + 1}", inf), ranks[i], ms[i], s))
+        entries.append(CriticalTypeData(f"t{i + 1}", inf, ranks[i], ms[i], s))
     spec = CRQGroupSpec.of(entries)
     if spec.violations:
         raise GenerationError("generator produced an invalid spec: " + str(spec.violations[0]))
@@ -384,12 +362,7 @@ def spec_from_dict(data: object) -> CRQGroupSpec:
             if not isinstance(item[key], int) or isinstance(item[key], bool):
                 raise ValueError(f"{key} must be an integer")
         entries.append(
-            CriticalTypeData(
-                IdempotentType(item["id"], PrimeSet.of(primes)),
-                item["rank"],
-                item["m"],
-                item["s"],
-            )
+            CriticalTypeData(item["id"], PrimeSet.of(primes), item["rank"], item["m"], item["s"])
         )
     return CRQGroupSpec.of(entries)
 

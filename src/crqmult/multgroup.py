@@ -10,6 +10,7 @@ two-basis intersection construction for rank-(1, 1) pairs.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ._record import record
@@ -17,14 +18,12 @@ from .elements import AmbientElement, format_coord
 from .groups import (
     CRQGroupSpec,
     CriticalTypeData,
-    IdempotentType,
     MainDecomposition,
     ensure_valid,
     main_decomposition,
 )
 from .numth import (
     PrimeSet,
-    gcd,
     has_factor_in,
     is_prime,
     mod_inverse,
@@ -172,7 +171,9 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
             raise RankLimitError(
                 f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {max_rank}"
             )
-        entries.append(CriticalTypeData(d.type, rank, d.m, _iterated_coefficient(d, k)))
+        entries.append(
+            CriticalTypeData(d.id, d.inf_primes, rank, d.m, _iterated_coefficient(d, k))
+        )
     new_spec = CRQGroupSpec.of(entries)
     if k > 1:
         return MultGroupDescriptor(new_spec, basis=None, generator=None, depth=k)
@@ -270,7 +271,7 @@ def coset_relation(
             f"over {MAX_SAMPLED_COORDS}"
         )
     b.check_shape(spec)
-    if gcd(gamma, spec.n) != 1:
+    if math.gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")
     t0 = set(spec.t0_ids)
     for tid, _, _, nums in b.parts:
@@ -398,8 +399,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
 
     if s1 <= 1 or s2 <= 1:
         raise ValueError("s1 and s2 must both exceed 1")
-    if gcd(s1, s2) != 1:
-        raise ValueError(f"s1 and s2 must be coprime, gcd is {gcd(s1, s2)}")
+    if math.gcd(s1, s2) != 1:
+        raise ValueError(f"s1 and s2 must be coprime, gcd is {math.gcd(s1, s2)}")
     if not is_prime(m):
         raise ValueError(f"m = {m} must be prime")
     if s1 % m == 0 or s2 % m == 0:
@@ -418,8 +419,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     if inf2 <= inf1:
         inf2.add(_fresh_prime(inf1 | inf2, m * s1 * s2))
 
-    first = CriticalTypeData(IdempotentType("t1", PrimeSet.of(inf1)), 1, m, s1)
-    second = CriticalTypeData(IdempotentType("t2", PrimeSet.of(inf2)), 1, m, s2)
+    first = CriticalTypeData("t1", PrimeSet.of(inf1), 1, m, s1)
+    second = CriticalTypeData("t2", PrimeSet.of(inf2), 1, m, s2)
     spec_first = CRQGroupSpec.of([first, second])
     violations = spec_first.violations
     if violations:

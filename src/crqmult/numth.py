@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: gcd/lcm, modular inverses, prime sets, CRT.
+"""Exact integer arithmetic: lcm, modular inverses, prime sets, CRT.
 
 Everything works on arbitrary-precision Python integers.  Domain violations
 raise ValueError; an unsolvable congruence system is an absent return value,
@@ -15,12 +15,12 @@ from ._record import record
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Iterable, Iterator, Mapping, Optional
+    from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "PrimeSet",
-    "gcd",
     "lcm_all",
+    "lcm_of_others",
     "mod_inverse",
     "is_prime",
     "prime_factors",
@@ -37,11 +37,6 @@ __all__ = [
 # Miller-Rabin bases; MAX_PRIME_TESTED is the least strong pseudoprime to all of them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_TESTED = 3317044064679887385961981
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 def lcm_all(values: Iterable[int]) -> int:
@@ -188,13 +183,11 @@ def crt_solve(congruences: Iterable[tuple[int, int]]) -> Optional[tuple[int, int
     return residue, modulus
 
 
-def condition_m_check(ms: Mapping[object, int]) -> bool:
-    """True when every value divides the lcm of the remaining values.
+def lcm_of_others(values: Sequence[int]) -> list[int]:
+    """Per index i, the lcm of every value but values[i]; a lone value gets 1.
 
-    Equivalent to: each prime power dividing one value divides at least one
-    other value as well.  A single value passes only when it equals 1.
+    One suffix pass and one prefix pass, so k values cost O(k) lcm calls.
     """
-    values = list(ms.values())
     for v in values:
         if v < 1:
             raise ValueError(f"invariants must be positive, got {v}")
@@ -202,12 +195,22 @@ def condition_m_check(ms: Mapping[object, int]) -> bool:
     suffix = [1] * (len(values) + 1)
     for i in range(len(values) - 1, -1, -1):
         suffix[i] = math.lcm(values[i], suffix[i + 1])
+    out = []
     prefix = 1
     for i, v in enumerate(values):
-        if math.lcm(prefix, suffix[i + 1]) % v != 0:
-            return False
+        out.append(math.lcm(prefix, suffix[i + 1]))
         prefix = math.lcm(prefix, v)
-    return True
+    return out
+
+
+def condition_m_check(ms: Mapping[object, int]) -> bool:
+    """True when every value divides the lcm of the remaining values.
+
+    Equivalent to: each prime power dividing one value divides at least one
+    other value as well.  A single value passes only when it equals 1.
+    """
+    values = list(ms.values())
+    return all(rest % v == 0 for v, rest in zip(values, lcm_of_others(values)))
 
 
 def fraction_residue(value: Fraction, modulus: int) -> int:

@@ -12,6 +12,7 @@ generators.  Both must always agree.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ._record import record
@@ -23,7 +24,7 @@ from .elements import (
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
-from .numth import crt_solve, gcd, is_p_integer, mod_inverse
+from .numth import crt_solve, is_p_integer, mod_inverse
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
@@ -84,17 +85,6 @@ class MembershipVerdict:
     member: bool
     alpha: Optional[tuple[int, int]] = None
     failure: Optional[MembershipFailure] = None
-
-    def __init__(
-        self,
-        member: bool,
-        alpha: Optional[tuple[int, int]] = None,
-        failure: Optional[MembershipFailure] = None,
-    ):
-        # written out, not bound by the record: every decision builds one
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "failure", failure)
 
 
 def _single_entry(rank: int, entry: tuple[int, int], slot: int, num: int) -> list[int]:
@@ -436,7 +426,7 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
         (a, b)
         for i, a in enumerate(clipped)
         for b in clipped[i + 1 :]
-        if gcd(a.m, b.m) > 1
+        if math.gcd(a.m, b.m) > 1
     ]
     if pairs:
         strategies.append("pair")

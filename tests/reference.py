@@ -6,9 +6,16 @@ so acceptance criteria can check one against the other.
 
 from fractions import Fraction
 
-from crqmult.elements import basis_element, element_d, in_G
+from crqmult.elements import AmbientElement, element_d, in_G
 from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
 from crqmult.tables import build_product
+
+
+def basis_vector(tid, rank, slot):
+    """The basis vector of one type and slot, in the stored block form."""
+    nums = [0] * rank
+    nums[slot] = 1
+    return AmbientElement(((tid, rank, 1, tuple(nums)),))
 
 
 def euler_phi(m):
@@ -81,7 +88,7 @@ def ref_closure_oracle(spec, table):
         if table.part(data.id) is None:
             continue
         for slot in range(data.rank):
-            e = basis_element(spec, data.id, slot)
+            e = basis_vector(data.id, data.rank, slot)
             if product(d, e).outside_regulator(spec) is not None:
                 return False
             if product(e, d).outside_regulator(spec) is not None:
@@ -131,7 +138,7 @@ def ref_decide(spec, cubes):
     found = ref_outside_regulator(spec, cubes)
     if found is not None:
         tid, leaf = found
-        rank = spec.rank_of(tid)
+        rank = spec.data_for(tid).rank
         entry = divmod(leaf // rank, rank)
         c = cubes[tid][leaf]
         return (False, None, "ENTRY_OUTSIDE_A", tid, entry,

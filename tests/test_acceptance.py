@@ -19,7 +19,6 @@ from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
     GenBounds,
-    IdempotentType,
     random_spec,
     validate_spec,
 )
@@ -148,7 +147,7 @@ def test_criterion_2_multiplication_group_structure():
             assert verdict.member and verdict.alpha == (1 % spec.n, spec.n)
             assert closure_oracle(spec, gen)
             for tid, table in desc.basis:
-                corner = fraction_matrix(table, tid, spec.rank_of(tid))[0][0]
+                corner = fraction_matrix(table, tid, spec.data_for(tid).rank)[0][0]
                 m = spec.data_for(tid).m
                 assert corner[0] == m * m
                 assert all(c == 0 for c in corner[1:])
@@ -166,9 +165,7 @@ def _condition_m_literal(values):
 def _purity_spec(values):
     anchors = (29, 31, 37, 41)
     types = [
-        CriticalTypeData(
-            IdempotentType(f"t{i + 1}", PrimeSet.of([anchors[i]])), 1, m
-        )
+        CriticalTypeData(f"t{i + 1}", PrimeSet.of([anchors[i]]), 1, m)
         for i, m in enumerate(values)
     ]
     return CRQGroupSpec.of(types)
@@ -232,7 +229,7 @@ def test_criterion_5_presentation_invariance():
             for tid in spec.t0_ids:
                 if rng.random() < 0.5:
                     shift[tid] = [rng.randrange(-3, 4)] + [0] * (
-                        spec.rank_of(tid) - 1
+                        spec.data_for(tid).rank - 1
                     )
             b = AmbientElement.of(shift)
             report = coset_relation(spec, gamma, b, samples=20, seed=seed)

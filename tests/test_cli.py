@@ -313,6 +313,23 @@ def test_purity_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_purity_reads_many_types_in_linear_time(tmp_path, capsys):
+    # purity reads specs that validation would refuse, MAX_TYPES among them,
+    # so it must not compare the types in pairs
+    primes = [p for p in range(7, 40000) if is_prime(p)][:4000]
+    types = [
+        {"id": f"t{i:04d}", "inf_primes": [p], "rank": 1, "m": (6, 10, 15)[i % 3], "s": 1}
+        for i, p in enumerate(primes)
+    ]
+    assert len(types) == 4000 > MAX_TYPES
+    path = write_json(tmp_path / "many.json", {"types": types})
+    started = time.perf_counter()
+    assert main(["purity", "--spec", path, "--format", "json"]) == 0
+    assert time.perf_counter() - started < 0.5
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["pure"]) == 4000 and all(report["pure"].values())
+
+
 def test_coset_command(tmp_path, spec_file, capsys):
     b = write_json(tmp_path / "b.json", {})
     rc = main(

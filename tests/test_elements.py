@@ -1,16 +1,18 @@
 """Ambient elements, group membership, order, and purity."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crqmult.elements import (
     MAX_SCAN_INDEX,
     AmbientElement,
     GMembership,
-    basis_element,
     element_d,
     element_from_dict,
     element_to_dict,
@@ -22,14 +24,14 @@ from crqmult.elements import (
     purity_oracle,
     purity_witness,
 )
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
-from crqmult.numth import PrimeSet, is_prime
+from crqmult.groups import CRQGroupSpec, CriticalTypeData
+from crqmult.numth import PrimeSet, condition_m_check, is_prime
 from crqmult.tables import MultTable
-from reference import fraction_block
+from reference import basis_vector, fraction_block
 
 
 def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(IdempotentType(tid, PrimeSet.of(primes)), rank, m, s)
+    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
 
 
 def two_block_spec():
@@ -115,10 +117,9 @@ def test_element_d_standard_form():
 
 def test_basis_element_and_projection():
     spec = two_block_spec()
-    e = Fraction(5, 3) * basis_element(spec, "t1", 1)
+    e = Fraction(5, 3) * basis_vector("t1", 2, 1)
     assert fraction_block(e, "t1") == (Fraction(0), Fraction(5, 3))
-    with pytest.raises(ValueError):
-        basis_element(spec, "t1", 2)
+    assert project(spec, e, "t1") == e and project(spec, e, "t2").is_zero
     d = element_d(spec)
     assert fraction_block(project(spec, d, "t2"), "t2") == (Fraction(3, 7),)
     assert fraction_block(project(spec, d, "t2"), "t1") == ()
@@ -272,6 +273,25 @@ def test_every_block_pure_when_invariants_agree():
     for tid in spec.type_ids:
         assert purity_oracle(spec, tid)
         assert purity_witness(spec, tid) is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 72)), min_size=1, max_size=8))
+def test_purity_and_condition_m_match_brute_force_lcm(entries):
+    # entries sharing an id are one type to purity: all of them leave its lcm
+    spec = CRQGroupSpec.of(make_type(tid, [29], 1, m) for tid, m in entries)
+    for tid in spec.type_ids:
+        m = spec.data_for(tid).m
+        rest = math.lcm(*(other for t, other in entries if t != tid))
+        assert purity_oracle(spec, tid) == (rest % m == 0)
+        witness = purity_witness(spec, tid)
+        assert (witness is None) == (rest % m == 0)
+        if witness is not None:
+            assert witness[1] == spec.n // rest
+    # condition_m_check keys its values by position, so duplicates count apart
+    ms = [m for _, m in entries]
+    brute = all(math.lcm(*ms[:i], *ms[i + 1 :]) % m == 0 for i, m in enumerate(ms))
+    assert condition_m_check(dict(enumerate(ms))) == brute
 
 
 def test_fractional_multiple_of_basis_never_in_G():

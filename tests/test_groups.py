@@ -12,7 +12,6 @@ from crqmult.groups import (
     CriticalTypeData,
     GenBounds,
     GenerationError,
-    IdempotentType,
     Violation,
     ensure_valid,
     main_decomposition,
@@ -35,7 +34,7 @@ from crqmult.tables import (
 
 
 def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(IdempotentType(tid, PrimeSet.of(primes)), rank, m, s)
+    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
 
 
 def make_spec(*types):
@@ -114,7 +113,7 @@ def test_t0_and_lookup():
     assert spec.type_ids == ("t1", "t2", "t3")
     assert spec.t0_ids == ("t1", "t2")
     assert spec.data_for("t3").m == 1
-    assert spec.rank_of("t1") == 2
+    assert spec.data_for("t1").rank == 2
     with pytest.raises(ValueError):
         spec.data_for("t9")
 
@@ -227,7 +226,6 @@ def records():
     failure = MembershipFailure("CORNER_RESIDUE", "t1", (0, 0), "slot 1 is nonzero")
     samples = [
         spec.types[0].inf_primes,
-        spec.types[0].type,
         spec.types[0],
         spec,
         Violation("RANK_ZERO", ("t1",), "rank 0 is below 1"),
@@ -249,7 +247,6 @@ def records():
 
 RECORD_NAMES = [
     "PrimeSet",
-    "IdempotentType",
     "CriticalTypeData",
     "CRQGroupSpec",
     "Violation",
@@ -304,10 +301,10 @@ def test_records_bind_arguments_as_declared():
         PrimeSet((4,))
     with pytest.raises(ValueError):
         PrimeSet(primes=(3, 2))
-    t = IdempotentType("t1", PrimeSet((5,)))
+    primes = PrimeSet((5,))
     with pytest.raises(ValueError):
-        CriticalTypeData(t, 1, m=0)
-    assert CriticalTypeData(type=t, rank=1, m=1, s=4).s == 1
+        CriticalTypeData("t1", primes, 1, m=0)
+    assert CriticalTypeData(id="t1", inf_primes=primes, rank=1, m=1, s=4).s == 1
 
 
 def test_spec_computes_its_violations_once(monkeypatch):

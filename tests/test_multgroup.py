@@ -9,7 +9,6 @@ from crqmult.elements import AmbientElement
 from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
-    IdempotentType,
     random_spec,
     validate_spec,
 )
@@ -33,7 +32,7 @@ from reference import fraction_matrix
 
 
 def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(IdempotentType(tid, PrimeSet.of(primes)), rank, m, s)
+    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
 
 
 def two_block_spec():
@@ -78,7 +77,7 @@ def test_structure_generator_and_basis_tables():
     assert verdict.member and verdict.alpha == (1, 7)
     assert closure_oracle(spec, gen)
     for tid, table in desc.basis:
-        mat = fraction_matrix(table, tid, spec.rank_of(tid))
+        mat = fraction_matrix(table, tid, spec.data_for(tid).rank)
         corner = mat[0][0]
         assert corner[0] == 49 and all(c == 0 for c in corner[1:])
         assert in_M2(spec, table)

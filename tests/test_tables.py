@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from crqmult.elements import AmbientElement, basis_element, element_d, in_G
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, IdempotentType
+from crqmult.elements import AmbientElement, element_d, in_G
+from crqmult.groups import CRQGroupSpec, CriticalTypeData
 from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
     MultTable,
@@ -27,11 +27,11 @@ from crqmult.tables import (
     table_from_dict,
     table_to_dict,
 )
-from reference import fraction_matrix
+from reference import basis_vector, fraction_matrix
 
 
 def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(IdempotentType(tid, PrimeSet.of(primes)), rank, m, s)
+    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
 
 
 def two_block_spec():
@@ -44,7 +44,7 @@ def corner_table(spec, blocks):
     """Table with the given (0, 0) vectors and zeros elsewhere."""
     data = {}
     for tid, vec in blocks.items():
-        rank = spec.rank_of(tid)
+        rank = spec.data_for(tid).rank
         mat = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
         mat[0][0] = [Fraction(v) for v in vec]
         data[tid] = mat
@@ -230,13 +230,13 @@ def test_build_product_is_bilinear():
     product = build_product(spec, table)
     g = AmbientElement.of({"t1": [Fraction(1, 5), 2], "t2": [3]})
     h = AmbientElement.of({"t1": [2, Fraction(-1, 5)], "t2": [Fraction(1, 2)]})
-    k = basis_element(spec, "t1", 1)
+    k = basis_vector("t1", 2, 1)
     assert product(g + k, h) == product(g, h) + product(k, h)
     assert product(g, h + k) == product(g, h) + product(g, k)
     assert product(g * 3, h) == product(g, h) * 3
     # cross-type products vanish: support never mixes
-    e1 = basis_element(spec, "t1", 0)
-    e2 = basis_element(spec, "t2", 0)
+    e1 = basis_vector("t1", 2, 0)
+    e2 = basis_vector("t2", 1, 0)
     assert product(e1, e2).is_zero
 
 
