@@ -42,23 +42,16 @@ _EXPORTS = {
         "GMembership",
         "element_d",
         "element_from_dict",
-        "element_to_dict",
         "in_G",
-        "in_scaled_A_tau",
-        "order_mod_A",
-        "project",
         "purity_oracle",
-        "purity_witness",
     ),
     "tables": (
         "MembershipFailure",
         "MembershipVerdict",
         "MultTable",
-        "build_product",
         "closure_oracle",
         "decide_membership",
         "generator_x",
-        "in_M1",
         "in_M2",
         "table_from_dict",
         "table_to_dict",

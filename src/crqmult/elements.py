@@ -19,7 +19,7 @@ import re
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_valid
-from .numth import coprime_part, crt_solve, lcm_all, mod_inverse
+from .numth import coprime_part, crt_solve, mod_inverse
 
 # true only for type checkers, so typing and fractions stay unloaded at run time
 TYPE_CHECKING = False
@@ -32,14 +32,9 @@ __all__ = [
     "Blocks",
     "GMembership",
     "element_d",
-    "project",
-    "in_scaled_A_tau",
     "in_G",
     "in_g_closed_form",
-    "order_mod_A",
     "purity_oracle",
-    "purity_witness",
-    "element_to_dict",
     "element_from_dict",
     "coords_from_json",
 ]
@@ -272,36 +267,12 @@ class GMembership:
     a: AmbientElement
 
 
-def _element_d_unchecked(spec: CRQGroupSpec) -> AmbientElement:
-    return AmbientElement.from_parts(
-        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
-    )
-
-
 def element_d(spec: CRQGroupSpec) -> AmbientElement:
     """The distinguished generator over the regulator, s/m on each clipped slot."""
     ensure_valid(spec)
-    return _element_d_unchecked(spec)
-
-
-def project(spec: CRQGroupSpec, g: AmbientElement, tid: str) -> AmbientElement:
-    """Component of g in the block of one type."""
-    spec.data_for(tid)
-    part = g.part(tid)
-    return AmbientElement(((tid, *part),)) if part else AmbientElement.zero()
-
-
-def in_scaled_A_tau(spec: CRQGroupSpec, g: AmbientElement, tid: str, scale: int) -> bool:
-    """True when g, supported on the block of tid, lies in scale * A_tau."""
-    from fractions import Fraction
-
-    if scale < 1:
-        raise ValueError(f"scale must be positive, got {scale}")
-    spec.data_for(tid)
-    if any(t != tid for t in g.support):
-        raise ValueError(f"element has support outside type {tid!r}")
-    g.check_shape(spec)
-    return (g * Fraction(1, scale)).outside_regulator(spec) is None
+    return AmbientElement.from_parts(
+        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
+    )
 
 
 def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
@@ -359,17 +330,6 @@ def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembers
     return GMembership(k, a) if a.outside_regulator(spec) is None else None
 
 
-def order_mod_A(spec: CRQGroupSpec, g: AmbientElement) -> int:
-    """Least t >= 1 with t*g in the regulator.
-
-    Per coordinate this is the part of the reduced denominator supported away
-    from the infinite primes; the lcm over a block is that part of the block
-    denominator, and the result is the lcm over all blocks.
-    """
-    g.check_shape(spec)
-    return lcm_all(coprime_part(den, spec.data_for(tid).inf_primes) for tid, _, den, _ in g.parts)
-
-
 def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:
     """True when the regulator block of tid is pure in the group.
 
@@ -378,24 +338,6 @@ def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:
     """
     m = spec.data_for(tid).m
     return spec.lcm_without[tid] % m == 0
-
-
-def purity_witness(spec: CRQGroupSpec, tid: str) -> Optional[tuple[AmbientElement, int]]:
-    """For an impure block: (x, t) with x outside the block but t*x inside.
-
-    Returns None when the block is pure.  The witness is n1 times the block
-    component of the generator, with t the complementary cofactor of n.
-    """
-    if purity_oracle(spec, tid):
-        return None
-    n1 = spec.lcm_without[tid]
-    x = n1 * project(spec, _element_d_unchecked(spec), tid)
-    return x, spec.n // n1
-
-
-def element_to_dict(g: AmbientElement) -> dict[str, list[str]]:
-    """JSON-ready form: reduced fraction strings per block."""
-    return {tid: [format_coord(x, den) for x in nums] for tid, _, den, nums in g.parts}
 
 
 # ASCII digits only: [0-9], unlike \d, matches no other script's digits

@@ -255,11 +255,12 @@ def coset_relation(
 ) -> CosetReport:
     """Compare the membership structure under d and under gamma*d + b.
 
-    Requires gamma coprime to the regulator index and b supported on the
-    clipped slots.  When the shifted generator again has a standard
-    representation over the same basis, the two corner generators differ by
-    the inverse of gamma up to doubly scaled tables, and membership verdicts
-    agree on sampled tables; otherwise the pair is reported not applicable.
+    Requires gamma coprime to the regulator index and b in the regulator,
+    supported on the clipped slots.  When the shifted generator again has a
+    standard representation over the same basis, the two corner generators
+    differ by the inverse of gamma up to doubly scaled tables, and membership
+    verdicts agree on sampled tables; otherwise the pair is reported not
+    applicable.
     """
     if not 1 <= samples <= MAX_COSET_SAMPLES:
         raise ValueError(f"samples must be between 1 and {MAX_COSET_SAMPLES}, got {samples}")
@@ -279,6 +280,9 @@ def coset_relation(
             raise ValueError(f"shift element touches unclipped type {tid!r}")
         if any(nums[1:]):
             raise ValueError(f"shift element touches a non-clipped slot of type {tid!r}")
+    outside = b.outside_regulator(spec)
+    if outside is not None:
+        raise ValueError(f"shift element lies outside the regulator at type {outside[0]!r}")
 
     s_prime: dict[str, int] = {}
     for d in spec.clipped:

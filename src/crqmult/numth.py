@@ -31,7 +31,6 @@ __all__ = [
     "p0_inverse",
     "crt_solve",
     "condition_m_check",
-    "fraction_residue",
 ]
 
 # Miller-Rabin bases; MAX_PRIME_TESTED is the least strong pseudoprime to all of them
@@ -213,6 +212,7 @@ def condition_m_check(ms: Mapping[object, int]) -> bool:
     return all(rest % v == 0 for v, rest in zip(values, lcm_of_others(values)))
 
 
+# Not exported: only perfbench's tracer, which looks it up by name, and the tests use it.
 def fraction_residue(value: Fraction, modulus: int) -> int:
     """Image of a fraction with modulus-coprime denominator in Z/modulus."""
     if modulus < 1:

@@ -4,6 +4,7 @@ Each function computes a fact by a different route from the library's own,
 so acceptance criteria can check one against the other.
 """
 
+import math
 from fractions import Fraction
 
 from crqmult.elements import AmbientElement, element_d, in_G
@@ -16,6 +17,61 @@ def basis_vector(tid, rank, slot):
     nums = [0] * rank
     nums[slot] = 1
     return AmbientElement(((tid, rank, 1, tuple(nums)),))
+
+
+def project(spec, g, tid):
+    """Component of g in the block of one type, rebuilt from its Fraction coordinates."""
+    spec.data_for(tid)
+    return AmbientElement.of({tid: fraction_block(g, tid)})
+
+
+def in_scaled_A_tau(spec, g, tid, scale):
+    """True when g, supported on the block of tid, lies in scale * A_tau.
+
+    Every coordinate over scale must have a denominator made of the type's
+    infinite primes.
+    """
+    if scale < 1:
+        raise ValueError(f"scale must be positive, got {scale}")
+    data = spec.data_for(tid)
+    if any(t != tid for t in g.support):
+        raise ValueError(f"element has support outside type {tid!r}")
+    coords = fraction_block(g, tid)
+    if coords and len(coords) != data.rank:
+        raise ValueError(f"block {tid!r} has size {len(coords)}, expected {data.rank}")
+    return all(is_p_integer((c / scale).denominator, data.inf_primes) for c in coords)
+
+
+def order_mod_A(spec, g):
+    """Least t >= 1 with t*g in the regulator.
+
+    Per coordinate c, the least t with t*c integral at the type is found by
+    trying t = 1, 2, ... up to the denominator of c; the order of g is the
+    lcm of those.
+    """
+    order = 1
+    for tid in g.support:
+        inf = spec.data_for(tid).inf_primes
+        for c in fraction_block(g, tid):
+            t = next(t for t in range(1, c.denominator + 1)
+                     if is_p_integer((t * c).denominator, inf))
+            order = math.lcm(order, t)
+    return order
+
+
+def purity_witness(spec, tid):
+    """For an impure block: (x, t) with x outside the block's regulator but t*x in it.
+
+    None when the lcm n1 of the other types' invariants is a multiple of m.
+    Otherwise x is n1 * s/m on slot 0 of the block and t is n / n1; entries
+    sharing the id all leave n1.
+    """
+    data = spec.data_for(tid)
+    n1 = math.lcm(*(t.m for t in spec.types if t.id != tid))
+    if n1 % data.m == 0:
+        return None
+    x = AmbientElement.of({tid: [Fraction(n1 * data.s, data.m)] + [0] * (data.rank - 1)})
+    return x, spec.n // n1
 
 
 def euler_phi(m):

@@ -8,13 +8,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from crqmult.elements import (
-    AmbientElement,
-    in_scaled_A_tau,
-    order_mod_A,
-    project,
-    purity_oracle,
-)
+from crqmult.elements import AmbientElement, purity_oracle
 from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
@@ -41,7 +35,14 @@ from crqmult.tables import (
     sample_member_table,
     sample_unscaled_border_table,
 )
-from reference import border_scaling_check, euler_phi, fraction_matrix
+from reference import (
+    border_scaling_check,
+    euler_phi,
+    fraction_matrix,
+    in_scaled_A_tau,
+    order_mod_A,
+    project,
+)
 
 SPEC_COUNT = 200
 TABLES_PER_SPEC = 20

@@ -345,6 +345,16 @@ def test_coset_command(tmp_path, spec_file, capsys):
     assert main(["coset", "--spec", str(spec_file), "--gamma", "2", "--b", b]) == 2
     capsys.readouterr()
 
+    # t1 of the seed-7 spec inverts only 5: a shift of 1/2 is refused, 1/5 is not applicable
+    outside = write_json(tmp_path / "half.json", {"t1": ["1/2"]})
+    assert main(["coset", "--spec", str(spec_file), "--gamma", "1", "--b", outside]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shift element lies outside the regulator at type 't1'\n"
+    inside = write_json(tmp_path / "fifth.json", {"t1": ["1/5"]})
+    assert main(["coset", "--spec", str(spec_file), "--gamma", "1", "--b", inside]) == 1
+    assert capsys.readouterr().out.startswith("not applicable: ")
+
 
 def test_example27_command(capsys):
     rc = main(["example27", "--s1", "2", "--s2", "3", "--m", "7", "--format", "json"])

@@ -9,6 +9,7 @@ from crqmult.elements import AmbientElement
 from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
+    GenBounds,
     random_spec,
     validate_spec,
 )
@@ -205,6 +206,14 @@ def test_coset_inapplicable_presentations():
     assert "not an integer" in report.reason
 
 
+def test_iterate_twice_is_mult_of_mult():
+    # rank at most 2 keeps the second mult's cubes under MAX_TABLE_COORDS
+    for seed in range(200):
+        spec = random_spec(seed, GenBounds(3, 2, 36))
+        twice = compute_mult_group(compute_mult_group(spec).spec).spec
+        assert iterate_mult(spec, 2).spec == twice
+
+
 def test_coset_rejects_malformed_input():
     spec = two_block_spec()
     with pytest.raises(ValueError):
@@ -214,6 +223,11 @@ def test_coset_rejects_malformed_input():
     solo_unclipped = AmbientElement.of({"t9": [1]})
     with pytest.raises(ValueError):
         coset_relation(spec, 1, solo_unclipped)
+    # 1/2 is not integral at t1, whose only inverted prime is 5
+    with pytest.raises(ValueError, match="outside the regulator at type 't1'"):
+        coset_relation(spec, 1, AmbientElement.of({"t1": [Fraction(1, 2), 0]}))
+    inside = coset_relation(spec, 1, AmbientElement.of({"t1": [Fraction(1, 5), 0]}))
+    assert not inside.applicable
     for samples in (-5, 0, 1001):
         with pytest.raises(ValueError):
             coset_relation(spec, 1, AmbientElement.zero(), samples=samples)

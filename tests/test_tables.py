@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crqmult.elements import AmbientElement, element_d, in_G
-from crqmult.groups import CRQGroupSpec, CriticalTypeData
+from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
 from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
     MultTable,
@@ -15,7 +17,6 @@ from crqmult.tables import (
     closure_oracle,
     decide_membership,
     generator_x,
-    in_M1,
     in_M2,
     random_r_fraction,
     rescale_slot0_coords,
@@ -27,7 +28,7 @@ from crqmult.tables import (
     table_from_dict,
     table_to_dict,
 )
-from reference import basis_vector, fraction_matrix
+from reference import basis_vector, border_scaling_check, fraction_matrix
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -38,6 +39,11 @@ def two_block_spec():
     return CRQGroupSpec.of(
         [make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)]
     )
+
+
+def in_m1(spec, table):
+    """The M1 layer: entries in the regulator, borders of clipped types m-scaled."""
+    return table.outside_regulator(spec) is None and border_scaling_check(spec, table)
 
 
 def corner_table(spec, blocks):
@@ -79,7 +85,7 @@ def test_generator_x_form():
     # corner entry is m times the canonical inverse of s, on slot 0
     assert fraction_matrix(x, "t1", 2)[0][0] == (Fraction(28), Fraction(0))  # inv(2) mod 7 = 4
     assert fraction_matrix(x, "t2", 1)[0][0] == (Fraction(35),)  # inv(3) mod 7 wrt {2} = 5
-    assert in_M1(spec, x)
+    assert in_m1(spec, x)
     assert not in_M2(spec, x)
 
 
@@ -115,13 +121,13 @@ def test_filtration_layers():
     for _ in range(20):
         t2 = sample_m2_table(spec, rng)
         assert in_M2(spec, t2)
-        assert in_M1(spec, t2)
+        assert in_m1(spec, t2)
     # scaled borders without the corner congruence stay on the middle layer
     border_only = corner_table(spec, {"t1": [0, 7]})
-    assert in_M1(spec, border_only)
+    assert in_m1(spec, border_only)
     assert not in_M2(spec, border_only)
     loose = corner_table(spec, {"t1": [1, 0]})
-    assert not in_M1(spec, loose)
+    assert not in_m1(spec, loose)
 
 
 def test_zero_table_is_the_trivial_multiplication():
@@ -212,6 +218,24 @@ def test_decision_matches_closure_oracle():
         assert decide_membership(spec, table).member == closure_oracle(spec, table)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 199), st.integers(0, 2**32), st.integers(-5, 5))
+def test_decision_is_a_homomorphism(spec_seed, table_seed, c):
+    # the witness alpha maps the member tables onto Z/n, with the doubly scaled tables as kernel
+    spec = random_spec(spec_seed, GenBounds(3, 3, 36))
+    rng = random.Random(table_seed)
+    t1, _ = sample_member_table(spec, rng)
+    t2, _ = sample_member_table(spec, rng)
+    alpha1 = decide_membership(spec, t1).alpha[0]
+    alpha2 = decide_membership(spec, t2).alpha[0]
+    n = spec.n
+    total = decide_membership(spec, t1 + t2)
+    assert total.member and (total.alpha[0] - alpha1 - alpha2) % n == 0
+    scaled = decide_membership(spec, c * t1)
+    assert scaled.member and (scaled.alpha[0] - c * alpha1) % n == 0
+    assert in_M2(spec, t1 - alpha1 * generator_x(spec))
+
+
 def test_member_square_of_d_lands_in_witness_coset():
     spec = two_block_spec()
     rng = random.Random(55)
@@ -242,14 +266,14 @@ def test_build_product_is_bilinear():
 
 def test_border_scaling_check():
     spec = two_block_spec()
-    assert in_M1(spec, generator_x(spec))
-    assert in_M1(spec, MultTable.zero())
+    assert in_m1(spec, generator_x(spec))
+    assert in_m1(spec, MultTable.zero())
     rng = random.Random(91)
     unscaled = sample_unscaled_border_table(spec, rng)
-    assert not in_M1(spec, unscaled)
+    assert not in_m1(spec, unscaled)
     # interior entries are unconstrained
     data = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
-    assert in_M1(spec, MultTable.of(data))
+    assert in_m1(spec, MultTable.of(data))
 
 
 def test_rescale_round_trip():
