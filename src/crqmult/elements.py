@@ -21,11 +21,10 @@ from ._record import record
 from .groups import CRQGroupSpec, ensure_valid
 from .numth import coprime_part, crt_solve, mod_inverse
 
-# true only for type checkers, so typing and fractions stay unloaded at run time
+# true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
-    from typing import ClassVar, Iterable, Mapping, Optional, Sequence, TypeAlias
+    from typing import ClassVar, Mapping, Optional, Sequence
 
 __all__ = [
     "AmbientElement",
@@ -39,7 +38,6 @@ __all__ = [
     "coords_from_json",
 ]
 
-Scalar: TypeAlias = "int | Fraction"
 # in_G tries up to n candidates; the scan of two rank-1 types takes about 11 us
 # per candidate (Python 3.11, one Xeon core), so n at this bound costs about 0.25 s.
 MAX_SCAN_INDEX = 20000
@@ -93,39 +91,17 @@ class Blocks:
         object.__setattr__(self, "parts", parts)
 
     @classmethod
-    def of(cls, mapping: Mapping[str, Iterable]):
-        """Container from nested iterables of integers or fractions per type id."""
-        from fractions import Fraction
-
-        coords = {}
-        for tid in sorted(mapping):
-            level = list(mapping[tid])
-            size = len(level)
-            for _ in range(cls.depth - 1):
-                level = [list(part) for part in level]
-                if any(len(part) != size for part in level):
-                    raise cls._ragged(tid, size)
-                level = [x for part in level for x in part]
-            level = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in level]
-            coords[tid] = (size, [c.numerator for c in level], [c.denominator for c in level])
-        return cls.from_coords(coords)
-
-    @staticmethod
-    def _ragged(tid: str, size: int) -> ValueError:
-        return ValueError(f"block {tid!r} is not {size} wide at every level")
-
-    @classmethod
     def from_coords(
-        cls, coords: Mapping[str, tuple[int, list[int], list[int]]], ragged: Iterable[str] = ()
+        cls, coords: Mapping[str, tuple[int, list[int], list[int]]], ragged: Sequence[str] = ()
     ):
         """Container from (size, numerators, denominators) per type id.
 
         `ragged` names the blocks that are not `size` wide at every level;
-        the least of them is refused, as `of` refuses it.
+        the least of them is refused.
         """
-        ragged = sorted(ragged)
         if ragged:
-            raise cls._ragged(ragged[0], coords[ragged[0]][0])
+            tid = min(ragged)
+            raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
         parts = []
         for tid in sorted(coords):
             size, nums, dens = coords[tid]
@@ -238,16 +214,12 @@ class Blocks:
     def __neg__(self):
         return self * -1
 
-    def __mul__(self, scalar: Scalar):
-        if isinstance(scalar, int):
-            p, q = scalar, 1
-        else:
-            from fractions import Fraction
-
-            factor = scalar if type(scalar) is Fraction else Fraction(scalar)
-            p, q = factor.numerator, factor.denominator
+    def __mul__(self, scalar: int):
+        # integers only: any other type gets NotImplemented, so Python raises TypeError
+        if not isinstance(scalar, int):
+            return NotImplemented
         return self.from_parts(
-            {tid: (size, den * q, [p * x for x in nums]) for tid, size, den, nums in self.parts}
+            {tid: (size, den, [scalar * x for x in nums]) for tid, size, den, nums in self.parts}
         )
 
     __rmul__ = __mul__
@@ -289,13 +261,14 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     g.check_shape(spec)
     if g.outside_regulator(spec) is None:
         return GMembership(0, g)
-    d = element_d(spec)
-    work = spec.n * sum(len(p[3]) for p in g.parts + d.parts)
+    # d stores a full-rank vector for every clipped type: count it before building it
+    work = spec.n * (sum(len(p[3]) for p in g.parts) + sum(t.rank for t in spec.clipped))
     if work > MAX_SCAN_WORK:
         raise ValueError(
             f"regulator index {spec.n} times the stored coordinates comes to {work}, "
             f"over the scan limit {MAX_SCAN_WORK}"
         )
+    d = element_d(spec)
     current = g
     for k in range(1, spec.n):
         current = current - d

@@ -180,8 +180,14 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
     basis = tuple(
         (d.id, single_entry_table(d.id, d.rank, (0, 0), 0, d.m * d.m)) for d in spec.clipped
     )
-    inverses = {d.id: new_spec.data_for(d.id).s for d in spec.clipped}
-    return MultGroupDescriptor(new_spec, basis=basis, generator=generator_x(spec, inverses))
+    # m times the new coefficient, an inverse of s modulo m, on each clipped corner; the
+    # tables hold one type each, so their sum is the union of their parts
+    corners = [
+        single_entry_table(d.id, d.rank, (0, 0), 0, d.m * new_spec.data_for(d.id).s)
+        for d in spec.clipped
+    ]
+    generator = MultTable(tuple(sorted(p for table in corners for p in table.parts)))
+    return MultGroupDescriptor(new_spec, basis=basis, generator=generator)
 
 
 def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
@@ -399,8 +405,6 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     membership sets therefore intersect exactly in the regulator
     multiplications.
     """
-    from fractions import Fraction
-
     if s1 <= 1 or s2 <= 1:
         raise ValueError("s1 and s2 must both exceed 1")
     if math.gcd(s1, s2) != 1:
@@ -430,8 +434,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     if violations:
         raise ValueError("construction produced an invalid spec: " + str(violations[0]))
     spec_second = spec_first.with_coefficients({"t1": 1, "t2": 1})
-    units = {"t1": Fraction(s1 + m), "t2": Fraction(s2 + m)}
-    inverse_units = {tid: 1 / w for tid, w in units.items()}
+    units = {"t1": (s1 + m, 1), "t2": (s2 + m, 1)}
+    inverse_units = {"t1": (1, s1 + m), "t2": (1, s2 + m)}
 
     rng = random.Random(seed)
     zero = MultTable.zero()

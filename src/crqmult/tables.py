@@ -31,7 +31,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Optional, Sequence
 
-    from .elements import Part, Scalar
+    from .elements import Part
 
 __all__ = [
     "MultTable",
@@ -92,30 +92,21 @@ def _single_entry(rank: int, entry: tuple[int, int], slot: int, num: int) -> lis
 
 
 def single_entry_table(
-    tid: str, rank: int, entry: tuple[int, int], slot: int, value: Scalar
+    tid: str, rank: int, entry: tuple[int, int], slot: int, value: int
 ) -> MultTable:
     """Table whose only nonzero coordinate is `value`, at `slot` of one entry of one block."""
-    nums = _single_entry(rank, entry, slot, value.numerator)
-    return MultTable.from_parts({tid: (rank, value.denominator, nums)})
+    return MultTable.from_parts({tid: (rank, 1, _single_entry(rank, entry, slot, value))})
 
 
-def generator_x(spec: CRQGroupSpec, inverses: Optional[Mapping[str, int]] = None) -> MultTable:
-    """Distinguished coset generator: m * s^{-1} on slot 0 of each clipped corner.
-
-    A custom inverse of s modulo m may be supplied per type; any choice in the
-    same residue class yields a table in the same coset over the scaled part.
-    """
+def generator_x(spec: CRQGroupSpec) -> MultTable:
+    """Distinguished coset generator: m * s^{-1} on slot 0 of each clipped corner."""
     ensure_valid(spec)
-    blocks = {}
-    for d in spec.clipped:
-        if inverses is not None and d.id in inverses:
-            inv = inverses[d.id]
-            if (d.s * inv - 1) % d.m != 0:
-                raise ValueError(f"{inv} does not invert {d.s} modulo {d.m}")
-        else:
-            inv = mod_inverse(d.s, d.m)
-        blocks[d.id] = (d.rank, 1, _single_entry(d.rank, (0, 0), 0, d.m * inv))
-    return MultTable.from_parts(blocks)
+    return MultTable.from_parts(
+        {
+            d.id: (d.rank, 1, _single_entry(d.rank, (0, 0), 0, d.m * mod_inverse(d.s, d.m)))
+            for d in spec.clipped
+        }
+    )
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -312,34 +303,36 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
 
 
 def rescale_slot0_coords(
-    spec: CRQGroupSpec, table: MultTable, units: Mapping[str, Scalar]
+    spec: CRQGroupSpec, table: MultTable, units: Mapping[str, tuple[int, int]]
 ) -> MultTable:
     """Rewrite entry coordinates after rescaling slot-0 basis vectors by units.
 
-    Each unit must be invertible in the localization of its type, so the
+    Each unit is an integer pair (num, den), den positive, as `random_r_fraction`
+    returns it.  It must be invertible in the localization of its type, so the
     rescaled vectors generate the same regulator block.  The slot-0
     coordinate is divided by the unit (coordinates over the new basis);
-    reciprocal units undo that.
+    the pair (den, num) undoes that.
     """
-    from fractions import Fraction
-
     ensure_valid(spec)
     table.check_shape(spec)
     factors: dict[str, tuple[int, int]] = {}
-    for tid, raw in units.items():
+    for tid, unit in units.items():
         data = spec.data_for(tid)
-        w = Fraction(raw)
-        if w == 0:
-            raise ValueError(f"unit for type {tid!r} must be nonzero")
-        if not (
-            is_p_integer(w.numerator, data.inf_primes)
-            and is_p_integer(w.denominator, data.inf_primes)
-        ):
-            raise ValueError(f"{w} is not invertible in the localization of type {tid!r}")
-        # slot 0 takes the factor 1 / w = q / p; put over |p|, which keeps the block
-        # denominator positive, that is q * sign(p) on slot 0 and |p| on every other slot
-        sign = 1 if w > 0 else -1
-        factors[tid] = (sign * w.denominator, sign * w.numerator)
+        num, den = unit if isinstance(unit, tuple) else (unit, None)
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise ValueError(f"unit for type {tid!r} must be an integer pair, got {unit!r}")
+        if num == 0 or den <= 0:
+            raise ValueError(f"unit for type {tid!r} must be nonzero over a positive denominator")
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if not (is_p_integer(num, data.inf_primes) and is_p_integer(den, data.inf_primes)):
+            raise ValueError(
+                f"{format_coord(num, den)} is not invertible in the localization of type {tid!r}"
+            )
+        # slot 0 takes the inverse unit den / num; put over |num|, which keeps the block
+        # denominator positive, that is den * sign(num) on slot 0 and |num| on every other slot
+        sign = 1 if num > 0 else -1
+        factors[tid] = (sign * den, sign * num)
     out = {}
     for tid, size, den, nums in table.parts:
         if tid in factors:

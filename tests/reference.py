@@ -9,7 +9,56 @@ from fractions import Fraction
 
 from crqmult.elements import AmbientElement, element_d, in_G
 from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
-from crqmult.tables import build_product
+from crqmult.tables import MultTable, build_product
+
+
+def blocks_of(cls, mapping):
+    """Container of class cls from nested lists of ints and Fractions per type id.
+
+    A block that is not as wide as it is long at every level is refused by
+    `from_coords`; a coordinate of any other type, a float above all, is
+    refused here with TypeError.
+    """
+    coords = {}
+    ragged = []
+    for tid, block in mapping.items():
+        level = list(block)
+        size = len(level)
+        for _ in range(cls.depth - 1):
+            level = [list(part) for part in level]
+            if any(len(part) != size for part in level):
+                ragged.append(tid)
+                level = []
+                break
+            level = [x for part in level for x in part]
+        for c in level:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"block {tid!r} has coordinate {c!r}, not an int or Fraction")
+        coords[tid] = (size, [c.numerator for c in level], [c.denominator for c in level])
+    return cls.from_coords(coords, ragged)
+
+
+def element_of(mapping):
+    """AmbientElement from one list of ints and Fractions per type id."""
+    return blocks_of(AmbientElement, mapping)
+
+
+def table_of(mapping):
+    """MultTable from one rank x rank nest of coordinate vectors per type id."""
+    return blocks_of(MultTable, mapping)
+
+
+def _times(factor, nested):
+    if isinstance(nested, Fraction):
+        return factor * nested
+    return [_times(factor, x) for x in nested]
+
+
+def scaled(blocks, factor):
+    """blocks times a Fraction, rebuilt from the Fraction product of every coordinate."""
+    return blocks_of(
+        type(blocks), {tid: _times(factor, fraction_block(blocks, tid)) for tid in blocks.support}
+    )
 
 
 def basis_vector(tid, rank, slot):
@@ -22,7 +71,7 @@ def basis_vector(tid, rank, slot):
 def project(spec, g, tid):
     """Component of g in the block of one type, rebuilt from its Fraction coordinates."""
     spec.data_for(tid)
-    return AmbientElement.of({tid: fraction_block(g, tid)})
+    return element_of({tid: fraction_block(g, tid)})
 
 
 def in_scaled_A_tau(spec, g, tid, scale):
@@ -70,7 +119,7 @@ def purity_witness(spec, tid):
     n1 = math.lcm(*(t.m for t in spec.types if t.id != tid))
     if n1 % data.m == 0:
         return None
-    x = AmbientElement.of({tid: [Fraction(n1 * data.s, data.m)] + [0] * (data.rank - 1)})
+    x = element_of({tid: [Fraction(n1 * data.s, data.m)] + [0] * (data.rank - 1)})
     return x, spec.n // n1
 
 

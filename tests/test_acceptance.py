@@ -37,6 +37,7 @@ from crqmult.tables import (
 )
 from reference import (
     border_scaling_check,
+    element_of,
     euler_phi,
     fraction_matrix,
     in_scaled_A_tau,
@@ -232,7 +233,7 @@ def test_criterion_5_presentation_invariance():
                     shift[tid] = [rng.randrange(-3, 4)] + [0] * (
                         spec.data_for(tid).rank - 1
                     )
-            b = AmbientElement.of(shift)
+            b = element_of(shift)
             report = coset_relation(spec, gamma, b, samples=20, seed=seed)
             if not report.applicable:
                 continue
@@ -312,7 +313,7 @@ def test_criterion_7_arithmetic_backbone():
                     den = rng.choice([1, 2, 3, 5, 6, t.m, 2 * t.m])
                     coords.append(Fraction(num, den))
                 blocks[t.id] = coords
-            g = AmbientElement.of(blocks)
+            g = element_of(blocks)
             order = order_mod_A(spec, g)
             if order > 10**3:
                 continue

@@ -369,17 +369,20 @@ def test_example27_command(capsys):
 
 # Commands run in a fresh interpreter, with what each may not load: the
 # standard library's data classes generate code at definition time (and load
-# inspect), typing serves annotations only, and fractions (which loads
-# decimal) serves only commands that build a Fraction.
-NO_CODEGEN = {"dataclasses", "inspect", "typing"}
-NO_FRACTIONS = NO_CODEGEN | {"fractions", "decimal"}
+# inspect), typing serves annotations only, and the library computes on
+# integers, so no command needs fractions (with decimal and numbers).
+NOT_LOADED = {"dataclasses", "inspect", "typing", "fractions", "decimal", "numbers"}
 COLD_COMMANDS = {
-    "validate": (["validate", "--spec", "{spec}"], NO_FRACTIONS),
-    "describe": (["describe", "--spec", "{spec}"], NO_FRACTIONS),
-    "check-table": (["check-table", "--spec", "{spec}", "--table", "{member}"], NO_FRACTIONS),
-    "oracle": (["oracle", "--spec", "{spec}", "--table", "{member}"], NO_FRACTIONS),
-    "purity": (["purity", "--spec", "{spec}"], NO_FRACTIONS),
-    "mult": (["mult", "--spec", "{spec}"], NO_CODEGEN),
+    "validate": ["validate", "--spec", "{spec}"],
+    "describe": ["describe", "--spec", "{spec}"],
+    "check-table": ["check-table", "--spec", "{spec}", "--table", "{member}"],
+    "oracle": ["oracle", "--spec", "{spec}", "--table", "{member}"],
+    "purity": ["purity", "--spec", "{spec}"],
+    "mult": ["mult", "--spec", "{spec}"],
+    "iterate": ["iterate", "--spec", "{spec}", "--k", "2"],
+    "coset": ["coset", "--spec", "{spec}", "--gamma", "3", "--b", "{shift}"],
+    "example27": ["example27", "--s1", "2", "--s2", "3", "--m", "7"],
+    "gen": ["gen", "--seed", "7"],
 }
 
 
@@ -414,9 +417,9 @@ def test_cold_start_loads_only_what_the_command_uses(tmp_path, startup_modules, 
     golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text("utf-8"))
     files = {
         name: write_json(tmp_path / f"{name}.json", golden["inputs"][name])
-        for name in ("spec", "member")
+        for name in ("spec", "member", "shift")
     }
-    argv, forbidden = COLD_COMMANDS[command]
-    loaded = imported_by(["-m", "crqmult.cli", *(a.format(**files) for a in argv)])
+    argv = [a.format(**files) for a in COLD_COMMANDS[command]]
+    loaded = imported_by(["-m", "crqmult.cli", *argv])
     assert "crqmult.groups" in loaded
-    assert (loaded - startup_modules) & forbidden == set()
+    assert (loaded - startup_modules) & NOT_LOADED == set()

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,11 +25,15 @@ from crqmult.numth import PrimeSet, condition_m_check, is_prime
 from crqmult.tables import MultTable
 from reference import (
     basis_vector,
+    blocks_of,
+    element_of,
     fraction_block,
     in_scaled_A_tau,
     order_mod_A,
     project,
     purity_witness,
+    scaled,
+    table_of,
 )
 
 
@@ -43,22 +48,39 @@ def two_block_spec():
 
 
 def test_element_arithmetic_and_canonical_form():
-    a = AmbientElement.of({"t1": [1, 2]})
-    b = AmbientElement.of({"t1": [Fraction(1, 2), -2], "t2": [3]})
+    a = element_of({"t1": [1, 2]})
+    b = element_of({"t1": [Fraction(1, 2), -2], "t2": [3]})
     s = a + b
     assert fraction_block(s, "t1") == (Fraction(3, 2), Fraction(0))
     assert fraction_block(s, "t2") == (Fraction(3),)
     assert (a - a).is_zero
     # zero blocks are dropped so support stays minimal
     assert (b - b).support == ()
-    assert fraction_block(a * Fraction(1, 3), "t1") == (Fraction(1, 3), Fraction(2, 3))
+    assert fraction_block(scaled(a, Fraction(1, 3)), "t1") == (Fraction(1, 3), Fraction(2, 3))
+    assert 3 * element_of({"t1": [Fraction(1, 3), Fraction(2, 3)]}) == a
     assert fraction_block(-a, "t1") == (-1, -2)
     assert fraction_block(a, "missing") == ()
 
 
+@pytest.mark.parametrize("cls", [AmbientElement, MultTable])
+def test_no_float_or_fraction_enters_a_block(cls):
+    def block(c):
+        return [[[c]]] if cls.depth == 3 else [c]
+
+    a = blocks_of(cls, {"t1": block(1)})
+    assert a * True == a and 0 * a == cls.zero()
+    for scalar in (0.5, Fraction(1, 2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            a * scalar
+        with pytest.raises(TypeError):
+            scalar * a
+    with pytest.raises(TypeError):
+        blocks_of(cls, {"t1": block(0.1)})
+
+
 def test_element_rejects_mixed_lengths():
-    a = AmbientElement.of({"t1": [1, 2]})
-    b = AmbientElement.of({"t1": [1]})
+    a = element_of({"t1": [1, 2]})
+    b = element_of({"t1": [1]})
     with pytest.raises(ValueError):
         a + b
 
@@ -74,7 +96,7 @@ def random_block(rng, rank, depth):
 
 def random_blocks(cls, rng):
     tids = rng.sample(sorted(BLOCK_RANKS), rng.randint(0, len(BLOCK_RANKS)))
-    return cls.of({t: random_block(rng, BLOCK_RANKS[t], cls.depth) for t in tids})
+    return blocks_of(cls, {t: random_block(rng, BLOCK_RANKS[t], cls.depth) for t in tids})
 
 
 @pytest.mark.parametrize("cls", [AmbientElement, MultTable])
@@ -85,7 +107,8 @@ def test_block_container_group_laws(cls):
         assert (a + b) - b == a
         assert (a + (-a)).is_zero
         assert 2 * a == a + a
-        assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+        half = scaled(a, Fraction(1, 2))
+        assert half + half == a and 2 * half == a
         assert type(a + b) is cls
 
 
@@ -97,15 +120,15 @@ def test_block_container_drops_zero_blocks(cls):
         if "t1" in a.support:
             break
     zero_t2 = [[[0]]] if cls.depth == 3 else [0]
-    assert cls.of({"t2": zero_t2}).support == ()
-    assert cls.of({"t2": zero_t2, "t1": fraction_block(a, "t1")}).support == ("t1",)
-    assert "t1" not in (a - cls.of({"t1": fraction_block(a, "t1")})).support
+    assert blocks_of(cls, {"t2": zero_t2}).support == ()
+    assert blocks_of(cls, {"t2": zero_t2, "t1": fraction_block(a, "t1")}).support == ("t1",)
+    assert "t1" not in (a - blocks_of(cls, {"t1": fraction_block(a, "t1")})).support
     assert (0 * a).is_zero and fraction_block(a, "missing") == ()
 
 
 def test_block_container_kinds_never_mix():
     assert AmbientElement.zero() != MultTable.zero()
-    assert AmbientElement.of({"t1": [0]}) != MultTable.of({"t1": [[[0]]]})
+    assert element_of({"t1": [0]}) != table_of({"t1": [[[0]]]})
     with pytest.raises(TypeError):
         AmbientElement.zero() + MultTable.zero()
 
@@ -119,7 +142,7 @@ def test_element_d_standard_form():
 
 def test_basis_element_and_projection():
     spec = two_block_spec()
-    e = Fraction(5, 3) * basis_vector("t1", 2, 1)
+    e = scaled(basis_vector("t1", 2, 1), Fraction(5, 3))
     assert fraction_block(e, "t1") == (Fraction(0), Fraction(5, 3))
     assert project(spec, e, "t1") == e and project(spec, e, "t2").is_zero
     d = element_d(spec)
@@ -130,10 +153,10 @@ def test_basis_element_and_projection():
 def test_in_scaled_block():
     spec = two_block_spec()
     # 14/5 = 7 * (2/5) and 2/5 is a unit at the infinite prime 5
-    g = AmbientElement.of({"t1": [Fraction(14, 5), 0]})
+    g = element_of({"t1": [Fraction(14, 5), 0]})
     assert in_scaled_A_tau(spec, g, "t1", 7)
     assert not in_scaled_A_tau(spec, g, "t1", 49)
-    h = AmbientElement.of({"t1": [1, 0]})
+    h = element_of({"t1": [1, 0]})
     assert in_scaled_A_tau(spec, h, "t1", 1)
     assert not in_scaled_A_tau(spec, h, "t1", 7)
     with pytest.raises(ValueError):
@@ -149,10 +172,10 @@ def test_in_G_on_generators():
     hit = in_G(spec, nd)
     assert hit is not None and hit.k == 0 and hit.a == nd
 
-    stray = AmbientElement.of({"t1": [Fraction(1, 7), 0]})
+    stray = element_of({"t1": [Fraction(1, 7), 0]})
     assert in_G(spec, stray) is None
 
-    inside = AmbientElement.of({"t1": [Fraction(1, 5), 3], "t2": [-2]})
+    inside = element_of({"t1": [Fraction(1, 5), 3], "t2": [-2]})
     hit = in_G(spec, inside)
     assert hit is not None and hit.k == 0 and hit.a == inside
 
@@ -170,7 +193,7 @@ def test_in_G_refuses_large_scans_quickly(case):
     m, rank = SCAN_REFUSALS[case]
     spec = CRQGroupSpec.of([make_type("t1", [2], rank, m), make_type("t2", [3], rank, m)])
     # a coordinate over 5 keeps g out of G, so an unbounded scan would try every k
-    g = AmbientElement.of({"t1": [Fraction(1, 5)] * rank, "t2": [Fraction(1, 5)] * rank})
+    g = element_of({"t1": [Fraction(1, 5)] * rank, "t2": [Fraction(1, 5)] * rank})
     started = time.perf_counter()
     with pytest.raises(ValueError, match="scan limit"):
         in_G(spec, g)
@@ -180,10 +203,29 @@ def test_in_G_refuses_large_scans_quickly(case):
 def test_in_G_answers_k_zero_past_the_work_bound():
     # an element of the regulator needs no scan, even where a scan is refused
     spec = CRQGroupSpec.of([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
-    g = AmbientElement.of({"t1": [Fraction(1, 2)] * 1000})
+    g = element_of({"t1": [Fraction(1, 2)] * 1000})
     started = time.perf_counter()
     assert in_G(spec, g) == GMembership(0, g)
     assert time.perf_counter() - started < 0.5
+
+
+def test_in_G_refuses_past_the_work_bound_before_building_the_generator():
+    # the generator d would store a vector of rank 10^7 for t2 alone
+    spec = CRQGroupSpec.of([make_type("t1", [3], 1, 2), make_type("t2", [5], 10**7, 2)])
+    g = element_of({"t1": [Fraction(1, 4)]})
+    message = (
+        "regulator index 2 times the stored coordinates comes to 20000004, "
+        "over the scan limit 3000000"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            in_G(spec, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 2**20
 
 
 def test_in_G_closed_form_matches_scan():
@@ -206,7 +248,7 @@ def test_in_G_closed_form_matches_scan():
                 den = rng.choice([1] + list(t.inf_primes))
                 coords.append(Fraction(num, den))
             noise[t.id] = coords
-        g = d * k + AmbientElement.of(noise)
+        g = d * k + element_of(noise)
         scan = in_G(spec, g)
         closed = in_g_closed_form(spec, g)
         assert scan == closed
@@ -214,7 +256,7 @@ def test_in_G_closed_form_matches_scan():
 
     # elements off the lattice are rejected by both routes
     for _ in range(60):
-        g = AmbientElement.of(
+        g = element_of(
             {"t1": [Fraction(rng.randrange(1, 12), 12), 0]}
         )
         assert in_G(spec, g) == in_g_closed_form(spec, g)
@@ -222,10 +264,10 @@ def test_in_G_closed_form_matches_scan():
 
 def test_order_mod_regulator():
     spec = two_block_spec()
-    g = AmbientElement.of({"t1": [Fraction(3, 7), 0]})
+    g = element_of({"t1": [Fraction(3, 7), 0]})
     assert order_mod_A(spec, g) == 7
     assert order_mod_A(spec, element_d(spec)) == 7
-    assert order_mod_A(spec, AmbientElement.of({"t2": [Fraction(1, 5)]})) == 5
+    assert order_mod_A(spec, element_of({"t2": [Fraction(1, 5)]})) == 5
     assert order_mod_A(spec, AmbientElement.zero()) == 1
 
 
@@ -241,7 +283,7 @@ def test_order_matches_brute_force():
                 den = rng.choice([1, 2, 3, 4, 7, 14, 21])
                 coords.append(Fraction(num, den))
             blocks[t.id] = coords
-        g = AmbientElement.of(blocks)
+        g = element_of(blocks)
         order = order_mod_A(spec, g)
         assert order >= 1
         accum = AmbientElement.zero()
@@ -299,16 +341,16 @@ def test_fractional_multiple_of_basis_never_in_G():
     spec = two_block_spec()
     for _ in range(40):
         num = rng.randrange(1, 7)
-        g = AmbientElement.of({"t1": [0, Fraction(num, 7)]})
+        g = element_of({"t1": [0, Fraction(num, 7)]})
         assert in_G(spec, g) is None
 
 
 def test_element_json_round_trip():
-    g = AmbientElement.of({"t1": [Fraction(2, 7), 0], "t2": [Fraction(-3, 5)]})
+    g = element_of({"t1": [Fraction(2, 7), 0], "t2": [Fraction(-3, 5)]})
     assert element_from_dict({"t1": ["2/7", "0"], "t2": ["-3/5"]}) == g
     assert element_from_dict({}) == AmbientElement.zero()
     parsed = element_from_dict({"t1": [3, "-2/7"]})
-    assert parsed == AmbientElement.of({"t1": [3, Fraction(-2, 7)]})
+    assert parsed == element_of({"t1": [3, Fraction(-2, 7)]})
     with pytest.raises(ValueError):
         element_from_dict({"t1": "nope"})
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from crqmult.tables import (
 )
 from reference import (
     basis_vector,
+    blocks_of,
     fraction_block,
     fraction_matrix,
     ref_closure_oracle,
@@ -40,7 +41,7 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 CONTAINERS = [AmbientElement, MultTable]  # depths 1 and 3
 RANKS = {"t1": 1, "t2": 2, "t3": 3}
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 12, 25, 49)
-SCALARS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(DENOMINATORS))
+SCALARS = st.integers(-12, 12)
 
 
 def nest(leaves, size, depth):
@@ -55,7 +56,8 @@ def flat(blocks):
 
 
 def build(cls, ref, ranks):
-    return cls.of({tid: nest(leaves, ranks[tid], cls.depth) for tid, leaves in ref.items()})
+    nested = {tid: nest(leaves, ranks[tid], cls.depth) for tid, leaves in ref.items()}
+    return blocks_of(cls, nested)
 
 
 def reference_blocks(draw, ranks, depth, dens=DENOMINATORS):

@@ -29,7 +29,7 @@ from crqmult.tables import (
     in_M2,
     sample_member_table,
 )
-from reference import fraction_matrix
+from reference import element_of, fraction_matrix
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -185,7 +185,7 @@ def test_coset_scaled_presentation():
 
 def test_coset_shift_by_integer_vector():
     spec = two_block_spec()
-    shift = AmbientElement.of({"t1": [2, 0]})
+    shift = element_of({"t1": [2, 0]})
     report = coset_relation(spec, 1, shift, samples=15, seed=4)
     assert report.applicable
     assert dict(report.s_prime) == {"t1": 16, "t2": 3}
@@ -195,12 +195,12 @@ def test_coset_shift_by_integer_vector():
 def test_coset_inapplicable_presentations():
     spec = two_block_spec()
     # 3 + 7 = 10 picks up the infinite prime 2 on the second block
-    shift = AmbientElement.of({"t1": [1, 0], "t2": [1]})
+    shift = element_of({"t1": [1, 0], "t2": [1]})
     report = coset_relation(spec, 1, shift, samples=5, seed=0)
     assert not report.applicable
     assert "t2" in report.reason
 
-    frac = AmbientElement.of({"t1": [Fraction(1, 5), 0]})
+    frac = element_of({"t1": [Fraction(1, 5), 0]})
     report = coset_relation(spec, 1, frac, samples=5, seed=0)
     assert not report.applicable
     assert "not an integer" in report.reason
@@ -219,14 +219,14 @@ def test_coset_rejects_malformed_input():
     with pytest.raises(ValueError):
         coset_relation(spec, 7, AmbientElement.zero())  # shares a factor with n
     with pytest.raises(ValueError):
-        coset_relation(spec, 1, AmbientElement.of({"t1": [0, 1]}))  # off slot 0
-    solo_unclipped = AmbientElement.of({"t9": [1]})
+        coset_relation(spec, 1, element_of({"t1": [0, 1]}))  # off slot 0
+    solo_unclipped = element_of({"t9": [1]})
     with pytest.raises(ValueError):
         coset_relation(spec, 1, solo_unclipped)
     # 1/2 is not integral at t1, whose only inverted prime is 5
     with pytest.raises(ValueError, match="outside the regulator at type 't1'"):
-        coset_relation(spec, 1, AmbientElement.of({"t1": [Fraction(1, 2), 0]}))
-    inside = coset_relation(spec, 1, AmbientElement.of({"t1": [Fraction(1, 5), 0]}))
+        coset_relation(spec, 1, element_of({"t1": [Fraction(1, 2), 0]}))
+    inside = coset_relation(spec, 1, element_of({"t1": [Fraction(1, 5), 0]}))
     assert not inside.applicable
     for samples in (-5, 0, 1001):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from crqmult.tables import (
     table_from_dict,
     table_to_dict,
 )
-from reference import basis_vector, border_scaling_check, fraction_matrix
+from reference import basis_vector, border_scaling_check, element_of, fraction_matrix, table_of
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -54,7 +54,7 @@ def corner_table(spec, blocks):
         mat = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
         mat[0][0] = [Fraction(v) for v in vec]
         data[tid] = mat
-    return MultTable.of(data)
+    return table_of(data)
 
 
 def test_table_arithmetic():
@@ -71,9 +71,9 @@ def test_table_arithmetic():
 
 def test_table_shape_validation():
     with pytest.raises(ValueError):
-        MultTable.of({"t1": [[[1, 2]], [[3]]]})  # ragged cube
-    cube_1 = MultTable.of({"t1": [[[1]]]})
-    cube_2 = MultTable.of({"t1": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+        table_of({"t1": [[[1, 2]], [[3]]]})  # ragged cube
+    cube_1 = table_of({"t1": [[[1]]]})
+    cube_2 = table_of({"t1": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
     for combine in (MultTable.__add__, MultTable.__sub__):
         with pytest.raises(ValueError):
             combine(cube_1, cube_2)
@@ -91,11 +91,12 @@ def test_generator_x_form():
 
 def test_generator_x_accepts_any_inverse_in_the_class():
     spec = two_block_spec()
-    shifted = generator_x(spec, inverses={"t1": 11, "t2": 12})  # 4 + 7, 5 + 7
+    # m times the inverses 11 = 4 + 7 of 2 and 12 = 5 + 7 of 3 on the corners
+    shifted = single_entry_table("t1", 2, (0, 0), 0, 7 * 11) + single_entry_table(
+        "t2", 1, (0, 0), 0, 7 * 12
+    )
     assert decide_membership(spec, shifted).alpha == (1, 7)
     assert in_M2(spec, shifted - generator_x(spec))
-    with pytest.raises(ValueError):
-        generator_x(spec, inverses={"t1": 3, "t2": 5})  # 3 is not inverse to 2
 
 
 def test_generator_x_is_linear_in_clipped_types():
@@ -145,7 +146,7 @@ def test_decide_failure_codes():
     assert not v.member and v.failure.code == "ENTRY_OUTSIDE_A"
 
     data = {"t1": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
-    v = decide_membership(spec, MultTable.of(data))
+    v = decide_membership(spec, table_of(data))
     assert not v.member and v.failure.code == "BORDER_NOT_SCALED"
     assert v.failure.type_id == "t1" and v.failure.entry == (0, 1)
 
@@ -252,8 +253,8 @@ def test_build_product_is_bilinear():
     rng = random.Random(77)
     table, _ = sample_member_table(spec, rng)
     product = build_product(spec, table)
-    g = AmbientElement.of({"t1": [Fraction(1, 5), 2], "t2": [3]})
-    h = AmbientElement.of({"t1": [2, Fraction(-1, 5)], "t2": [Fraction(1, 2)]})
+    g = element_of({"t1": [Fraction(1, 5), 2], "t2": [3]})
+    h = element_of({"t1": [2, Fraction(-1, 5)], "t2": [Fraction(1, 2)]})
     k = basis_vector("t1", 2, 1)
     assert product(g + k, h) == product(g, h) + product(k, h)
     assert product(g, h + k) == product(g, h) + product(g, k)
@@ -273,19 +274,40 @@ def test_border_scaling_check():
     assert not in_m1(spec, unscaled)
     # interior entries are unconstrained
     data = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
-    assert in_m1(spec, MultTable.of(data))
+    assert in_m1(spec, table_of(data))
 
 
 def test_rescale_round_trip():
     spec = two_block_spec()
     rng = random.Random(3)
     table, _ = sample_member_table(spec, rng)
-    units = {"t1": Fraction(5), "t2": Fraction(1, 2)}
-    forward = rescale_slot0_coords(spec, table, units)
-    back = rescale_slot0_coords(spec, forward, {tid: 1 / w for tid, w in units.items()})
-    assert back == table
+    forward = rescale_slot0_coords(spec, table, {"t1": (5, 1), "t2": (1, 2)})
+    assert rescale_slot0_coords(spec, forward, {"t1": (1, 5), "t2": (2, 1)}) == table
+    # a unit given unreduced rescales as its reduced form does
+    assert rescale_slot0_coords(spec, table, {"t1": (10, 2), "t2": (2, 4)}) == forward
+    negated = rescale_slot0_coords(spec, table, {"t1": (-5, 1)})
+    assert rescale_slot0_coords(spec, negated, {"t1": (-1, 5)}) == table
+
+
+# t1 inverts only 5, so 3 is not a unit there
+REFUSED_UNITS = {
+    "not-a-unit": (3, 1),
+    "zero-denominator": (5, 0),
+    "zero": (0, 1),
+    "negative-denominator": (5, -1),
+    "float": 5.0,
+    "fraction": Fraction(5),
+    "float-in-pair": (5.0, 1),
+    "bare-int": 5,
+}
+
+
+@pytest.mark.parametrize("unit", REFUSED_UNITS.values(), ids=REFUSED_UNITS)
+def test_rescale_refuses_what_is_not_an_integer_pair_unit(unit):
+    spec = two_block_spec()
+    table, _ = sample_member_table(spec, random.Random(3))
     with pytest.raises(ValueError):
-        rescale_slot0_coords(spec, table, {"t1": Fraction(3)})  # 3 not a unit there
+        rescale_slot0_coords(spec, table, {"t1": unit})
 
 
 def test_oracle_work_follows_the_table_not_the_rank():
