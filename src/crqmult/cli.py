@@ -28,10 +28,13 @@ from .groups import (
 # true only for type checkers, so typing stays unloaded at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Callable, Optional
 
     from .multgroup import CosetReport, CrossBasisReport, MultGroupDescriptor
     from .tables import MembershipVerdict
+
+    # what every handler returns: verdict, report (None when nothing is emitted), text lines
+    Result = tuple[bool, Optional[dict], list[str]]
 
 __all__ = ["main"]
 
@@ -52,17 +55,22 @@ def _load_json(path: str) -> object:
             raise ValueError(f"{path} is nested too deeply to parse") from None
 
 
-def _check_blocks(spec: CRQGroupSpec, blocks: dict) -> None:
-    """Refuse a parsed document block of an unknown type or of the wrong size.
+def _load_blocks(spec: CRQGroupSpec, path: str, parse: Callable, key: Optional[str] = None):
+    """Parse the document at path, then refuse a block of an unknown type or wrong size.
 
     The containers drop all-zero blocks, so their own shape check never sees
-    those; this one reads the document itself, after the spec is found valid.
+    those; this reads the document's blocks (its `key` entry, or the whole
+    document), after the spec is found valid.
     """
+    doc = _load_json(path)
+    parsed = parse(doc)
+    blocks = doc if key is None else doc[key]
     ensure_valid(spec)
     for tid in sorted(blocks):
         rank = spec.data_for(tid).rank
         if len(blocks[tid]) != rank:
             raise ValueError(f"block {tid!r} has size {len(blocks[tid])}, expected {rank}")
+    return parsed
 
 
 def _spec_summary_lines(spec: CRQGroupSpec) -> list[str]:
@@ -156,11 +164,9 @@ def _cross_report_to_dict(report: CrossBasisReport, seed: int) -> dict:
     }
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec))
+def _cmd_validate(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     violations = spec.violations
     report = {
-        "command": "validate",
         "valid": not violations,
         "violations": [
             {"code": v.code, "subjects": list(v.subjects), "detail": v.detail}
@@ -169,15 +175,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     }
     lines = [f"spec is {'valid' if not violations else 'invalid'}"]
     lines.extend(f"  {v}" for v in violations)
-    _emit(report, args.format, lines)
-    return 0 if not violations else 1
+    return not violations, report, lines
 
 
-def _cmd_describe(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec))
+def _cmd_describe(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     decomposition = main_decomposition(spec)
     report = {
-        "command": "describe",
         "spec": spec_to_dict(spec),
         "regulator_index": spec.n,
         "clipped_types": list(spec.t0_ids),
@@ -190,46 +193,35 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         "complement ranks: "
         + ", ".join(f"{tid}:{k}" for tid, k in decomposition.complement)
     )
-    _emit(report, args.format, lines)
-    return 0
+    return True, report, lines
 
 
-def _cmd_mult(args: argparse.Namespace) -> int:
+def _cmd_mult(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .multgroup import compute_mult_group
 
-    spec = spec_from_dict(_load_json(args.spec))
     desc = compute_mult_group(spec)
-    report = {"command": "mult", **_descriptor_to_dict(desc)}
     lines = ["multiplication group structure:"]
     lines.extend(_spec_summary_lines(desc.spec))
     lines.append(f"regulator index: {desc.spec.n}")
-    _emit(report, args.format, lines)
-    return 0
+    return True, _descriptor_to_dict(desc), lines
 
 
-def _cmd_iterate(args: argparse.Namespace) -> int:
+def _cmd_iterate(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .multgroup import iterate_mult
 
-    spec = spec_from_dict(_load_json(args.spec))
     desc = iterate_mult(spec, args.k, max_rank=args.max_rank)
-    report = {"command": "iterate", **_descriptor_to_dict(desc)}
     lines = [f"structure after {args.k} application(s):"]
     lines.extend(_spec_summary_lines(desc.spec))
     if desc.basis is None:
         lines.append("basis tables omitted at this depth")
-    _emit(report, args.format, lines)
-    return 0
+    return True, _descriptor_to_dict(desc), lines
 
 
-def _cmd_check_table(args: argparse.Namespace) -> int:
+def _cmd_check_table(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .tables import decide_membership, table_from_dict
 
-    spec = spec_from_dict(_load_json(args.spec))
-    doc = _load_json(args.table)
-    table = table_from_dict(doc)
-    _check_blocks(spec, doc["blocks"])
+    table = _load_blocks(spec, args.table, table_from_dict, "blocks")
     verdict = decide_membership(spec, table)
-    report = {"command": "check-table", **_verdict_to_dict(verdict)}
     if verdict.member:
         lines = [
             "member: defines a multiplication, "
@@ -237,101 +229,80 @@ def _cmd_check_table(args: argparse.Namespace) -> int:
         ]
     else:
         lines = [f"not a member: {verdict.failure.code}: {verdict.failure.detail}"]
-    _emit(report, args.format, lines)
-    return 0 if verdict.member else 1
+    return verdict.member, _verdict_to_dict(verdict), lines
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .tables import closure_oracle, table_from_dict
 
-    spec = spec_from_dict(_load_json(args.spec))
-    doc = _load_json(args.table)
-    table = table_from_dict(doc)
-    _check_blocks(spec, doc["blocks"])
+    table = _load_blocks(spec, args.table, table_from_dict, "blocks")
     closed = closure_oracle(spec, table)
-    report = {"command": "oracle", "defines_multiplication": closed}
     lines = [
         "closure oracle: products stay in the group"
         if closed
         else "closure oracle: some product escapes the group"
     ]
-    _emit(report, args.format, lines)
-    return 0 if closed else 1
+    return closed, {"defines_multiplication": closed}, lines
 
 
-def _cmd_purity(args: argparse.Namespace) -> int:
+def _cmd_purity(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .elements import purity_oracle
 
-    spec = spec_from_dict(_load_json(args.spec))
     ids = [args.type] if args.type else list(spec.type_ids)
     results = {tid: purity_oracle(spec, tid) for tid in ids}
-    report = {"command": "purity", "pure": results}
     lines = [
         f"  block {tid}: {'pure' if ok else 'not pure'}" for tid, ok in results.items()
     ]
-    _emit(report, args.format, lines)
-    return 0 if all(results.values()) else 1
+    return all(results.values()), {"pure": results}, lines
 
 
-def _cmd_coset(args: argparse.Namespace) -> int:
+def _cmd_coset(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .elements import element_from_dict
     from .multgroup import coset_relation
 
-    spec = spec_from_dict(_load_json(args.spec))
-    doc = _load_json(args.b)
-    shift = element_from_dict(doc)
-    _check_blocks(spec, doc)
-    report_data = coset_relation(
-        spec, args.gamma, shift, samples=args.samples, seed=args.seed
-    )
-    report = {"command": "coset", **_coset_report_to_dict(report_data, args.gamma, args.seed)}
-    if not report_data.applicable:
-        lines = [f"not applicable: {report_data.reason}"]
+    shift = _load_blocks(spec, args.b, element_from_dict)
+    report = coset_relation(spec, args.gamma, shift, samples=args.samples, seed=args.seed)
+    if not report.applicable:
+        lines = [f"not applicable: {report.reason}"]
         ok = False
     else:
-        ok = bool(report_data.witness_doubly_scaled and report_data.verdicts_agree)
+        ok = bool(report.witness_doubly_scaled and report.verdicts_agree)
         lines = [
-            f"shifted coefficients: {dict(report_data.s_prime)}",
-            f"witness doubly scaled: {report_data.witness_doubly_scaled}",
-            f"verdicts agree on {report_data.samples_checked} sampled tables: "
-            f"{report_data.verdicts_agree}",
+            f"shifted coefficients: {dict(report.s_prime)}",
+            f"witness doubly scaled: {report.witness_doubly_scaled}",
+            f"verdicts agree on {report.samples_checked} sampled tables: "
+            f"{report.verdicts_agree}",
         ]
-    _emit(report, args.format, lines)
-    return 0 if ok else 1
+    return ok, _coset_report_to_dict(report, args.gamma, args.seed), lines
 
 
-def _cmd_example27(args: argparse.Namespace) -> int:
+def _cmd_example27(args: argparse.Namespace, _: None) -> Result:
     from .multgroup import cross_basis_example
 
-    report_data = cross_basis_example(args.s1, args.s2, args.m, seed=args.seed)
-    report = {"command": "example27", **_cross_report_to_dict(report_data, args.seed)}
+    report = cross_basis_example(args.s1, args.s2, args.m, seed=args.seed)
     lines = [
-        f"types: {list(report_data.inf_primes_1)} and {list(report_data.inf_primes_2)}",
+        f"types: {list(report.inf_primes_1)} and {list(report.inf_primes_2)}",
         f"witness values tested: 1..{args.m - 1}",
         "intersection of the two membership sets is exactly the doubly scaled tables: "
-        f"{report_data.intersection_is_regulator}",
+        f"{report.intersection_is_regulator}",
     ]
-    _emit(report, args.format, lines)
-    return 0 if report_data.intersection_is_regulator else 1
+    return report.intersection_is_regulator, _cross_report_to_dict(report, args.seed), lines
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace, _: None) -> Result:
+    """Write the spec to --out and report it, or write its text alone to stdout."""
     bounds = GenBounds(
         max_types=args.max_types, max_rank=args.max_rank, max_m=args.max_m
     )
     spec = random_spec(args.seed, bounds)
     text = spec_to_json(spec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        _emit(
-            {"command": "gen", "seed": args.seed, "out": args.out, "spec": spec_to_dict(spec)},
-            args.format,
-            [f"spec written to {args.out}"],
-        )
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    return 0
+        return True, None, []
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    report = {"seed": args.seed, "out": args.out, "spec": spec_to_dict(spec)}
+    return True, report, [f"spec written to {args.out}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,12 +373,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, load --spec, run the command, emit its report, return its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        spec = spec_from_dict(_load_json(args.spec)) if "spec" in args else None
+        ok, report, lines = args.handler(args, spec)
+        if report is not None:
+            _emit({"command": args.command, **report}, args.format, lines)
+        return 0 if ok else 1
     except (ValueError, OSError) as exc:
-        if getattr(args, "format", "text") == "json":
+        if args.format == "json":
             print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)

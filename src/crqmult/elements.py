@@ -91,17 +91,8 @@ class Blocks:
         object.__setattr__(self, "parts", parts)
 
     @classmethod
-    def from_coords(
-        cls, coords: Mapping[str, tuple[int, list[int], list[int]]], ragged: Sequence[str] = ()
-    ):
-        """Container from (size, numerators, denominators) per type id.
-
-        `ragged` names the blocks that are not `size` wide at every level;
-        the least of them is refused.
-        """
-        if ragged:
-            tid = min(ragged)
-            raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
+    def from_coords(cls, coords: Mapping[str, tuple[int, list[int], list[int]]]):
+        """Container from (size, numerators, denominators) per type id."""
         parts = []
         for tid in sorted(coords):
             size, nums, dens = coords[tid]
@@ -140,11 +131,15 @@ class Blocks:
         return not self.parts
 
     def check_shape(self, spec: CRQGroupSpec) -> None:
-        """Raise unless every block matches a type of the spec and its rank."""
-        for tid, size, _, _ in self.parts:
+        """Raise unless every block matches a type of the spec, its rank and this depth."""
+        for tid, size, _, nums in self.parts:
             rank = spec.data_for(tid).rank
             if size != rank:
                 raise ValueError(f"block {tid!r} has size {size}, expected {rank}")
+            if len(nums) != size**self.depth:
+                raise ValueError(
+                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{self.depth}"
+                )
 
     def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
@@ -247,6 +242,13 @@ def element_d(spec: CRQGroupSpec) -> AmbientElement:
     )
 
 
+def _check_element(spec: CRQGroupSpec, g: AmbientElement) -> None:
+    """Raise unless g is an AmbientElement of the spec's types and ranks."""
+    if not isinstance(g, AmbientElement):
+        raise ValueError(f"expected an AmbientElement, got {type(g).__name__}")
+    g.check_shape(spec)
+
+
 def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
@@ -258,7 +260,7 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     ensure_valid(spec)
     if spec.n > MAX_SCAN_INDEX:
         raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
-    g.check_shape(spec)
+    _check_element(spec, g)
     if g.outside_regulator(spec) is None:
         return GMembership(0, g)
     # d stores a full-rank vector for every clipped type: count it before building it
@@ -284,7 +286,7 @@ def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembers
     block forces k == 0 modulo m.
     """
     ensure_valid(spec)
-    g.check_shape(spec)
+    _check_element(spec, g)
     congruences = []
     for d in spec.clipped:
         part = g.part(d.id)

@@ -32,6 +32,7 @@ from .numth import (
 )
 from .tables import (
     MultTable,
+    _corner_table,
     decide_membership,
     generator_x,
     in_M2,
@@ -41,7 +42,6 @@ from .tables import (
     sample_m2_table,
     sample_member_table,
     sample_unscaled_border_table,
-    single_entry_table,
 )
 
 # true only for type checkers, so typing stays unloaded at run time
@@ -177,16 +177,9 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
     new_spec = CRQGroupSpec.of(entries)
     if k > 1:
         return MultGroupDescriptor(new_spec, basis=None, generator=None, depth=k)
-    basis = tuple(
-        (d.id, single_entry_table(d.id, d.rank, (0, 0), 0, d.m * d.m)) for d in spec.clipped
-    )
-    # m times the new coefficient, an inverse of s modulo m, on each clipped corner; the
-    # tables hold one type each, so their sum is the union of their parts
-    corners = [
-        single_entry_table(d.id, d.rank, (0, 0), 0, d.m * new_spec.data_for(d.id).s)
-        for d in spec.clipped
-    ]
-    generator = MultTable(tuple(sorted(p for table in corners for p in table.parts)))
+    basis = tuple((d.id, _corner_table([d], lambda t: t.m * t.m)) for d in spec.clipped)
+    # m times the new coefficient, an inverse of s modulo m, on each clipped corner
+    generator = _corner_table(spec.clipped, lambda d: d.m * new_spec.data_for(d.id).s)
     return MultGroupDescriptor(new_spec, basis=basis, generator=generator)
 
 

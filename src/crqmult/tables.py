@@ -98,15 +98,27 @@ def single_entry_table(
     return MultTable.from_parts({tid: (rank, 1, _single_entry(rank, entry, slot, value))})
 
 
+def _corner_table(
+    types: Sequence[CriticalTypeData], value: Callable[[CriticalTypeData], int]
+) -> MultTable:
+    """Table holding value(d) on slot 0 of the corner entry (0, 0) of each type d."""
+    return MultTable.from_parts(
+        {d.id: (d.rank, 1, _single_entry(d.rank, (0, 0), 0, value(d))) for d in types}
+    )
+
+
 def generator_x(spec: CRQGroupSpec) -> MultTable:
     """Distinguished coset generator: m * s^{-1} on slot 0 of each clipped corner."""
     ensure_valid(spec)
-    return MultTable.from_parts(
-        {
-            d.id: (d.rank, 1, _single_entry(d.rank, (0, 0), 0, d.m * mod_inverse(d.s, d.m)))
-            for d in spec.clipped
-        }
-    )
+    return _corner_table(spec.clipped, lambda d: d.m * mod_inverse(d.s, d.m))
+
+
+def _check_table(spec: CRQGroupSpec, table: MultTable) -> None:
+    """Raise unless the spec is valid and table is a MultTable of its types and ranks."""
+    ensure_valid(spec)
+    if not isinstance(table, MultTable):
+        raise ValueError(f"expected a MultTable, got {type(table).__name__}")
+    table.check_shape(spec)
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -166,8 +178,7 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     corner entries congruent to a common multiple of the corner generator.
     The witness alpha is that multiple, reported modulo the regulator index.
     """
-    ensure_valid(spec)
-    table.check_shape(spec)
+    _check_table(spec, table)
     failure = _entries_in_A(spec, table)
     if failure is not None:
         return MembershipVerdict(False, None, failure)
@@ -225,8 +236,7 @@ def build_product(
     spec: CRQGroupSpec, table: MultTable
 ) -> Callable[[AmbientElement, AmbientElement], AmbientElement]:
     """Bilinear evaluator induced by the table; cross-type terms vanish."""
-    ensure_valid(spec)
-    table.check_shape(spec)
+    _check_table(spec, table)
     cubes = {tid: (den, nums) for tid, _, den, nums in table.parts}
 
     def product(g: AmbientElement, h: AmbientElement) -> AmbientElement:
@@ -292,8 +302,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     vector of another type vanish, so only the clipped types the table
     stores are read.
     """
-    ensure_valid(spec)
-    table.check_shape(spec)
+    _check_table(spec, table)
     if _entries_in_A(spec, table) is not None:
         return False
     square, border = _generator_products(spec, table)
@@ -313,8 +322,7 @@ def rescale_slot0_coords(
     coordinate is divided by the unit (coordinates over the new basis);
     the pair (den, num) undoes that.
     """
-    ensure_valid(spec)
-    table.check_shape(spec)
+    _check_table(spec, table)
     factors: dict[str, tuple[int, int]] = {}
     for tid, unit in units.items():
         data = spec.data_for(tid)
@@ -477,4 +485,8 @@ def table_from_dict(data: object) -> MultTable:
         if not wide:
             ragged.append(tid)
         coords[tid] = (size, nums, dens)
-    return MultTable.from_coords(coords, ragged)
+    # refused only after every coordinate is read, so a malformed one is named first
+    if ragged:
+        tid = min(ragged)
+        raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
+    return MultTable.from_coords(coords)

@@ -15,9 +15,9 @@ from crqmult.tables import MultTable, build_product
 def blocks_of(cls, mapping):
     """Container of class cls from nested lists of ints and Fractions per type id.
 
-    A block that is not as wide as it is long at every level is refused by
-    `from_coords`; a coordinate of any other type, a float above all, is
-    refused here with TypeError.
+    A block that is not as wide as it is long at every level is refused with
+    ValueError, after every coordinate is read; a coordinate of any other
+    type, a float above all, is refused with TypeError.
     """
     coords = {}
     ragged = []
@@ -35,7 +35,10 @@ def blocks_of(cls, mapping):
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"block {tid!r} has coordinate {c!r}, not an int or Fraction")
         coords[tid] = (size, [c.numerator for c in level], [c.denominator for c in level])
-    return cls.from_coords(coords, ragged)
+    if ragged:
+        tid = min(ragged)
+        raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
+    return cls.from_coords(coords)
 
 
 def element_of(mapping):

@@ -43,6 +43,9 @@ COMMANDS = (
     ("example27", ("example27", "--s1", "2", "--s2", "3", "--m", "7")),
     ("validate", ("validate", "--spec", "{spec}")),
     ("describe", ("describe", "--spec", "{spec}")),
+    ("purity", ("purity", "--spec", "{spec}")),
+    ("purity t1", ("purity", "--spec", "{spec}", "--type", "t1")),
+    ("gen", ("gen", "--seed", "7")),
     ("check-table malformed", ("check-table", "--spec", "{spec}", "--table", "{malformed}")),
 )
 FORMATS = ("json", "text")

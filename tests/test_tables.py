@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, element_d, in_G
+from crqmult.elements import AmbientElement, element_d, in_G, in_g_closed_form
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
 from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
@@ -77,6 +77,32 @@ def test_table_shape_validation():
     for combine in (MultTable.__add__, MultTable.__sub__):
         with pytest.raises(ValueError):
             combine(cube_1, cube_2)
+
+
+# a vector where a cube belongs, a cube where a vector belongs, and containers
+# whose numerators do not fill a block of the type's rank 2 (m = 11)
+VECTOR = AmbientElement.from_parts({"t1": (2, 1, [11, 0])})
+SHORT_CUBE = MultTable.from_parts({"t1": (2, 1, [11, 0, 0])})
+LONG_VECTOR = AmbientElement.from_parts({"t1": (2, 1, [1, 2, 3])})
+WRONG_SHAPE_CALLS = {
+    "decide-vector": lambda spec: decide_membership(spec, VECTOR),
+    "oracle-vector": lambda spec: closure_oracle(spec, VECTOR),
+    "product-vector": lambda spec: build_product(spec, VECTOR),
+    "rescale-vector": lambda spec: rescale_slot0_coords(spec, VECTOR, {}),
+    "decide-short-cube": lambda spec: decide_membership(spec, SHORT_CUBE),
+    "oracle-short-cube": lambda spec: closure_oracle(spec, SHORT_CUBE),
+    "in-G-table": lambda spec: in_G(spec, generator_x(spec)),
+    "in-G-long-vector": lambda spec: in_G(spec, LONG_VECTOR),
+    "closed-form-table": lambda spec: in_g_closed_form(spec, generator_x(spec)),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_SHAPE_CALLS.values(), ids=WRONG_SHAPE_CALLS)
+def test_a_container_of_the_wrong_kind_or_length_is_refused(call):
+    spec = CRQGroupSpec.of([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
+    assert not spec.violations
+    with pytest.raises(ValueError):
+        call(spec)
 
 
 def test_generator_x_form():
