@@ -217,7 +217,7 @@ def _cmd_iterate(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     return True, _descriptor_to_dict(desc), lines
 
 
-def _cmd_check_table(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
+def _cmd_membership(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .tables import decide_membership, table_from_dict
 
     table = _load_blocks(spec, args.table, table_from_dict, "blocks")
@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-table", parents=[with_spec], help="membership decision for a table")
     p.add_argument("--table", required=True)
-    p.set_defaults(handler=_cmd_check_table)
+    p.set_defaults(handler=_cmd_membership)
 
     p = sub.add_parser("oracle", parents=[with_spec], help="direct closure check for a table")
     p.add_argument("--table", required=True)

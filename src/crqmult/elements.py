@@ -130,15 +130,23 @@ class Blocks:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def check_shape(self, spec: CRQGroupSpec) -> None:
-        """Raise unless every block matches a type of the spec, its rank and this depth."""
-        for tid, size, _, nums in self.parts:
+    @classmethod
+    def check(cls, spec: CRQGroupSpec, value: object) -> None:
+        """Raise ValueError unless the spec is valid and value is a cls that fits it.
+
+        Every block must belong to a type of the spec, have that type's rank
+        as its size and hold size ** depth numerators.
+        """
+        ensure_valid(spec)
+        if not isinstance(value, cls):
+            raise ValueError(f"expected {cls.__name__}, got {type(value).__name__}")
+        for tid, size, _, nums in value.parts:
             rank = spec.data_for(tid).rank
             if size != rank:
                 raise ValueError(f"block {tid!r} has size {size}, expected {rank}")
-            if len(nums) != size**self.depth:
+            if len(nums) != size**cls.depth:
                 raise ValueError(
-                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{self.depth}"
+                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{cls.depth}"
                 )
 
     def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
@@ -242,13 +250,6 @@ def element_d(spec: CRQGroupSpec) -> AmbientElement:
     )
 
 
-def _check_element(spec: CRQGroupSpec, g: AmbientElement) -> None:
-    """Raise unless g is an AmbientElement of the spec's types and ranks."""
-    if not isinstance(g, AmbientElement):
-        raise ValueError(f"expected an AmbientElement, got {type(g).__name__}")
-    g.check_shape(spec)
-
-
 def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
@@ -257,10 +258,9 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     index past MAX_SCAN_INDEX is refused.  Past k = 0, so is a scan whose n
     times the coordinates stored in g and d passes MAX_SCAN_WORK.
     """
-    ensure_valid(spec)
+    AmbientElement.check(spec, g)
     if spec.n > MAX_SCAN_INDEX:
         raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
-    _check_element(spec, g)
     if g.outside_regulator(spec) is None:
         return GMembership(0, g)
     # d stores a full-rank vector for every clipped type: count it before building it
@@ -285,8 +285,7 @@ def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembers
     Slot 0 of a clipped type forces k * s == m * g_0 modulo m; an absent
     block forces k == 0 modulo m.
     """
-    ensure_valid(spec)
-    _check_element(spec, g)
+    AmbientElement.check(spec, g)
     congruences = []
     for d in spec.clipped:
         part = g.part(d.id)

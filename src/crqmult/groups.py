@@ -208,7 +208,9 @@ def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
 
 
 def ensure_valid(spec: CRQGroupSpec) -> None:
-    """Raise ValueError listing the violations of an invalid spec."""
+    """Raise ValueError for anything but a spec, and list the violations of an invalid one."""
+    if not isinstance(spec, CRQGroupSpec):
+        raise ValueError(f"expected a CRQGroupSpec, got {type(spec).__name__}")
     if spec.violations:
         raise ValueError("invalid spec: " + "; ".join(str(v) for v in spec.violations))
 
@@ -337,6 +339,9 @@ def spec_to_dict(spec: CRQGroupSpec) -> dict:
     }
 
 
+_TYPE_KEYS = frozenset(("id", "inf_primes", "rank", "m", "s"))
+
+
 def spec_from_dict(data: object) -> CRQGroupSpec:
     """Parse the JSON form, with shape errors reported as ValueError."""
     if not isinstance(data, dict) or set(data) != {"types"}:
@@ -348,9 +353,12 @@ def spec_from_dict(data: object) -> CRQGroupSpec:
     for item in raw:
         if not isinstance(item, dict):
             raise ValueError("each type must be an object")
-        missing = {"id", "inf_primes", "rank", "m", "s"} - set(item)
+        missing = _TYPE_KEYS - set(item)
         if missing:
             raise ValueError(f"type entry missing keys: {sorted(missing)}")
+        if len(item) > len(_TYPE_KEYS):
+            unknown = sorted(set(item) - _TYPE_KEYS, key=str)
+            raise ValueError(f"type entry has unknown keys: {unknown}")
         if not isinstance(item["id"], str):
             raise ValueError("type id must be a string")
         primes = item["inf_primes"]

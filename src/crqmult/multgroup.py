@@ -138,25 +138,16 @@ def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
     """rank ** (3 ** k), or None when it exceeds max_rank.
 
     max_rank None means no bound; compute_mult_group uses that at depth 1.
-
-    A rank of at least 2 gives at least 2 ** (3 ** k), so the exponent is
-    refused as soon as it passes the bit length of the bound, before any big
-    power is built.
+    The rank is cubed one step at a time and refused at the first power past
+    the bound, so no power past the cube of the bound or of the rank is built.
     """
     if rank == 1:
         return 1
-    if max_rank is None:
-        return rank ** (3**k)
-    bits = max_rank.bit_length()
-    exponent = 1
     for _ in range(k):
-        exponent *= 3
-        if exponent > bits:
+        rank = rank**3
+        if max_rank is not None and rank > max_rank:
             return None
-    if exponent * (rank.bit_length() - 1) > bits:
-        return None
-    value = rank**exponent
-    return value if value <= max_rank else None
+    return rank
 
 
 def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroupDescriptor:
@@ -263,14 +254,13 @@ def coset_relation(
     """
     if not 1 <= samples <= MAX_COSET_SAMPLES:
         raise ValueError(f"samples must be between 1 and {MAX_COSET_SAMPLES}, got {samples}")
-    ensure_valid(spec)
+    AmbientElement.check(spec, b)
     coords = samples * sum(d.rank**3 for d in spec.types)
     if coords > MAX_SAMPLED_COORDS:
         raise ValueError(
             f"samples times the cubed ranks come to {coords} coordinates, "
             f"over {MAX_SAMPLED_COORDS}"
         )
-    b.check_shape(spec)
     if math.gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")
     t0 = set(spec.t0_ids)

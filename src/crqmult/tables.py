@@ -113,14 +113,6 @@ def generator_x(spec: CRQGroupSpec) -> MultTable:
     return _corner_table(spec.clipped, lambda d: d.m * mod_inverse(d.s, d.m))
 
 
-def _check_table(spec: CRQGroupSpec, table: MultTable) -> None:
-    """Raise unless the spec is valid and table is a MultTable of its types and ranks."""
-    ensure_valid(spec)
-    if not isinstance(table, MultTable):
-        raise ValueError(f"expected a MultTable, got {type(table).__name__}")
-    table.check_shape(spec)
-
-
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
     found = table.outside_regulator(spec)
     if found is None:
@@ -178,7 +170,7 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     corner entries congruent to a common multiple of the corner generator.
     The witness alpha is that multiple, reported modulo the regulator index.
     """
-    _check_table(spec, table)
+    MultTable.check(spec, table)
     failure = _entries_in_A(spec, table)
     if failure is not None:
         return MembershipVerdict(False, None, failure)
@@ -236,12 +228,12 @@ def build_product(
     spec: CRQGroupSpec, table: MultTable
 ) -> Callable[[AmbientElement, AmbientElement], AmbientElement]:
     """Bilinear evaluator induced by the table; cross-type terms vanish."""
-    _check_table(spec, table)
+    MultTable.check(spec, table)
     cubes = {tid: (den, nums) for tid, _, den, nums in table.parts}
 
     def product(g: AmbientElement, h: AmbientElement) -> AmbientElement:
-        g.check_shape(spec)
-        h.check_shape(spec)
+        AmbientElement.check(spec, g)
+        AmbientElement.check(spec, h)
         out: dict[str, tuple[int, int, list[int]]] = {}
         for tid, size, g_den, g_nums in g.parts:
             h_part = h.part(tid)
@@ -302,7 +294,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     vector of another type vanish, so only the clipped types the table
     stores are read.
     """
-    _check_table(spec, table)
+    MultTable.check(spec, table)
     if _entries_in_A(spec, table) is not None:
         return False
     square, border = _generator_products(spec, table)
@@ -322,7 +314,7 @@ def rescale_slot0_coords(
     coordinate is divided by the unit (coordinates over the new basis);
     the pair (den, num) undoes that.
     """
-    _check_table(spec, table)
+    MultTable.check(spec, table)
     factors: dict[str, tuple[int, int]] = {}
     for tid, unit in units.items():
         data = spec.data_for(tid)

@@ -93,6 +93,9 @@ def test_ensure_valid_raises_with_joined_message():
     spec = make_spec(make_type("t1", [5], 1, 7))
     with pytest.raises(ValueError, match="CONDITION_M_FAILED"):
         ensure_valid(spec)
+    for not_a_spec in (None, {}, spec.types):
+        with pytest.raises(ValueError, match="expected a CRQGroupSpec"):
+            ensure_valid(not_a_spec)
 
 
 def test_regulator_index():
@@ -163,6 +166,9 @@ def test_spec_from_dict_rejects_bad_shapes():
         spec_from_dict({"types": [{"id": "t1"}]})
     entry = {"id": "t1", "inf_primes": [5, True], "rank": 1, "m": 1, "s": 1}
     with pytest.raises(ValueError, match="inf_primes must not contain booleans"):
+        spec_from_dict({"types": [entry]})
+    entry = {"id": "t1", "inf_primes": [5], "rank": 1, "m": 1, "s": 1, "S": 3, "note": ""}
+    with pytest.raises(ValueError, match=r"unknown keys: \['S', 'note'\]"):
         spec_from_dict({"types": [entry]})
 
 

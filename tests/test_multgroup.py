@@ -16,6 +16,7 @@ from crqmult.groups import (
 from crqmult.multgroup import (
     MAX_COSET_SAMPLES,
     RankLimitError,
+    _iterated_rank,
     compute_mult_group,
     coset_relation,
     cross_basis_example,
@@ -132,7 +133,7 @@ def test_iterate_validates_depth_and_rank_budget():
 
 def test_iterate_huge_depth_is_bounded():
     # the depth is never turned into 3**k: rank one stays put, and rank two
-    # is refused once 3**k passes the bit length of the bound
+    # is refused at the first cube past the bound
     solo = CRQGroupSpec.of(
         [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)]
     )
@@ -143,6 +144,17 @@ def test_iterate_huge_depth_is_bounded():
     assert [(t.rank, t.s) for t in odd.spec.types] == [(1, 4), (1, 5)]
     with pytest.raises(RankLimitError):
         iterate_mult(two_block_spec(), 10**9)
+
+
+@pytest.mark.parametrize("max_rank", [None, 10**18, 10**30, 0, -5])
+def test_iterated_rank_is_the_power_within_the_bound(max_rank):
+    for rank in range(1, 6):
+        for k in range(1, 6):
+            value = rank ** 3**k
+            # rank one stays 1 whatever the bound
+            if rank > 1 and max_rank is not None and value > max_rank:
+                value = None
+            assert _iterated_rank(rank, k, max_rank) == value, (rank, k)
 
 
 def test_depth_one_tables_are_bounded():

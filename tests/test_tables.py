@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crqmult.elements import AmbientElement, element_d, in_G, in_g_closed_form
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
+from crqmult.multgroup import compute_mult_group, coset_relation
 from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
     MultTable,
@@ -84,6 +85,8 @@ def test_table_shape_validation():
 VECTOR = AmbientElement.from_parts({"t1": (2, 1, [11, 0])})
 SHORT_CUBE = MultTable.from_parts({"t1": (2, 1, [11, 0, 0])})
 LONG_VECTOR = AmbientElement.from_parts({"t1": (2, 1, [1, 2, 3])})
+# a cube of the rank-1 type holds 1 ** 3 numerators, as many as a vector
+RANK1_CUBE = MultTable.from_parts({"t2": (1, 1, [3])})
 WRONG_SHAPE_CALLS = {
     "decide-vector": lambda spec: decide_membership(spec, VECTOR),
     "oracle-vector": lambda spec: closure_oracle(spec, VECTOR),
@@ -94,7 +97,22 @@ WRONG_SHAPE_CALLS = {
     "in-G-table": lambda spec: in_G(spec, generator_x(spec)),
     "in-G-long-vector": lambda spec: in_G(spec, LONG_VECTOR),
     "closed-form-table": lambda spec: in_g_closed_form(spec, generator_x(spec)),
+    "coset-shift-table": lambda spec: coset_relation(spec, 2, RANK1_CUBE),
+    "product-table-left": lambda spec: build_product(spec, generator_x(spec))(
+        RANK1_CUBE, element_d(spec)
+    ),
+    "product-table-right": lambda spec: build_product(spec, generator_x(spec))(
+        element_d(spec), RANK1_CUBE
+    ),
 }
+# anything but a spec, in place of the spec
+for name, not_a_spec in (("none", None), ("dict", {})):
+    WRONG_SHAPE_CALLS |= {
+        f"decide-{name}-spec": lambda spec, x=not_a_spec: decide_membership(x, generator_x(spec)),
+        f"oracle-{name}-spec": lambda spec, x=not_a_spec: closure_oracle(x, generator_x(spec)),
+        f"in-G-{name}-spec": lambda spec, x=not_a_spec: in_G(x, element_d(spec)),
+        f"mult-{name}-spec": lambda spec, x=not_a_spec: compute_mult_group(x),
+    }
 
 
 @pytest.mark.parametrize("call", WRONG_SHAPE_CALLS.values(), ids=WRONG_SHAPE_CALLS)
