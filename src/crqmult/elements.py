@@ -18,7 +18,7 @@ import math
 import re
 
 from ._record import record
-from .groups import CRQGroupSpec, ensure_valid
+from .groups import CRQGroupSpec, ensure_spec, ensure_valid
 from .numth import coprime_part, crt_solve, mod_inverse
 
 # true only for type checkers, so typing stays unloaded at run time
@@ -38,13 +38,14 @@ __all__ = [
     "coords_from_json",
 ]
 
-# in_G tries up to n candidates; the scan of two rank-1 types takes about 11 us
-# per candidate (Python 3.11, one Xeon core), so n at this bound costs about 0.25 s.
+# in_G tries up to n candidates; a full scan of two rank-1 types takes about 1.1 us
+# per candidate (Python 3.11, 2-vCPU VM), so n at this bound costs about 0.02 s.
 MAX_SCAN_INDEX = 20000
-# Each candidate also subtracts d and rescans, in time linear in the coordinates
-# stored in g and d, so a scan costs about n * (10 us + 70 ns per coordinate).
-# Full scans with n times those coordinates near this bound took 0.19-0.26 s at
-# n = 2003 and n = 211, and 0.46-0.48 s at n = 19997 (Python 3.11, 2-vCPU VM).
+# A candidate reads a block's leaves until one is outside the regulator, so a scan
+# costs at most about n times the coordinates stored in g and d.  Full scans with n
+# times those coordinates near this bound took 0.001-0.03 s at n = 211, 2003, 3998
+# and 19997, the slowest where a rank-370 block with m = 2 is read in full at half
+# the candidates (Python 3.11, 2-vCPU VM).
 MAX_SCAN_WORK = 3 * 10**6
 # (size, denominator, numerators) of one stored block
 Part = tuple[int, int, tuple[int, ...]]
@@ -63,15 +64,28 @@ def _reduced(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     g = math.gcd(den, *nums)
     if g == 1:
         return den, tuple(nums)
-    return den // g, tuple(x // g for x in nums)
+    return den // g, tuple([x // g for x in nums])
 
 
-def _common_form(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Reduced block form of the coordinates nums[i] / dens[i], dens positive."""
+def common_form(nums: list[int], dens: Sequence[int]) -> tuple[int, list[int]]:
+    """Common denominator and numerators of the coordinates nums[i] / dens[i], not reduced."""
     den = math.lcm(*dens)
     if den == 1:
-        return 1, tuple(nums)
-    return _reduced(den, [x * (den // d) for x, d in zip(nums, dens)])
+        return 1, nums
+    return den, [x * (den // d) for x, d in zip(nums, dens)]
+
+
+def first_outside(den: int, nums: Sequence[int], primes: tuple[int, ...]) -> Optional[int]:
+    """Index of the first x in nums whose x / den has a prime outside primes below it, or None.
+
+    That is the first x that bad, the part of den coprime to the primes, does not divide.
+    """
+    bad = coprime_part(den, primes)
+    if bad != 1:
+        for i, x in enumerate(nums):
+            if x % bad:
+                return i
+    return None
 
 
 @record
@@ -89,17 +103,6 @@ class Blocks:
     def __init__(self, parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()):
         # written out, not bound by the record: every arithmetic step builds one
         object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def from_coords(cls, coords: Mapping[str, tuple[int, list[int], list[int]]]):
-        """Container from (size, numerators, denominators) per type id."""
-        parts = []
-        for tid in sorted(coords):
-            size, nums, dens = coords[tid]
-            den, flat = _common_form(nums, dens)
-            if any(flat):
-                parts.append((tid, size, den, flat))
-        return cls(tuple(parts))
 
     @classmethod
     def from_parts(cls, parts: Mapping[str, tuple[int, int, Sequence[int]]]):
@@ -153,19 +156,13 @@ class Blocks:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
 
         A coordinate lies in the regulator block of its type when its
-        denominator has no prime outside the type's infinite primes.  The
-        block denominator is the lcm of those denominators, so the leaves are
-        only scanned when it fails.
+        denominator has no prime outside the type's infinite primes.
         """
         for tid, _, den, nums in self.parts:
-            if den == 1:
-                continue
-            inf = spec.data_for(tid).inf_primes
-            if coprime_part(den, inf) == 1:
-                continue
-            for i, x in enumerate(nums):
-                if coprime_part(den // math.gcd(x, den), inf) != 1:
-                    return tid, i
+            if den != 1:
+                leaf = first_outside(den, nums, spec.data_for(tid).inf_primes.primes)
+                if leaf is not None:
+                    return tid, leaf
         return None
 
     def _combine(self, other: "Blocks", sign: int):
@@ -271,11 +268,25 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
             f"over the scan limit {MAX_SCAN_WORK}"
         )
     d = element_d(spec)
-    current = g
+    # g - k*d over one denominator per block: a step moves slot 0 of each clipped
+    # block, and the regulator test is first_outside's, with bad fixed per block
+    blocks = {tid: (den, list(nums)) for tid, _, den, nums in g.parts}
+    steps = []
+    for tid, size, m, nums in d.parts:
+        den, leaves = blocks.get(tid, (1, [0] * size))
+        common = math.lcm(den, m)
+        leaves = [x * (common // den) for x in leaves]
+        blocks[tid] = (common, leaves)
+        steps.append((leaves, nums[0] * (common // m)))  # moved in place, read by the tests
+    tests = [
+        (coprime_part(den, spec.data_for(tid).inf_primes.primes), leaves)
+        for tid, (den, leaves) in blocks.items()
+    ]
     for k in range(1, spec.n):
-        current = current - d
-        if current.outside_regulator(spec) is None:
-            return GMembership(k, current)
+        for leaves, step in steps:
+            leaves[0] -= step
+        if not any(x % bad for bad, leaves in tests for x in leaves):
+            return GMembership(k, g - k * d)
     return None
 
 
@@ -308,63 +319,67 @@ def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:
     """True when the regulator block of tid is pure in the group.
 
     The block fails purity exactly when its invariant does not divide the lcm
-    of the other invariants.
+    of the other invariants.  The spec need not be valid.
     """
+    ensure_spec(spec)
     m = spec.data_for(tid).m
     return spec.lcm_without[tid] % m == 0
 
 
 # ASCII digits only: [0-9], unlike \d, matches no other script's digits
 _FRACTION_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# over these characters int() reads exactly -?[0-9]+ (no space, "+", "_" or other
+# digits), and every "/" is followed by a digit
+_FRACTION_CHARS = re.compile(r"[-0-9,]*(?:/[0-9][-0-9,]*)*")
 
 
-def coords_from_json(vec: object, tid: str, nums: list[int], dens: list[int]) -> None:
-    """Append the numerators and denominators of a JSON coordinate vector.
+def coords_from_json(leaves: list, tid: str) -> tuple[int, list[int]]:
+    """Common denominator and numerators of a block's JSON coordinates, not reduced.
 
-    Only a list of integers or fraction strings is accepted; denominators
-    may be unreduced but not zero.
+    Only integers and fraction strings are accepted; denominators may be
+    unreduced but not zero.
     """
-    if not isinstance(vec, list):
-        raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
-    match = _FRACTION_STRING.fullmatch
-    for c in vec:
-        # the commonest coordinate, so it skips the regex
-        if c == "0":
-            nums.append(0)
-            dens.append(1)
-            continue
-        if isinstance(c, str):
-            found = match(c)
-            if found is not None:
-                num, den = found.groups()
-                try:
-                    nums.append(int(num))
-                    dens.append(1 if den is None else int(den))
-                except ValueError as exc:
-                    raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
-                if dens[-1] == 0:
-                    raise ValueError(
-                        f"block {tid!r} has a malformed coordinate: Fraction({nums[-1]}, 0)"
-                    )
-                continue
-        elif isinstance(c, int) and not isinstance(c, bool):
-            nums.append(int(c))
-            dens.append(1)
-            continue
-        raise ValueError(
-            f"block {tid!r} has coordinate {c!r}, expected an integer or a fraction string"
-        )
+    # the common case, strings only, checked with one match for the block
+    try:
+        text = ",".join(leaves)
+        if _FRACTION_CHARS.fullmatch(text):
+            if "/" not in text:
+                return 1, list(map(int, leaves))
+            nums, dens = [], []
+            for c in leaves:
+                num, _, den = c.partition("/")
+                nums.append(0 if c == "0" else int(num))  # "0", the commonest, skips int()
+                dens.append(int(den) if den else 1)
+            if 0 not in dens:
+                return common_form(nums, dens)
+    except (TypeError, ValueError):
+        pass  # an integer coordinate, or a refusal that the loop below words
+    nums, dens = [], []
+    for c in leaves:
+        found = _FRACTION_STRING.fullmatch(c) if isinstance(c, str) else None
+        if found is None and (isinstance(c, bool) or not isinstance(c, int)):
+            raise ValueError(
+                f"block {tid!r} has coordinate {c!r}, expected an integer or a fraction string"
+            )
+        num, den = found.groups() if found else (c, None)
+        try:
+            nums.append(int(num))
+            dens.append(1 if den is None else int(den))
+            if dens[-1] == 0:
+                raise ZeroDivisionError(f"Fraction({nums[-1]}, 0)")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
+    return common_form(nums, dens)
 
 
 def element_from_dict(data: object) -> AmbientElement:
     if not isinstance(data, dict):
         raise ValueError("element document must be an object")
-    coords = {}
+    parts = {}
     for tid, vec in data.items():
         if not isinstance(tid, str):
             raise ValueError("block keys must be type ids")
-        nums: list[int] = []
-        dens: list[int] = []
-        coords_from_json(vec, tid, nums, dens)
-        coords[tid] = (len(nums), nums, dens)
-    return AmbientElement.from_coords(coords)
+        if not isinstance(vec, list):
+            raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
+        parts[tid] = (len(vec), *coords_from_json(vec, tid))
+    return AmbientElement.from_parts(parts)

@@ -170,8 +170,9 @@ def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
     Checks, in order: duplicate ids, positive ranks, m and s supported away
     from the infinite primes of their own type, s coprime to m, pairwise
     incomparable types, and the shared-prime-power condition on the m values.
-    A spec with more than MAX_TYPES types is refused with ValueError first.
+    Anything but a spec, or more than MAX_TYPES types, is refused with ValueError first.
     """
+    ensure_spec(spec)
     if len(spec.types) > MAX_TYPES:
         raise ValueError(f"spec has {len(spec.types)} types, over the limit {MAX_TYPES}")
     violations: list[Violation] = []
@@ -207,10 +208,15 @@ def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
     return violations
 
 
+def ensure_spec(value: object) -> None:
+    """Raise ValueError for anything but a spec; the spec itself may be invalid."""
+    if not isinstance(value, CRQGroupSpec):
+        raise ValueError(f"expected a CRQGroupSpec, got {type(value).__name__}")
+
+
 def ensure_valid(spec: CRQGroupSpec) -> None:
     """Raise ValueError for anything but a spec, and list the violations of an invalid one."""
-    if not isinstance(spec, CRQGroupSpec):
-        raise ValueError(f"expected a CRQGroupSpec, got {type(spec).__name__}")
+    ensure_spec(spec)
     if spec.violations:
         raise ValueError("invalid spec: " + "; ".join(str(v) for v in spec.violations))
 

@@ -19,7 +19,9 @@ from ._record import record
 from .elements import (
     AmbientElement,
     Blocks,
+    common_form,
     coords_from_json,
+    first_outside,
     format_coord,
     in_G,
 )
@@ -162,6 +164,13 @@ def in_M2(spec: CRQGroupSpec, table: MultTable) -> bool:
     return verdict.member and verdict.alpha[0] == 0
 
 
+def _refused(
+    code: str, tid: Optional[str], entry: Optional[tuple[int, int]], detail: str
+) -> MembershipVerdict:
+    """A negative verdict that names its first failed condition."""
+    return MembershipVerdict(False, None, MembershipFailure(code, tid, entry, detail))
+
+
 def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict:
     """Decide whether the table defines a multiplication on the whole group.
 
@@ -179,16 +188,8 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
         part = table.part(d.id)
         entry = _unscaled_border(d, part)
         if entry is not None:
-            return MembershipVerdict(
-                False,
-                None,
-                MembershipFailure(
-                    "BORDER_NOT_SCALED",
-                    d.id,
-                    entry,
-                    f"entry is not divisible by m = {d.m}",
-                ),
-            )
+            detail = f"entry is not divisible by m = {d.m}"
+            return _refused("BORDER_NOT_SCALED", d.id, entry, detail)
         if part is None:
             congruences.append((0, d.m))
             continue
@@ -196,30 +197,14 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
         # the reduced corner is the corner over m; its residues are x / m times 1 / den
         for slot in range(1, d.rank):
             if nums[slot] % (d.m * d.m):
-                return MembershipVerdict(
-                    False,
-                    None,
-                    MembershipFailure(
-                        "CORNER_RESIDUE",
-                        d.id,
-                        (0, 0),
-                        f"slot {slot} of the reduced corner is nonzero modulo {d.m}",
-                    ),
-                )
+                detail = f"slot {slot} of the reduced corner is nonzero modulo {d.m}"
+                return _refused("CORNER_RESIDUE", d.id, (0, 0), detail)
         alpha_t = nums[0] // d.m * mod_inverse(den, d.m) * d.s % d.m
         congruences.append((alpha_t, d.m))
     solution = crt_solve(congruences)
     if solution is None:
-        return MembershipVerdict(
-            False,
-            None,
-            MembershipFailure(
-                "ALPHA_INCONSISTENT",
-                None,
-                None,
-                "corner congruences admit no common witness",
-            ),
-        )
+        detail = "corner congruences admit no common witness"
+        return _refused("ALPHA_INCONSISTENT", None, None, detail)
     return MembershipVerdict(True, (solution[0] % spec.n, spec.n), None)
 
 
@@ -260,14 +245,15 @@ def build_product(
     return product
 
 
-def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientElement, Blocks]:
+def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientElement, dict]:
     """The square of the distinguished generator d, and its border products.
 
     d is s/m times basis vector 0 on each clipped type and vanishes
     elsewhere, so its products are slices of the stored cube T:
     d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0].
-    The border products of a type form one block of leaves d*e_j then e_j*d
-    for each j, so leaf (2j + side) * rank + slot names the product and slot.
+    The border products of a stored type are one unreduced (denominator,
+    numerators) pair: d*e_j at leaf j * rank + slot, then e_j*d at leaf
+    (rank + j) * rank + slot.
     """
     square = {}
     border = {}
@@ -277,12 +263,9 @@ def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientEl
             continue
         size, den, nums = part
         square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
-        leaves = []
-        for j in range(size):
-            leaves += nums[j * size : (j + 1) * size]
-            leaves += nums[j * size * size : (j * size + 1) * size]
-        border[d.id] = (size, den * d.m, [d.s * x for x in leaves])
-    return AmbientElement.from_parts(square), Blocks.from_parts(border)
+        column = [x for k in range(0, len(nums), size * size) for x in nums[k : k + size]]
+        border[d.id] = (den * d.m, [d.s * x for x in nums[: size * size] + tuple(column)])
+    return AmbientElement.from_parts(square), border
 
 
 def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
@@ -298,9 +281,13 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     if _entries_in_A(spec, table) is not None:
         return False
     square, border = _generator_products(spec, table)
+    # d*d is tested first, so a regulator index past the scan limit is refused
     if in_G(spec, square) is None:
         return False
-    return border.outside_regulator(spec) is None
+    return all(
+        first_outside(den, nums, spec.data_for(tid).inf_primes.primes) is None
+        for tid, (den, nums) in border.items()
+    )
 
 
 def rescale_slot0_coords(
@@ -368,7 +355,7 @@ def _random_entry(rng: random.Random, rank: int, inf: tuple[int, ...]) -> list[t
 def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
     """Random table with scaled borders and doubly scaled corners."""
     ensure_valid(spec)
-    coords = {}
+    parts = {}
     for d in spec.types:
         inf = tuple(d.inf_primes)
         nums: list[int] = []
@@ -384,12 +371,13 @@ def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
                 for num, den in _random_entry(rng, d.rank, inf):
                     nums.append(scale * num)
                     dens.append(den)
-        coords[d.id] = (d.rank, nums, dens)
-    return MultTable.from_coords(coords)
+        parts[d.id] = (d.rank, *common_form(nums, dens))
+    return MultTable.from_parts(parts)
 
 
 def sample_member_table(spec: CRQGroupSpec, rng: random.Random) -> tuple[MultTable, int]:
     """Random member table: a multiple of the corner generator plus scaled noise."""
+    ensure_valid(spec)
     alpha = rng.randrange(1, spec.n) if spec.n > 1 else 0
     return alpha * generator_x(spec) + sample_m2_table(spec, rng), alpha
 
@@ -400,6 +388,7 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
     Returns None when every invariant equals 1, in which case every integral
     table is a member and this stratum is empty.
     """
+    ensure_valid(spec)
     clipped = spec.clipped
     if not clipped:
         return None
@@ -431,6 +420,7 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
 
 def sample_unscaled_border_table(spec: CRQGroupSpec, rng: random.Random) -> Optional[MultTable]:
     """Integral table with one unscaled border entry of a clipped type."""
+    ensure_valid(spec)
     if not spec.clipped:
         return None
     base = sample_m2_table(spec, rng)
@@ -458,7 +448,7 @@ def table_from_dict(data: object) -> MultTable:
     raw = data["blocks"]
     if not isinstance(raw, dict):
         raise ValueError("'blocks' must map type ids to matrices")
-    coords = {}
+    parts = {}
     ragged = []
     for tid, mat in raw.items():
         if not isinstance(tid, str):
@@ -466,19 +456,21 @@ def table_from_dict(data: object) -> MultTable:
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise ValueError(f"block {tid!r} must be a matrix")
         size = len(mat)
-        nums: list[int] = []
-        dens: list[int] = []
+        leaves: list = []
         wide = True
         for row in mat:
             wide = wide and len(row) == size
             for vec in row:
-                coords_from_json(vec, tid, nums, dens)
+                if not isinstance(vec, list):
+                    coords_from_json(leaves, tid)  # a malformed coordinate before it is named first
+                    raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
+                leaves += vec
                 wide = wide and len(vec) == size
         if not wide:
             ragged.append(tid)
-        coords[tid] = (size, nums, dens)
+        parts[tid] = (size, *coords_from_json(leaves, tid))
     # refused only after every coordinate is read, so a malformed one is named first
     if ragged:
         tid = min(ragged)
-        raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
-    return MultTable.from_coords(coords)
+        raise ValueError(f"block {tid!r} is not {parts[tid][0]} wide at every level")
+    return MultTable.from_parts(parts)

@@ -34,11 +34,12 @@ def blocks_of(cls, mapping):
         for c in level:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"block {tid!r} has coordinate {c!r}, not an int or Fraction")
-        coords[tid] = (size, [c.numerator for c in level], [c.denominator for c in level])
+        den = math.lcm(*(c.denominator for c in level))
+        coords[tid] = (size, den, [int(c * den) for c in level])
     if ragged:
         tid = min(ragged)
         raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
-    return cls.from_coords(coords)
+    return cls.from_parts(coords)
 
 
 def element_of(mapping):

@@ -23,10 +23,12 @@ from crqmult.tables import (
     closure_oracle,
     decide_membership,
     table_from_dict,
+    table_to_dict,
 )
 from reference import (
     basis_vector,
     blocks_of,
+    element_of,
     fraction_block,
     fraction_matrix,
     ref_closure_oracle,
@@ -35,6 +37,7 @@ from reference import (
     ref_drop_zero,
     ref_outside_regulator,
     ref_scale,
+    table_of,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -225,15 +228,16 @@ def test_generator_products_are_cube_slices(spec, data):
     d = element_d(spec)
     square, border = _generator_products(spec, table)
     assert square == product(d, d)
-    leaves = flat(border)
-    assert set(leaves) <= {c.id for c in spec.clipped if table.part(c.id) is not None}
+    assert set(border) == {c.id for c in spec.clipped if table.part(c.id) is not None}
     for c in spec.clipped:
         r = c.rank
-        got = leaves.get(c.id, [0] * (2 * r * r))
+        den, nums = border.get(c.id, (1, [0] * (2 * r * r)))
+        assert len(nums) == 2 * r * r
+        got = [Fraction(x, den) for x in nums]
         for j in range(r):
             e = basis_vector(c.id, r, j)
             for side, value in enumerate((product(d, e), product(e, d))):
-                start = (2 * j + side) * r
+                start = (side * r + j) * r
                 assert got[start : start + r] == flat(value).get(c.id, [0] * r)
 
 
@@ -273,6 +277,56 @@ def test_coordinate_language_is_pinned(coord, value):
     else:
         assert fraction_matrix(table_from_dict(table_doc), "t1", 2)[0][0] == (value, 1)
         assert fraction_block(element_from_dict(element_doc), "t1") == (value, 1)
+
+
+@st.composite
+def json_coordinate(draw, strings_only):
+    """A JSON coordinate and its value: an int, "0", or a signed, zero-padded fraction string."""
+    kinds = ["zero", "integer", "fraction"] + ([] if strings_only else ["int"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return "0", Fraction(0)
+    if kind == "int":
+        value = draw(st.integers(-(10**12), 10**12))
+        return value, Fraction(value)
+    sign = draw(st.sampled_from(["", "-"]))
+    num = draw(st.integers(0, 60))
+    text = sign + "0" * draw(st.integers(0, 2)) + str(num)
+    if kind == "integer":
+        return text, Fraction(-num if sign else num)
+    den = draw(st.integers(1, 60))
+    text += "/" + "0" * draw(st.integers(0, 2)) + str(den)
+    return text, Fraction(-num if sign else num, den)
+
+
+@st.composite
+def json_blocks(draw, depth):
+    """Per type id, a block as JSON (nested) and as Fractions (nested alike)."""
+    docs, values = {}, {}
+    for tid in draw(st.lists(st.sampled_from(sorted(RANKS)), unique=True)):
+        r = RANKS[tid]
+        # a block of strings only takes the parser's one-match path
+        size = r**depth
+        coords = draw(st.lists(json_coordinate(draw(st.booleans())), min_size=size, max_size=size))
+        docs[tid] = nest([c for c, _ in coords], r, depth)
+        values[tid] = nest([v for _, v in coords], r, depth)
+    return docs, values
+
+
+@PROPERTY
+@given(blocks=json_blocks(3))
+def test_table_parser_reads_the_values_it_is_given(blocks):
+    docs, values = blocks
+    table = table_from_dict({"blocks": docs})
+    assert table == table_of(values)
+    assert table_from_dict(table_to_dict(table)) == table
+
+
+@PROPERTY
+@given(blocks=json_blocks(1))
+def test_element_parser_reads_the_values_it_is_given(blocks):
+    docs, values = blocks
+    assert element_from_dict(docs) == element_of(values)
 
 
 def test_records_of_different_classes_never_compare_equal():

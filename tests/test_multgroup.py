@@ -146,6 +146,14 @@ def test_iterate_huge_depth_is_bounded():
         iterate_mult(two_block_spec(), 10**9)
 
 
+@pytest.mark.parametrize("max_rank", [None, True, 1e18, 0, -5])
+def test_iterate_refuses_a_rank_bound_that_is_not_a_positive_int(max_rank):
+    # refused before any cube is taken: at this depth an unbounded rank two
+    # would grow to 2 ** 3**(10**6)
+    with pytest.raises(ValueError, match="max_rank must be a positive int"):
+        iterate_mult(two_block_spec(), 10**6, max_rank=max_rank)
+
+
 @pytest.mark.parametrize("max_rank", [None, 10**18, 10**30, 0, -5])
 def test_iterated_rank_is_the_power_within_the_bound(max_rank):
     for rank in range(1, 6):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, element_d, in_G, in_g_closed_form
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
+from crqmult.elements import AmbientElement, element_d, in_G, in_g_closed_form, purity_oracle
+from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
 from crqmult.numth import PrimeSet, is_prime
 from crqmult.tables import (
@@ -87,6 +87,7 @@ SHORT_CUBE = MultTable.from_parts({"t1": (2, 1, [11, 0, 0])})
 LONG_VECTOR = AmbientElement.from_parts({"t1": (2, 1, [1, 2, 3])})
 # a cube of the rank-1 type holds 1 ** 3 numerators, as many as a vector
 RANK1_CUBE = MultTable.from_parts({"t2": (1, 1, [3])})
+RNG = random.Random(0)
 WRONG_SHAPE_CALLS = {
     "decide-vector": lambda spec: decide_membership(spec, VECTOR),
     "oracle-vector": lambda spec: closure_oracle(spec, VECTOR),
@@ -112,15 +113,24 @@ for name, not_a_spec in (("none", None), ("dict", {})):
         f"oracle-{name}-spec": lambda spec, x=not_a_spec: closure_oracle(x, generator_x(spec)),
         f"in-G-{name}-spec": lambda spec, x=not_a_spec: in_G(x, element_d(spec)),
         f"mult-{name}-spec": lambda spec, x=not_a_spec: compute_mult_group(x),
+        f"validate-{name}-spec": lambda spec, x=not_a_spec: validate_spec(x),
+        f"purity-{name}-spec": lambda spec, x=not_a_spec: purity_oracle(x, "t1"),
+        f"member-{name}-spec": lambda spec, x=not_a_spec: sample_member_table(x, RNG),
+        f"broken-corner-{name}-spec": lambda spec, x=not_a_spec: sample_broken_corner_table(x, RNG),
+        f"unscaled-border-{name}-spec": lambda spec, x=not_a_spec: sample_unscaled_border_table(
+            x, RNG
+        ),
     }
 
 
-@pytest.mark.parametrize("call", WRONG_SHAPE_CALLS.values(), ids=WRONG_SHAPE_CALLS)
-def test_a_container_of_the_wrong_kind_or_length_is_refused(call):
+@pytest.mark.parametrize("name", WRONG_SHAPE_CALLS)
+def test_a_container_of_the_wrong_kind_or_length_is_refused(name):
     spec = CRQGroupSpec.of([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
     assert not spec.violations
-    with pytest.raises(ValueError):
-        call(spec)
+    # anything but a spec is named in the refusal
+    named = r"^expected a CRQGroupSpec, got (NoneType|dict)$" if name.endswith("-spec") else None
+    with pytest.raises(ValueError, match=named):
+        WRONG_SHAPE_CALLS[name](spec)
 
 
 def test_generator_x_form():
