@@ -21,6 +21,7 @@ from .groups import (
     spec_from_dict,
     spec_to_dict,
     spec_to_json,
+    validate_spec,
 )
 
 # Each handler imports the table and multiplication-group layers it uses, so a
@@ -165,7 +166,7 @@ def _cross_report_to_dict(report: CrossBasisReport, seed: int) -> dict:
 
 
 def _cmd_validate(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
-    violations = spec.violations
+    violations = validate_spec(spec)
     report = {
         "valid": not violations,
         "violations": [

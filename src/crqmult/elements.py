@@ -125,14 +125,6 @@ class Blocks:
                 return size, den, nums
         return None
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(p[0] for p in self.parts)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
-
     @classmethod
     def check(cls, spec: CRQGroupSpec, value: object) -> None:
         """Raise ValueError unless the spec is valid and value is a cls that fits it.
@@ -166,44 +158,21 @@ class Blocks:
         return None
 
     def _combine(self, other: "Blocks", sign: int):
-        """Merge of the two sorted part lists; only blocks on both sides are reduced.
-
-        A block held by one side alone, or its negation, is already reduced.
-        """
+        """Sum (sign 1) or difference (sign -1), built and reduced by from_parts."""
         if type(other) is not type(self):
             return NotImplemented
-        mine, theirs = self.parts, other.parts
-        out = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            tid, size, d1, n1 = mine[i]
-            t2, size2, den, nums = theirs[j]
-            if tid < t2:
-                out.append(mine[i])
-                i += 1
-            elif t2 < tid:
-                out.append(theirs[j] if sign > 0 else (t2, size2, den, tuple(-x for x in nums)))
-                j += 1
-            else:
-                i += 1
-                j += 1
-                if size != size2:
-                    raise ValueError(f"block {tid!r} has mismatched sizes")
-                if d1 == den:
-                    combined = [x + sign * y for x, y in zip(n1, nums)]
-                else:
-                    g = math.gcd(d1, den)
-                    a, b = den // g, d1 // g
-                    combined = [x * a + sign * b * y for x, y in zip(n1, nums)]
-                    den = d1 * a
-                if any(combined):
-                    out.append((tid, size, *_reduced(den, combined)))
-        out.extend(mine[i:])
-        if sign > 0:
-            out.extend(theirs[j:])
-        else:
-            out.extend((t, size, den, tuple(-x for x in nums)) for t, size, den, nums in theirs[j:])
-        return type(self)(tuple(out))
+        merged = {tid: (size, den, nums) for tid, size, den, nums in self.parts}
+        for tid, size, den, nums in other.parts:
+            if tid not in merged:
+                merged[tid] = (size, den, [sign * y for y in nums])
+                continue
+            size1, d1, n1 = merged[tid]
+            if size1 != size:
+                raise ValueError(f"block {tid!r} has mismatched sizes {size1} and {size}")
+            common = math.lcm(d1, den)
+            a, b = common // d1, sign * (common // den)
+            merged[tid] = (size, common, [x * a + b * y for x, y in zip(n1, nums)])
+        return self.from_parts(merged)
 
     def __add__(self, other: "Blocks"):
         return self._combine(other, 1)

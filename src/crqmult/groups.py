@@ -19,6 +19,7 @@ import json
 import math
 import random
 from functools import cached_property
+from itertools import combinations
 
 from ._record import record
 from .numth import (
@@ -52,7 +53,7 @@ __all__ = [
     "spec_from_json",
 ]
 
-# validate_spec compares every pair of types, so its time grows as the square
+# validation compares every pair of types, so its time grows as the square
 # of the type count.  `crqmult validate` on single-prime types took 0.04, 0.13,
 # 0.19, 0.25 and 0.46 s at 400, 800, 1000, 1200 and 1600 types (Python 3.11,
 # 2-vCPU VM); specs past this bound are refused before any check runs.
@@ -116,8 +117,42 @@ class CRQGroupSpec:
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """All rule violations of this spec, empty when it is valid."""
-        return tuple(validate_spec(self))
+        """All rule violations of this spec, empty when it is valid.
+
+        More than MAX_TYPES types are refused with ValueError first.  The checks, in
+        order: duplicate ids, positive ranks, m and s supported away from the infinite
+        primes of their own type, s coprime to m, pairwise incomparable types, and the
+        shared-prime-power condition on the m values.
+        """
+        if len(self.types) > MAX_TYPES:
+            raise ValueError(f"spec has {len(self.types)} types, over the limit {MAX_TYPES}")
+        violations: list[Violation] = []
+        seen: set[str] = set()
+        for d in self.types:
+            if d.id in seen:
+                violations.append(Violation("DUPLICATE_TYPE", (d.id,), "type id appears twice"))
+            seen.add(d.id)
+        for d in self.types:
+            if d.rank < 1:
+                violations.append(Violation("RANK_ZERO", (d.id,), f"rank {d.rank} is below 1"))
+            if d.m > 1 and has_factor_in(d.m, d.inf_primes):
+                detail = f"m = {d.m} has a factor among the infinite primes"
+                violations.append(Violation("M_NOT_P0", (d.id,), detail))
+            if d.s != 0 and has_factor_in(d.s, d.inf_primes):
+                detail = f"s = {d.s} has a factor among the infinite primes"
+                violations.append(Violation("S_NOT_P0", (d.id,), detail))
+            if math.gcd(d.s, d.m) != 1:
+                detail = f"gcd({d.s}, {d.m}) != 1"
+                violations.append(Violation("S_M_NOT_COPRIME", (d.id,), detail))
+        prime_sets = [(d.id, frozenset(d.inf_primes)) for d in self.types]
+        for (a, pa), (b, pb) in combinations(prime_sets, 2):
+            if a != b and (pa <= pb or pb <= pa):
+                violations.append(Violation("COMPARABLE_TYPES", (a, b), "prime sets are nested"))
+        if not condition_m_check({i: d.m for i, d in enumerate(self.types)}):
+            violations.append(
+                Violation("CONDITION_M_FAILED", (), "some prime power divides only one m value")
+            )
+        return tuple(violations)
 
     @cached_property
     def _by_id(self) -> dict[str, CriticalTypeData]:
@@ -165,47 +200,12 @@ class Violation:
 
 
 def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
-    """All rule violations of a candidate spec, empty when the spec is valid.
+    """The violations that the spec computes once and keeps, empty when it is valid.
 
-    Checks, in order: duplicate ids, positive ranks, m and s supported away
-    from the infinite primes of their own type, s coprime to m, pairwise
-    incomparable types, and the shared-prime-power condition on the m values.
-    Anything but a spec, or more than MAX_TYPES types, is refused with ValueError first.
+    Anything but a spec, or more than MAX_TYPES types, is refused with ValueError.
     """
     ensure_spec(spec)
-    if len(spec.types) > MAX_TYPES:
-        raise ValueError(f"spec has {len(spec.types)} types, over the limit {MAX_TYPES}")
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    for d in spec.types:
-        if d.id in seen:
-            violations.append(Violation("DUPLICATE_TYPE", (d.id,), "type id appears twice"))
-        seen.add(d.id)
-    for d in spec.types:
-        if d.rank < 1:
-            violations.append(Violation("RANK_ZERO", (d.id,), f"rank {d.rank} is below 1"))
-        if d.m > 1 and has_factor_in(d.m, d.inf_primes):
-            violations.append(
-                Violation("M_NOT_P0", (d.id,), f"m = {d.m} has a factor among the infinite primes")
-            )
-        if d.s != 0 and has_factor_in(d.s, d.inf_primes):
-            violations.append(
-                Violation("S_NOT_P0", (d.id,), f"s = {d.s} has a factor among the infinite primes")
-            )
-        if math.gcd(d.s, d.m) != 1:
-            violations.append(
-                Violation("S_M_NOT_COPRIME", (d.id,), f"gcd({d.s}, {d.m}) != 1")
-            )
-    prime_sets = [(d.id, frozenset(d.inf_primes)) for d in spec.types]
-    for i, (a, pa) in enumerate(prime_sets):
-        for b, pb in prime_sets[i + 1 :]:
-            if a != b and (pa <= pb or pb <= pa):
-                violations.append(Violation("COMPARABLE_TYPES", (a, b), "prime sets are nested"))
-    if not condition_m_check({i: d.m for i, d in enumerate(spec.types)}):
-        violations.append(
-            Violation("CONDITION_M_FAILED", (), "some prime power divides only one m value")
-        )
-    return violations
+    return list(spec.violations)
 
 
 def ensure_spec(value: object) -> None:

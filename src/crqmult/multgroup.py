@@ -425,18 +425,19 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
 
     rng = random.Random(seed)
     zero = MultTable.zero()
+    x_first, x_second = generator_x(spec_first), generator_x(spec_second)
     cases = []
     for alpha in range(1, m):
         noisy = (sample_m2_table(spec_first, rng), sample_m2_table(spec_second, rng))
         # one flag per CrossBasisCase field, each required of the exact and the noisy trial
         flags = [True] * 5
         for noise_first, noise_second in ((zero, zero), noisy):
-            table_first = alpha * generator_x(spec_first) + noise_first
+            table_first = alpha * x_first + noise_first
             v_first = decide_membership(spec_first, table_first)
             table_as_second = rescale_slot0_coords(spec_first, table_first, units)
             v_cross = decide_membership(spec_second, table_as_second)
 
-            table_second = alpha * generator_x(spec_second) + noise_second
+            table_second = alpha * x_second + noise_second
             v_second = decide_membership(spec_second, table_second)
             table_as_first = rescale_slot0_coords(spec_first, table_second, inverse_units)
             v_back = decide_membership(spec_first, table_as_first)

@@ -42,6 +42,11 @@ def blocks_of(cls, mapping):
     return cls.from_parts(coords)
 
 
+def support(blocks):
+    """Type ids of the nonzero blocks, in the stored order."""
+    return tuple(p[0] for p in blocks.parts)
+
+
 def element_of(mapping):
     """AmbientElement from one list of ints and Fractions per type id."""
     return blocks_of(AmbientElement, mapping)
@@ -61,7 +66,7 @@ def _times(factor, nested):
 def scaled(blocks, factor):
     """blocks times a Fraction, rebuilt from the Fraction product of every coordinate."""
     return blocks_of(
-        type(blocks), {tid: _times(factor, fraction_block(blocks, tid)) for tid in blocks.support}
+        type(blocks), {tid: _times(factor, fraction_block(blocks, tid)) for tid in support(blocks)}
     )
 
 
@@ -87,7 +92,7 @@ def in_scaled_A_tau(spec, g, tid, scale):
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
     data = spec.data_for(tid)
-    if any(t != tid for t in g.support):
+    if any(t != tid for t in support(g)):
         raise ValueError(f"element has support outside type {tid!r}")
     coords = fraction_block(g, tid)
     if coords and len(coords) != data.rank:
@@ -103,7 +108,7 @@ def order_mod_A(spec, g):
     lcm of those.
     """
     order = 1
-    for tid in g.support:
+    for tid in support(g):
         inf = spec.data_for(tid).inf_primes
         for c in fraction_block(g, tid):
             t = next(t for t in range(1, c.denominator + 1)

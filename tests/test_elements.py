@@ -33,6 +33,7 @@ from reference import (
     project,
     purity_witness,
     scaled,
+    support,
     table_of,
 )
 
@@ -53,9 +54,9 @@ def test_element_arithmetic_and_canonical_form():
     s = a + b
     assert fraction_block(s, "t1") == (Fraction(3, 2), Fraction(0))
     assert fraction_block(s, "t2") == (Fraction(3),)
-    assert (a - a).is_zero
+    assert (a - a).parts == ()
     # zero blocks are dropped so support stays minimal
-    assert (b - b).support == ()
+    assert support(b - b) == ()
     assert fraction_block(scaled(a, Fraction(1, 3)), "t1") == (Fraction(1, 3), Fraction(2, 3))
     assert 3 * element_of({"t1": [Fraction(1, 3), Fraction(2, 3)]}) == a
     assert fraction_block(-a, "t1") == (-1, -2)
@@ -105,7 +106,7 @@ def test_block_container_group_laws(cls):
     for _ in range(40):
         a, b = random_blocks(cls, rng), random_blocks(cls, rng)
         assert (a + b) - b == a
-        assert (a + (-a)).is_zero
+        assert (a + (-a)).parts == ()
         assert 2 * a == a + a
         half = scaled(a, Fraction(1, 2))
         assert half + half == a and 2 * half == a
@@ -117,13 +118,13 @@ def test_block_container_drops_zero_blocks(cls):
     rng = random.Random(4)
     while True:
         a = random_blocks(cls, rng)
-        if "t1" in a.support:
+        if "t1" in support(a):
             break
     zero_t2 = [[[0]]] if cls.depth == 3 else [0]
-    assert blocks_of(cls, {"t2": zero_t2}).support == ()
-    assert blocks_of(cls, {"t2": zero_t2, "t1": fraction_block(a, "t1")}).support == ("t1",)
-    assert "t1" not in (a - blocks_of(cls, {"t1": fraction_block(a, "t1")})).support
-    assert (0 * a).is_zero and fraction_block(a, "missing") == ()
+    assert support(blocks_of(cls, {"t2": zero_t2})) == ()
+    assert support(blocks_of(cls, {"t2": zero_t2, "t1": fraction_block(a, "t1")})) == ("t1",)
+    assert "t1" not in support(a - blocks_of(cls, {"t1": fraction_block(a, "t1")}))
+    assert (0 * a).parts == () and fraction_block(a, "missing") == ()
 
 
 def test_block_container_kinds_never_mix():
@@ -144,7 +145,7 @@ def test_basis_element_and_projection():
     spec = two_block_spec()
     e = scaled(basis_vector("t1", 2, 1), Fraction(5, 3))
     assert fraction_block(e, "t1") == (Fraction(0), Fraction(5, 3))
-    assert project(spec, e, "t1") == e and project(spec, e, "t2").is_zero
+    assert project(spec, e, "t1") == e and project(spec, e, "t2").parts == ()
     d = element_d(spec)
     assert fraction_block(project(spec, d, "t2"), "t2") == (Fraction(3, 7),)
     assert fraction_block(project(spec, d, "t2"), "t1") == ()
@@ -167,7 +168,7 @@ def test_in_G_on_generators():
     spec = two_block_spec()
     d = element_d(spec)
     hit = in_G(spec, d)
-    assert hit is not None and hit.k == 1 and hit.a.is_zero
+    assert hit is not None and hit.k == 1 and hit.a.parts == ()
     nd = d * spec.n
     hit = in_G(spec, nd)
     assert hit is not None and hit.k == 0 and hit.a == nd

@@ -314,9 +314,10 @@ def test_records_bind_arguments_as_declared():
 
 
 def test_spec_computes_its_violations_once(monkeypatch):
-    calls = []
-    validate = groups.validate_spec
-    monkeypatch.setattr(groups, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    # condition_m_check runs once in every rule pass
+    passes = []
+    check = groups.condition_m_check
+    monkeypatch.setattr(groups, "condition_m_check", lambda ms: passes.append(ms) or check(ms))
     # the regulator index is an lcm over the types, read several times per table check
     lcm_calls = []
     lcm_all = groups.lcm_all
@@ -326,7 +327,12 @@ def test_spec_computes_its_violations_once(monkeypatch):
         ensure_valid(spec)
         assert spec.violations == ()
     main_decomposition(spec)
-    assert calls == [spec]
+    assert len(passes) == 1
+    # a batch validates its spec, then every guard reads the kept result
+    fresh = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
+    assert validate_spec(fresh) == []
+    ensure_valid(fresh)
+    assert len(passes) == 2
     table = 3 * generator_x(spec)
     for _ in range(2):
         assert decide_membership(spec, table).alpha == (3, 7)

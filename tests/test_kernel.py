@@ -7,6 +7,7 @@ the oracle properties compare its cube slices with `build_product`.  The
 searches are derandomized with a fixed example count, so a run is repeatable.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from reference import (
     ref_drop_zero,
     ref_outside_regulator,
     ref_scale,
+    support,
     table_of,
 )
 
@@ -85,14 +87,36 @@ def test_arithmetic_matches_fractions(cls, data):
     q = data.draw(SCALARS)
     A, B = build(cls, a, RANKS), build(cls, b, RANKS)
 
-    assert flat(A) == ref_drop_zero(a) and A.support == tuple(sorted(ref_drop_zero(a)))
+    assert flat(A) == ref_drop_zero(a) and support(A) == tuple(sorted(ref_drop_zero(a)))
     assert flat(A + B) == ref_combine(a, b, 1)
     assert flat(A - B) == ref_combine(a, b, -1)
     assert flat(q * A) == flat(A * q) == ref_scale(a, q)
     assert flat(-A) == ref_scale(a, -1)
     assert (A + B) - B == A and hash((A + B) - B) == hash(A) == hash((A.parts,))
     assert (A == B) == (ref_drop_zero(a) == ref_drop_zero(b))
-    assert (A - A).is_zero and (0 * A).is_zero
+    assert (A - A).parts == () and (0 * A).parts == ()
+
+
+def one_block(cls, tid, size):
+    """Container whose only block, of tid, has the given size and all coordinates 1."""
+    return cls.from_parts({tid: (size, 1, [1] * size**cls.depth)})
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize("cls", CONTAINERS)
+def test_a_shared_block_of_another_size_is_refused(cls, op):
+    mine = one_block(cls, "t1", 1) + one_block(cls, "t2", 2)
+    with pytest.raises(ValueError, match="block 't2' has mismatched sizes 2 and 3"):
+        op(mine, one_block(cls, "t2", 3))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize(
+    "left, right", [CONTAINERS, CONTAINERS[::-1]], ids=["element-table", "table-element"]
+)
+def test_containers_of_two_kinds_are_not_combined(left, right, op):
+    with pytest.raises(TypeError):
+        op(one_block(left, "t1", 1), one_block(right, "t1", 1))
 
 
 @st.composite

@@ -93,7 +93,7 @@ def test_structure_without_clipped_types():
     solo = CRQGroupSpec.of([make_type("t1", [5], 3, 1)])
     desc = compute_mult_group(solo)
     assert desc.spec.types[0].rank == 27
-    assert desc.generator is not None and desc.generator.is_zero
+    assert desc.generator is not None and desc.generator.parts == ()
     assert desc.basis == ()
 
 
@@ -189,7 +189,7 @@ def test_coset_identity_presentation():
     report = coset_relation(spec, 1, AmbientElement.zero(), samples=10, seed=0)
     assert report.applicable
     assert dict(report.s_prime) == {"t1": 2, "t2": 3}
-    assert report.relation.witness.is_zero
+    assert report.relation.witness.parts == ()
     assert report.witness_doubly_scaled and report.verdicts_agree
 
 
