@@ -38,14 +38,14 @@ __all__ = [
     "coords_from_json",
 ]
 
-# in_G tries up to n candidates; a full scan of two rank-1 types takes about 1.1 us
-# per candidate (Python 3.11, 2-vCPU VM), so n at this bound costs about 0.02 s.
+# in_G tries up to n candidates; full scans of two or three rank-1 types took 1.1-1.3 us
+# per candidate (Python 3.11, 2-vCPU VM), so n at this bound costs about 0.023 s.
 MAX_SCAN_INDEX = 20000
-# A candidate reads a block's leaves until one is outside the regulator, so a scan
-# costs at most about n times the coordinates stored in g and d.  Full scans with n
-# times those coordinates near this bound took 0.001-0.03 s at n = 211, 2003, 3998
-# and 19997, the slowest where a rank-370 block with m = 2 is read in full at half
-# the candidates (Python 3.11, 2-vCPU VM).
+# n times the coordinates stored in g and d bounded scans that re-read every coordinate
+# per candidate.  A candidate now reads one residue per clipped type, so this overstates
+# the work: full scans with n times those coordinates near the bound took 0.6 ms at
+# n = 211 (two rank-3554 types) and 2.4 ms at n = 2003 (two rank-374 types), on the
+# same machine.  The bound and its refusals stay as long as the scan does.
 MAX_SCAN_WORK = 3 * 10**6
 # (size, denominator, numerators) of one stored block
 Part = tuple[int, int, tuple[int, ...]]
@@ -220,9 +220,11 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
     Tries each candidate k in turn; the decomposition is unique when it
-    exists because n is the order of d over the regulator.  A regulator
-    index past MAX_SCAN_INDEX is refused.  Past k = 0, so is a scan whose n
-    times the coordinates stored in g and d passes MAX_SCAN_WORK.
+    exists because n is the order of d over the regulator.  k*d moves only
+    slot 0 of each clipped type, so every other coordinate is tested once,
+    and a candidate costs one residue per clipped type.  A regulator index
+    past MAX_SCAN_INDEX is refused.  Past k = 0, so is a scan whose n times
+    the coordinates stored in g and d passes MAX_SCAN_WORK.
     """
     AmbientElement.check(spec, g)
     if spec.n > MAX_SCAN_INDEX:
@@ -236,26 +238,22 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
             f"regulator index {spec.n} times the stored coordinates comes to {work}, "
             f"over the scan limit {MAX_SCAN_WORK}"
         )
-    d = element_d(spec)
-    # g - k*d over one denominator per block: a step moves slot 0 of each clipped
-    # block, and the regulator test is first_outside's, with bad fixed per block
-    blocks = {tid: (den, list(nums)) for tid, _, den, nums in g.parts}
-    steps = []
-    for tid, size, m, nums in d.parts:
-        den, leaves = blocks.get(tid, (1, [0] * size))
-        common = math.lcm(den, m)
-        leaves = [x * (common // den) for x in leaves]
-        blocks[tid] = (common, leaves)
-        steps.append((leaves, nums[0] * (common // m)))  # moved in place, read by the tests
-    tests = [
-        (coprime_part(den, spec.data_for(tid).inf_primes.primes), leaves)
-        for tid, (den, leaves) in blocks.items()
-    ]
+    # no k*d moves an unclipped block or a slot past 0: one outside there is final
+    for tid, _, den, nums in g.parts:
+        data = spec.data_for(tid)
+        fixed = nums[1:] if data.m > 1 else nums
+        if first_outside(den, fixed, data.inf_primes.primes) is not None:
+            return None
+    # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when bad divides it
+    scan = []
+    for t in spec.clipped:
+        _, den, nums = g.part(t.id) or (t.rank, 1, (0,))
+        common = math.lcm(den, t.m)
+        bad = coprime_part(common, t.inf_primes.primes)
+        scan.append((nums[0] * (common // den), t.s * (common // t.m), bad))
     for k in range(1, spec.n):
-        for leaves, step in steps:
-            leaves[0] -= step
-        if not any(x % bad for bad, leaves in tests for x in leaves):
-            return GMembership(k, g - k * d)
+        if not any((x - k * step) % bad for x, step, bad in scan):
+            return GMembership(k, g - k * element_d(spec))
     return None
 
 

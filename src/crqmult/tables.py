@@ -21,12 +21,11 @@ from .elements import (
     Blocks,
     common_form,
     coords_from_json,
-    first_outside,
     format_coord,
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
-from .numth import crt_solve, is_p_integer, mod_inverse
+from .numth import coprime_part, crt_solve, is_p_integer, mod_inverse
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
@@ -245,26 +244,27 @@ def build_product(
     return product
 
 
-def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientElement, dict]:
+def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientElement, list]:
     """The square of the distinguished generator d, and its border products.
 
     d is s/m times basis vector 0 on each clipped type and vanishes
     elsewhere, so its products are slices of the stored cube T:
     d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0].
-    The border products of a stored type are one unreduced (denominator,
-    numerators) pair: d*e_j at leaf j * rank + slot, then e_j*d at leaf
-    (rank + j) * rank + slot.
+    Each stored clipped type d gives one border (d, den * m, row, column),
+    read in place: row is T[0][j] for j in order, flat as stored, and
+    column[j] is T[j][0]; the products are s times these over den * m.
     """
     square = {}
-    border = {}
+    border = []
     for d in spec.clipped:
         part = table.part(d.id)
         if part is None:
             continue
         size, den, nums = part
+        stride = size * size
         square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
-        column = [x for k in range(0, len(nums), size * size) for x in nums[k : k + size]]
-        border[d.id] = (den * d.m, [d.s * x for x in nums[: size * size] + tuple(column)])
+        column = [nums[k : k + size] for k in range(0, len(nums), stride)]
+        border.append((d, den * d.m, nums[:stride], column))
     return AmbientElement.from_parts(square), border
 
 
@@ -284,10 +284,14 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     # d*d is tested first, so a regulator index past the scan limit is refused
     if in_G(spec, square) is None:
         return False
-    return all(
-        first_outside(den, nums, spec.data_for(tid).inf_primes.primes) is None
-        for tid, (den, nums) in border.items()
-    )
+    for d, den, row, column in border:
+        # s * x / den is in the regulator exactly when bad divides s * x, as in first_outside
+        bad = coprime_part(den, d.inf_primes.primes)
+        if bad != 1 and (
+            any(d.s * x % bad for x in row) or any(d.s * x % bad for e in column for x in e)
+        ):
+            return False
+    return True
 
 
 def rescale_slot0_coords(

@@ -7,7 +7,7 @@ so acceptance criteria can check one against the other.
 import math
 from fractions import Fraction
 
-from crqmult.elements import AmbientElement, element_d, in_G
+from crqmult.elements import AmbientElement, GMembership, element_d, in_G
 from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
 from crqmult.tables import MultTable, build_product
 
@@ -183,6 +183,16 @@ def border_scaling_check(spec, table):
             if not all(is_p_integer((c / d.m).denominator, d.inf_primes) for c in vec):
                 return False
     return True
+
+
+def ref_in_G(spec, g):
+    """G-membership by its definition: the first k in 0..n-1 with g - k*d in the regulator."""
+    d = element_d(spec)
+    for k in range(spec.n):
+        a = g - k * d
+        if a.outside_regulator(spec) is None:
+            return GMembership(k, a)
+    return None
 
 
 def ref_closure_oracle(spec, table):

@@ -20,7 +20,7 @@ from crqmult.elements import (
     in_g_closed_form,
     purity_oracle,
 )
-from crqmult.groups import CRQGroupSpec, CriticalTypeData
+from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
 from crqmult.numth import PrimeSet, condition_m_check, is_prime
 from crqmult.tables import MultTable
 from reference import (
@@ -32,6 +32,7 @@ from reference import (
     order_mod_A,
     project,
     purity_witness,
+    ref_in_G,
     scaled,
     support,
     table_of,
@@ -261,6 +262,56 @@ def test_in_G_closed_form_matches_scan():
             {"t1": [Fraction(rng.randrange(1, 12), 12), 0]}
         )
         assert in_G(spec, g) == in_g_closed_form(spec, g)
+
+
+# denominators that put a coordinate outside the regulator of every type that lacks them;
+# 2 to 11 also divide some invariants m, so slot 0 of a multiple of d carries them too
+OUTSIDE_PRIMES = (2, 3, 5, 7, 11, 43, 47)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_in_G_agrees_with_closed_form_and_definition(seed, data):
+    spec = random_spec(seed, GenBounds(5, 3, 2000))
+    if not spec.clipped or spec.n > 2000:
+        return
+    k = data.draw(st.integers(0, spec.n - 1))
+    blocks = {}
+    for t in spec.types:
+        coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, *t.inf_primes)))
+        blocks[t.id] = data.draw(st.lists(coord, min_size=t.rank, max_size=t.rank))
+    for t in spec.clipped:
+        blocks[t.id][0] += Fraction(k * t.s, t.m)
+    # a member k*d + noise, or one coordinate moved outside the regulator
+    targets = {
+        "clipped slot 0": [(t, 0) for t in spec.clipped],
+        "later clipped slot": [(t, i) for t in spec.clipped for i in range(1, t.rank)],
+        "unclipped block": [(t, i) for t in spec.types if t.m == 1 for i in range(t.rank)],
+    }
+    places = ["member", "clipped block absent", *(p for p, ts in targets.items() if ts)]
+    place = data.draw(st.sampled_from(places))
+    if place == "clipped block absent":
+        del blocks[data.draw(st.sampled_from(spec.clipped)).id]
+    elif place != "member":
+        t, slot = data.draw(st.sampled_from(targets[place]))
+        q = data.draw(st.sampled_from([p for p in OUTSIDE_PRIMES if p not in t.inf_primes]))
+        blocks[t.id][slot] += Fraction(1, q)
+    g = element_of(blocks)
+    expected = ref_in_G(spec, g)
+    assert in_G(spec, g) == in_g_closed_form(spec, g) == expected
+    if place == "member":
+        assert expected == GMembership(k, g - k * element_d(spec))
+
+
+def test_in_G_stops_at_a_coordinate_no_multiple_of_d_moves():
+    # n = 19997, but 1/3 on the unclipped type stays outside for every k
+    spec = CRQGroupSpec.of(
+        [make_type("t1", [2], 1, 19997), make_type("t2", [5], 1, 19997), make_type("u", [7], 1, 1)]
+    )
+    g = element_of({"u": [Fraction(1, 3)]})
+    started = time.perf_counter()
+    assert in_G(spec, g) is None
+    assert time.perf_counter() - started < 0.005  # trying every candidate takes over 0.01 s
 
 
 def test_order_mod_regulator():

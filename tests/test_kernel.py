@@ -252,17 +252,19 @@ def test_generator_products_are_cube_slices(spec, data):
     d = element_d(spec)
     square, border = _generator_products(spec, table)
     assert square == product(d, d)
-    assert set(border) == {c.id for c in spec.clipped if table.part(c.id) is not None}
+    stored = {c.id: (den, row, column) for c, den, row, column in border}
+    assert [c.id for c, *_ in border] == [c.id for c in spec.clipped if table.part(c.id)]
     for c in spec.clipped:
         r = c.rank
-        den, nums = border.get(c.id, (1, [0] * (2 * r * r)))
-        assert len(nums) == 2 * r * r
-        got = [Fraction(x, den) for x in nums]
+        den, row, column = stored.get(c.id, (1, [0] * r * r, [[0] * r] * r))
+        assert len(row) == r * r and len(column) == r and all(len(e) == r for e in column)
         for j in range(r):
             e = basis_vector(c.id, r, j)
-            for side, value in enumerate((product(d, e), product(e, d))):
-                start = (side * r + j) * r
-                assert got[start : start + r] == flat(value).get(c.id, [0] * r)
+            # the oracle tests s times each stored slice over den
+            sides = ((row[j * r : (j + 1) * r], product(d, e)), (column[j], product(e, d)))
+            for nums, value in sides:
+                got = [Fraction(c.s * x, den) for x in nums]
+                assert got == flat(value).get(c.id, [0] * r)
 
 
 # Outcomes checked at the commit before the integer kernel: None is a refusal.
