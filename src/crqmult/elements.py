@@ -229,7 +229,19 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     AmbientElement.check(spec, g)
     if spec.n > MAX_SCAN_INDEX:
         raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
-    if g.outside_regulator(spec) is None:
+    # one pass reads each block's bad: the k = 0 answer, and whether a coordinate that no
+    # k*d moves (an unclipped block, or a slot past 0) is outside, which is final
+    inside = fixed_inside = True
+    slot0 = {}
+    for tid, _, den, nums in g.parts:
+        data = spec.data_for(tid)
+        bad = coprime_part(den, data.inf_primes.primes) if den != 1 else 1
+        if data.m > 1:
+            slot0[tid] = (den, nums, bad)
+            inside = inside and nums[0] % bad == 0
+        if bad != 1 and math.gcd(bad, *(nums[1:] if data.m > 1 else nums)) != bad:
+            inside = fixed_inside = False
+    if inside:
         return GMembership(0, g)
     # d stores a full-rank vector for every clipped type: count it before building it
     work = spec.n * (sum(len(p[3]) for p in g.parts) + sum(t.rank for t in spec.clipped))
@@ -238,22 +250,24 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
             f"regulator index {spec.n} times the stored coordinates comes to {work}, "
             f"over the scan limit {MAX_SCAN_WORK}"
         )
-    # no k*d moves an unclipped block or a slot past 0: one outside there is final
-    for tid, _, den, nums in g.parts:
-        data = spec.data_for(tid)
-        fixed = nums[1:] if data.m > 1 else nums
-        if first_outside(den, fixed, data.inf_primes.primes) is not None:
-            return None
-    # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when bad divides it
-    scan = []
+    if not fixed_inside:
+        return None
+    # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when lcm(bad, m)
+    # divides it: m has no infinite prime, so that is the part of lcm(den, m) outside them
+    scan, lifts = [], []
     for t in spec.clipped:
-        _, den, nums = g.part(t.id) or (t.rank, 1, (0,))
+        den, nums, bad = slot0.get(t.id) or (1, (0,) * t.rank, 1)
         common = math.lcm(den, t.m)
-        bad = coprime_part(common, t.inf_primes.primes)
-        scan.append((nums[0] * (common // den), t.s * (common // t.m), bad))
+        up = common // den
+        scan.append((nums[0] * up, t.s * (common // t.m), math.lcm(bad, t.m)))
+        lifts.append((t, common, up, nums))
     for k in range(1, spec.n):
         if not any((x - k * step) % bad for x, step, bad in scan):
-            return GMembership(k, g - k * element_d(spec))
+            # a = g - k*d: each clipped block over lcm(den, m), slot 0 moved by k steps
+            parts = {tid: (size, den, nums) for tid, size, den, nums in g.parts}
+            for (x, step, _), (t, common, up, nums) in zip(scan, lifts):
+                parts[t.id] = (t.rank, common, [x - k * step, *[y * up for y in nums[1:]]])
+            return GMembership(k, AmbientElement.from_parts(parts))
     return None
 
 

@@ -32,8 +32,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Optional, Sequence
 
-    from .elements import Part
-
 __all__ = [
     "MultTable",
     "MembershipFailure",
@@ -65,6 +63,7 @@ class MultTable(Blocks):
     """Per-type matrices of basis-product coordinate vectors, zero blocks dropped."""
 
     depth = 3
+    _checked = None  # (spec, failure) kept by _entries_in_A; no field, so not in ==, hash, repr
 
 
 @record
@@ -115,15 +114,23 @@ def generator_x(spec: CRQGroupSpec) -> MultTable:
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
+    """MultTable.check, then the first coordinate outside the regulator as a failure;
+    both routes start here, so it is kept on the table for the spec object checked."""
+    kept = table._checked if isinstance(table, MultTable) else None
+    if kept is not None and kept[0] is spec:
+        return kept[1]
+    MultTable.check(spec, table)
+    failure = None
     found = table.outside_regulator(spec)
-    if found is None:
-        return None
-    tid, leaf = found
-    size, den, nums = table.part(tid)
-    entry, slot = divmod(leaf, size)
-    i, j = divmod(entry, size)
-    detail = f"coordinate {format_coord(nums[leaf], den)} is not integral at this type"
-    return MembershipFailure("ENTRY_OUTSIDE_A", tid, (i, j), detail)
+    if found is not None:
+        tid, leaf = found
+        size, den, nums = table.part(tid)
+        entry, slot = divmod(leaf, size)
+        i, j = divmod(entry, size)
+        detail = f"coordinate {format_coord(nums[leaf], den)} is not integral at this type"
+        failure = MembershipFailure("ENTRY_OUTSIDE_A", tid, (i, j), detail)
+    object.__setattr__(table, "_checked", (spec, failure))
+    return failure
 
 
 # Once every entry is integral at its type, the block denominator is a product
@@ -131,24 +138,24 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
 # is divisible by a power of m exactly when its numerator x is.
 
 
-def _entry_scaled(nums: Sequence[int], start: int, size: int, modulus: int) -> bool:
-    return not any(x % modulus for x in nums[start : start + size])
+def _border_gcd(q: int, nums: Sequence[int], size: int) -> int:
+    """gcd of q and row 0 and column 0 of a flat cube, so q when the border is q-scaled.
 
-
-def _unscaled_border(d: CriticalTypeData, part: Optional[Part]) -> Optional[tuple[int, int]]:
-    """First entry of row 0 or column 0 that is not m-scaled, or None.
-
-    Entries are visited as (0, j) then (j, 0) for increasing j, and must
-    already be integral at the type.
+    Row 0 is the run nums[:size**2], and each T[j][0] with j >= 1 a run of its own.
     """
-    if part is None:
-        return None
-    size, _, nums = part
+    stride = size * size
+    g = math.gcd(q, *nums[:stride])
+    for start in range(stride, size * stride, stride):
+        g = math.gcd(g, *nums[start : start + size])
+    return g
+
+
+def _unscaled_border(m: int, size: int, nums: Sequence[int]) -> Optional[tuple[int, int]]:
+    """First entry of the border that is not m-scaled, visited as (0, j) then (j, 0)."""
     for j in range(size):
-        if not _entry_scaled(nums, j * size, size, d.m):
-            return 0, j
-        if not _entry_scaled(nums, j * size * size, size, d.m):
-            return j, 0
+        for entry, start in (((0, j), j * size), ((j, 0), j * size * size)):
+            if any(x % m for x in nums[start : start + size]):
+                return entry
     return None
 
 
@@ -178,21 +185,19 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     corner entries congruent to a common multiple of the corner generator.
     The witness alpha is that multiple, reported modulo the regulator index.
     """
-    MultTable.check(spec, table)
     failure = _entries_in_A(spec, table)
     if failure is not None:
         return MembershipVerdict(False, None, failure)
     congruences = []
     for d in spec.clipped:
         part = table.part(d.id)
-        entry = _unscaled_border(d, part)
-        if entry is not None:
-            detail = f"entry is not divisible by m = {d.m}"
-            return _refused("BORDER_NOT_SCALED", d.id, entry, detail)
         if part is None:
             congruences.append((0, d.m))
             continue
-        _, den, nums = part
+        size, den, nums = part
+        if _border_gcd(d.m, nums, size) != d.m:
+            detail = f"entry is not divisible by m = {d.m}"
+            return _refused("BORDER_NOT_SCALED", d.id, _unscaled_border(d.m, size, nums), detail)
         # the reduced corner is the corner over m; its residues are x / m times 1 / den
         for slot in range(1, d.rank):
             if nums[slot] % (d.m * d.m):
@@ -250,9 +255,9 @@ def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientEl
     d is s/m times basis vector 0 on each clipped type and vanishes
     elsewhere, so its products are slices of the stored cube T:
     d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0].
-    Each stored clipped type d gives one border (d, den * m, row, column),
-    read in place: row is T[0][j] for j in order, flat as stored, and
-    column[j] is T[j][0]; the products are s times these over den * m.
+    Each stored clipped type d gives one border (d, den * m, nums), with
+    nums the stored cube: the border products are s times its row 0 and
+    column 0, as `_border_gcd` reads them, over den * m.
     """
     square = {}
     border = []
@@ -261,10 +266,8 @@ def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientEl
         if part is None:
             continue
         size, den, nums = part
-        stride = size * size
         square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
-        column = [nums[k : k + size] for k in range(0, len(nums), stride)]
-        border.append((d, den * d.m, nums[:stride], column))
+        border.append((d, den * d.m, nums))
     return AmbientElement.from_parts(square), border
 
 
@@ -277,19 +280,16 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     vector of another type vanish, so only the clipped types the table
     stores are read.
     """
-    MultTable.check(spec, table)
     if _entries_in_A(spec, table) is not None:
         return False
     square, border = _generator_products(spec, table)
     # d*d is tested first, so a regulator index past the scan limit is refused
     if in_G(spec, square) is None:
         return False
-    for d, den, row, column in border:
-        # s * x / den is in the regulator exactly when bad divides s * x, as in first_outside
+    for d, den, nums in border:
+        # s * x / den is in the regulator when bad divides x: bad is m here, s a unit modulo it
         bad = coprime_part(den, d.inf_primes.primes)
-        if bad != 1 and (
-            any(d.s * x % bad for x in row) or any(d.s * x % bad for e in column for x in e)
-        ):
+        if bad != 1 and _border_gcd(bad, nums, d.rank) != bad:
             return False
     return True
 

@@ -185,6 +185,29 @@ def border_scaling_check(spec, table):
     return True
 
 
+def table_as_element(spec, table):
+    """The element of the ambient of compute_mult_group(spec).spec that a table maps to.
+
+    A rank-r cube becomes a rank-r**3 vector in row-major order, so leaf 0,
+    slot 0 of the corner, is the clipped slot.  Over the scaled basis of the
+    regulator blocks of Mult G, a leaf (i, j, k) of a clipped type is divided
+    by m**2 on the corner (i = j = 0), by m on the border (exactly one of i, j
+    is 0) and by 1 elsewhere; unclipped types are unchanged.
+    """
+    blocks = {}
+    for d in spec.types:
+        cube = fraction_block(table, d.id)
+        if not cube:
+            continue
+        blocks[d.id] = [
+            c / d.m ** ((i == 0) + (j == 0))
+            for i in range(d.rank)
+            for j in range(d.rank)
+            for c in cube[i][j]
+        ]
+    return element_of(blocks)
+
+
 def ref_in_G(spec, g):
     """G-membership by its definition: the first k in 0..n-1 with g - k*d in the regulator."""
     d = element_d(spec)

@@ -7,6 +7,7 @@ the oracle properties compare its cube slices with `build_product`.  The
 searches are derandomized with a fixed example count, so a run is repeatable.
 """
 
+import math
 import operator
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from crqmult.groups import GenBounds, random_spec
 from crqmult.numth import PrimeSet
 from crqmult.tables import (
     MultTable,
+    _border_gcd,
     _generator_products,
     build_product,
     closure_oracle,
@@ -161,7 +163,9 @@ def member_cubes(draw, spec, alpha):
 @st.composite
 def tables_near_the_filtration(draw, spec):
     """Flat cubes with integral, m-scaled borders and m^2-scaled corners, then
-    up to two coordinates made fractional, unscaled, or m-scaled on a corner.
+    up to two changes: a coordinate made fractional, unscaled, or m-scaled on a
+    corner, an unscaled column entry (j, 0) with j >= 1, or two or more unscaled
+    border entries of one type.
 
     Slot 0 of each corner carries one common witness alpha, as alpha times the
     corner generator m / s; the "witness" change moves one type off it.
@@ -169,8 +173,23 @@ def tables_near_the_filtration(draw, spec):
     cubes = member_cubes(draw, spec, draw(st.integers(0, 10**3)))
     for _ in range(draw(st.integers(0, 2))):
         d = draw(st.sampled_from(spec.types))
-        kind = draw(st.sampled_from(["fraction", "unscaled", "corner", "witness"]))
-        if kind == "witness":
+        kinds = ["fraction", "unscaled", "corner", "witness", "column", "borders"]
+        kind = draw(st.sampled_from(kinds))
+        r = d.rank
+        if kind in ("column", "borders"):
+            if d.m == 1 or r == 1:
+                continue
+            border = [(0, j) for j in range(r)] + [(j, 0) for j in range(1, r)]
+            entries = (
+                [(draw(st.integers(1, r - 1)), 0)]
+                if kind == "column"
+                else draw(st.lists(st.sampled_from(border), min_size=2, unique=True))
+            )
+            for i, j in entries:
+                # m-scaled before, so a step that m does not divide leaves it unscaled
+                leaf = (i * r + j) * r + draw(st.integers(0, r - 1))
+                cubes[d.id][leaf] += draw(st.integers(1, d.m - 1))
+        elif kind == "witness":
             cubes[d.id][0] += d.m * draw(st.integers(1, 9))
         elif kind == "corner" and d.rank > 1:
             cubes[d.id][draw(st.integers(1, d.rank - 1))] = Fraction(d.m * draw(st.integers(1, 9)))
@@ -252,12 +271,17 @@ def test_generator_products_are_cube_slices(spec, data):
     d = element_d(spec)
     square, border = _generator_products(spec, table)
     assert square == product(d, d)
-    stored = {c.id: (den, row, column) for c, den, row, column in border}
+    stored = {c.id: (den, cube) for c, den, cube in border}
     assert [c.id for c, *_ in border] == [c.id for c in spec.clipped if table.part(c.id)]
     for c in spec.clipped:
         r = c.rank
-        den, row, column = stored.get(c.id, (1, [0] * r * r, [[0] * r] * r))
+        den, cube = stored.get(c.id, (1, [0] * r**3))
+        # row 0 is one run of the stored cube, and column entry j the run at j * r * r
+        row = cube[: r * r]
+        column = [cube[j * r * r : j * r * r + r] for j in range(r)]
+        assert len(cube) == r**3
         assert len(row) == r * r and len(column) == r and all(len(e) == r for e in column)
+        border_leaves = []
         for j in range(r):
             e = basis_vector(c.id, r, j)
             # the oracle tests s times each stored slice over den
@@ -265,6 +289,10 @@ def test_generator_products_are_cube_slices(spec, data):
             for nums, value in sides:
                 got = [Fraction(c.s * x, den) for x in nums]
                 assert got == flat(value).get(c.id, [0] * r)
+                border_leaves += [int(v * den / c.s) for v in flat(value).get(c.id, [0] * r)]
+        # the oracle's one gcd per run reads exactly the leaves of those products
+        for q in (2, 3, 4, c.m, den):
+            assert _border_gcd(q, cube, r) == math.gcd(q, *border_leaves)
 
 
 # Outcomes checked at the commit before the integer kernel: None is a refusal.

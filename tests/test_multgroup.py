@@ -1,11 +1,12 @@
 """Structure of the multiplication group, presentations, and the two-basis example."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from crqmult.elements import AmbientElement
+from crqmult.elements import AmbientElement, element_d, in_G
 from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
@@ -24,13 +25,15 @@ from crqmult.multgroup import (
 )
 from crqmult.numth import PrimeSet, p0_inverse
 from crqmult.tables import (
+    MultTable,
     closure_oracle,
     decide_membership,
     generator_x,
     in_M2,
     sample_member_table,
 )
-from reference import element_of, fraction_matrix
+from reference import basis_vector, element_of, fraction_matrix, table_as_element
+from test_acceptance import TABLES_PER_SPEC, sample_strata, spec_population
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -340,3 +343,84 @@ def test_cross_basis_rejects_bad_hypotheses():
         cross_basis_example(2, 3, 1009)  # m - 1 witness values, each an O(m) scan
     with pytest.raises(ValueError):
         cross_basis_example(10**20 + 3, 3, 7)  # s1 + m too large to factor
+
+
+# -- Mult G through the engine: the structure theorem as a third route ----------
+#
+# compute_mult_group describes Mult G as a group of the same class.  A table T of
+# G maps to an element of its ambient by `table_as_element`, and T defines a
+# multiplication exactly when that element lies in Mult G, with k = alpha.
+
+
+def test_member_tables_map_into_mult_g_on_the_acceptance_population():
+    # the tables of acceptance criterion 1: specs 0..199, 20 stratified tables each
+    rng = random.Random(10**6)
+    members = others = 0
+    for spec in spec_population():
+        mult_spec = compute_mult_group(spec).spec
+        for table, _, _ in sample_strata(spec, rng, TABLES_PER_SPEC):
+            verdict = decide_membership(spec, table)
+            hit = in_G(mult_spec, table_as_element(spec, table))
+            assert verdict.member == (hit is not None)
+            if hit is not None:
+                assert hit.k == verdict.alpha[0]
+            members += verdict.member
+            others += not verdict.member
+    assert members > 2000 and others > 1000
+
+
+def test_basis_and_generator_map_to_basis_vectors_and_d():
+    for spec in spec_population():
+        desc = compute_mult_group(spec)
+        for tid, table in desc.basis:
+            rank = desc.spec.data_for(tid).rank
+            assert table_as_element(spec, table) == basis_vector(tid, rank, 0)
+        assert table_as_element(spec, desc.generator) == element_d(desc.spec)
+
+
+# (infinite prime, rank, m, s) per clipped type; each spec has at most 1,296 cosets
+TINY_SPECS = {
+    "6-6": [(11, 1, 6, 5), (13, 1, 6, 1)],
+    "4-4-2": [(5, 1, 4, 3), (7, 1, 4, 1), (11, 1, 2, 1)],
+    "rank-2": [(3, 2, 2, 1), (5, 1, 2, 1)],
+}
+
+
+def coset_leaves(spec):
+    """(type id, leaf, modulus) of every leaf that a coset representative of the
+    integral tables modulo the doubly scaled ones can make nonzero: corner slots
+    over Z/m^2, border slots over Z/m, and nothing inside."""
+    out = []
+    for d in spec.types:
+        r = d.rank
+        for leaf in range(r**3):
+            i, j = divmod(leaf // r, r)
+            if i == 0 or j == 0:
+                out.append((d.id, leaf, d.m * d.m if (i, j) == (0, 0) else d.m))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SPECS))
+def test_every_coset_of_a_tiny_spec(name):
+    spec = CRQGroupSpec.of(
+        make_type(f"t{i + 1}", [p], r, m, s) for i, (p, r, m, s) in enumerate(TINY_SPECS[name])
+    )
+    assert not spec.violations
+    mult_spec = compute_mult_group(spec).spec
+    leaves = coset_leaves(spec)
+    alphas = []
+    for values in itertools.product(*(range(q) for _, _, q in leaves)):
+        cubes = {d.id: [0] * d.rank**3 for d in spec.types}
+        for (tid, leaf, _), value in zip(leaves, values):
+            cubes[tid][leaf] = value
+        table = MultTable.from_parts(
+            {d.id: (d.rank, 1, cubes[d.id]) for d in spec.types}
+        )
+        verdict = decide_membership(spec, table)
+        hit = in_G(mult_spec, table_as_element(spec, table))
+        assert closure_oracle(spec, table) == verdict.member == (hit is not None)
+        if verdict.member:
+            assert hit.k == verdict.alpha[0]
+            alphas.append(hit.k)
+    # one member coset per alpha: the cyclic regulator quotient of Mult G, of order n
+    assert sorted(alphas) == list(range(spec.n))

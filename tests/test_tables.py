@@ -1,5 +1,6 @@
 """Multiplication tables, the layered filtration, and the membership decision."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -278,6 +279,52 @@ def test_decision_matches_closure_oracle():
         tables.append(sample_unscaled_border_table(spec, rng))
     for table in tables:
         assert decide_membership(spec, table).member == closure_oracle(spec, table)
+
+
+# specs with the ids and ranks of two_block_spec but another s, m or set of infinite
+# primes: a table of two_block_spec is checked against one of them as a second spec
+OTHER_SPECS = {
+    "s": [make_type("t1", [5], 2, 7, 3), make_type("t2", [2], 1, 7, 3)],
+    "m": [make_type("t1", [5], 2, 3, 2), make_type("t2", [2], 1, 3, 1)],
+    "primes": [make_type("t1", [3], 2, 7, 2), make_type("t2", [2], 1, 7, 3)],
+}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_SPECS))
+def test_one_table_checked_against_two_specs(other):
+    first, second = two_block_spec(), CRQGroupSpec.of(OTHER_SPECS[other])
+    rng = random.Random(55)
+    tables = [sample_member_table(first, rng)[0] for _ in range(4)]
+    tables += [sample_unscaled_border_table(first, rng) for _ in range(2)]
+    # 1/5 is in the regulator of t1 over the prime 5, not over the prime 3
+    tables.append(table_of({"t1": [[[0, 0], [0, 0]], [[0, 0], [0, Fraction(1, 5)]]]}))
+    routes = (decide_membership, closure_oracle)
+    calls = [(route, spec) for route in routes for spec in (first, second)]
+    differ = False
+    for table in tables:
+        before = (repr(table), hash(table))
+        # each call on a fresh table, so no check was kept before it
+        expected = {(route, spec): route(spec, MultTable(table.parts)) for route, spec in calls}
+        differ |= expected[decide_membership, first] != expected[decide_membership, second]
+        for order in itertools.permutations(calls):
+            checked = MultTable(table.parts)
+            for route, spec in order:
+                assert route(spec, checked) == expected[route, spec]
+            # the kept check is not a field
+            assert (repr(checked), hash(checked)) == before
+            assert checked == table and table == checked
+    assert differ
+
+
+def test_a_kept_check_does_not_pass_an_invalid_spec():
+    # the ids and ranks of two_block_spec, with s = 7 not a unit modulo m = 7
+    invalid = CRQGroupSpec.of([make_type("t1", [5], 2, 7, 7), make_type("t2", [2], 1, 7, 3)])
+    spec = two_block_spec()
+    table, _ = sample_member_table(spec, random.Random(3))
+    assert decide_membership(spec, table).member and closure_oracle(spec, table)
+    for route in (decide_membership, closure_oracle):
+        with pytest.raises(ValueError, match="invalid spec: S_M_NOT_COPRIME"):
+            route(invalid, table)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
