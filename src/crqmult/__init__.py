@@ -40,7 +40,6 @@ _EXPORTS = {
     "elements": (
         "AmbientElement",
         "GMembership",
-        "element_d",
         "element_from_dict",
         "in_G",
         "purity_oracle",

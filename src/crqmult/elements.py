@@ -19,7 +19,7 @@ import re
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_spec, ensure_valid
-from .numth import coprime_part, crt_solve, mod_inverse
+from .numth import coprime_part
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
@@ -30,9 +30,7 @@ __all__ = [
     "AmbientElement",
     "Blocks",
     "GMembership",
-    "element_d",
     "in_G",
-    "in_g_closed_form",
     "purity_oracle",
     "element_from_dict",
     "coords_from_json",
@@ -130,12 +128,15 @@ class Blocks:
         """Raise ValueError unless the spec is valid and value is a cls that fits it.
 
         Every block must belong to a type of the spec, have that type's rank
-        as its size and hold size ** depth numerators.
+        as its size and hold size ** depth numerators, in the form that
+        `from_parts` builds: type ids strictly increasing, and each block
+        nonzero and reduced over a positive denominator.
         """
         ensure_valid(spec)
         if not isinstance(value, cls):
             raise ValueError(f"expected {cls.__name__}, got {type(value).__name__}")
-        for tid, size, _, nums in value.parts:
+        previous = None
+        for tid, size, den, nums in value.parts:
             rank = spec.data_for(tid).rank
             if size != rank:
                 raise ValueError(f"block {tid!r} has size {size}, expected {rank}")
@@ -143,6 +144,14 @@ class Blocks:
                 raise ValueError(
                     f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{cls.depth}"
                 )
+            if previous is not None and tid <= previous:
+                raise ValueError(f"block {tid!r} does not follow block {previous!r} in id order")
+            previous = tid
+            common = math.gcd(*nums)
+            if common == 0:
+                raise ValueError(f"block {tid!r} is all zero")
+            if den < 1 or math.gcd(den, common) != 1:
+                raise ValueError(f"block {tid!r} is not reduced over a positive denominator: {den}")
 
     def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
@@ -208,14 +217,6 @@ class GMembership:
     a: AmbientElement
 
 
-def element_d(spec: CRQGroupSpec) -> AmbientElement:
-    """The distinguished generator over the regulator, s/m on each clipped slot."""
-    ensure_valid(spec)
-    return AmbientElement.from_parts(
-        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
-    )
-
-
 def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
@@ -269,31 +270,6 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
                 parts[t.id] = (t.rank, common, [x - k * step, *[y * up for y in nums[1:]]])
             return GMembership(k, AmbientElement.from_parts(parts))
     return None
-
-
-def in_g_closed_form(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
-    """Same decomposition as in_G, with k solved from slot-0 congruences.
-
-    Slot 0 of a clipped type forces k * s == m * g_0 modulo m; an absent
-    block forces k == 0 modulo m.
-    """
-    AmbientElement.check(spec, g)
-    congruences = []
-    for d in spec.clipped:
-        part = g.part(d.id)
-        num, den = (d.m * part[2][0], part[1]) if part else (0, 1)
-        common = math.gcd(num, den)
-        num, den = num // common, den // common
-        if math.gcd(den, d.m) != 1:
-            # a prime of m lies outside the type's infinite primes
-            return None
-        congruences.append((num * mod_inverse(den * d.s, d.m) % d.m, d.m))
-    solution = crt_solve(congruences)
-    if solution is None:
-        return None
-    k = solution[0] % spec.n
-    a = g - k * element_d(spec)
-    return GMembership(k, a) if a.outside_regulator(spec) is None else None
 
 
 def purity_oracle(spec: CRQGroupSpec, tid: str) -> bool:

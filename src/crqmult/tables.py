@@ -25,7 +25,7 @@ from .elements import (
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
-from .numth import coprime_part, crt_solve, is_p_integer, mod_inverse
+from .numth import crt_solve, is_p_integer, mod_inverse
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
@@ -133,9 +133,9 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
     return failure
 
 
-# Once every entry is integral at its type, the block denominator is a product
-# of the type's infinite primes and so a unit modulo m: a coordinate x / den
-# is divisible by a power of m exactly when its numerator x is.
+# The guard keeps each block reduced, so once every entry is integral at its type the
+# block denominator is a product of the type's infinite primes and so a unit modulo m:
+# a coordinate x / den is divisible by a power of m exactly when its numerator x is.
 
 
 def _border_gcd(q: int, nums: Sequence[int], size: int) -> int:
@@ -255,9 +255,9 @@ def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientEl
     d is s/m times basis vector 0 on each clipped type and vanishes
     elsewhere, so its products are slices of the stored cube T:
     d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0].
-    Each stored clipped type d gives one border (d, den * m, nums), with
-    nums the stored cube: the border products are s times its row 0 and
-    column 0, as `_border_gcd` reads them, over den * m.
+    Each stored clipped type d gives one border (d, nums), with nums the
+    stored cube: the border products are s times its row 0 and column 0,
+    as `_border_gcd` reads them, over den * m.
     """
     square = {}
     border = []
@@ -267,7 +267,7 @@ def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientEl
             continue
         size, den, nums = part
         square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
-        border.append((d, den * d.m, nums))
+        border.append((d, nums))
     return AmbientElement.from_parts(square), border
 
 
@@ -286,12 +286,8 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     # d*d is tested first, so a regulator index past the scan limit is refused
     if in_G(spec, square) is None:
         return False
-    for d, den, nums in border:
-        # s * x / den is in the regulator when bad divides x: bad is m here, s a unit modulo it
-        bad = coprime_part(den, d.inf_primes.primes)
-        if bad != 1 and _border_gcd(bad, nums, d.rank) != bad:
-            return False
-    return True
+    # s * x / (den * m) is in the regulator when m divides x: den and s are units modulo m
+    return all(_border_gcd(d.m, nums, d.rank) == d.m for d, nums in border)
 
 
 def rescale_slot0_coords(

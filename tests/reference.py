@@ -7,8 +7,9 @@ so acceptance criteria can check one against the other.
 import math
 from fractions import Fraction
 
-from crqmult.elements import AmbientElement, GMembership, element_d, in_G
-from crqmult.numth import crt_solve, fraction_residue, is_p_integer, prime_factors
+from crqmult.elements import AmbientElement, GMembership, in_G
+from crqmult.groups import ensure_valid
+from crqmult.numth import crt_solve, fraction_residue, is_p_integer, mod_inverse, prime_factors
 from crqmult.tables import MultTable, build_product
 
 
@@ -206,6 +207,39 @@ def table_as_element(spec, table):
             for c in cube[i][j]
         ]
     return element_of(blocks)
+
+
+def element_d(spec):
+    """The distinguished generator over the regulator, s/m on each clipped slot."""
+    ensure_valid(spec)
+    return AmbientElement.from_parts(
+        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
+    )
+
+
+def in_g_closed_form(spec, g):
+    """Same decomposition as in_G, with k solved from slot-0 congruences.
+
+    Slot 0 of a clipped type forces k * s == m * g_0 modulo m; an absent
+    block forces k == 0 modulo m.
+    """
+    AmbientElement.check(spec, g)
+    congruences = []
+    for d in spec.clipped:
+        part = g.part(d.id)
+        num, den = (d.m * part[2][0], part[1]) if part else (0, 1)
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if math.gcd(den, d.m) != 1:
+            # a prime of m lies outside the type's infinite primes
+            return None
+        congruences.append((num * mod_inverse(den * d.s, d.m) % d.m, d.m))
+    solution = crt_solve(congruences)
+    if solution is None:
+        return None
+    k = solution[0] % spec.n
+    a = g - k * element_d(spec)
+    return GMembership(k, a) if a.outside_regulator(spec) is None else None
 
 
 def ref_in_G(spec, g):

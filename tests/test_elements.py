@@ -14,10 +14,8 @@ from crqmult.elements import (
     MAX_SCAN_INDEX,
     AmbientElement,
     GMembership,
-    element_d,
     element_from_dict,
     in_G,
-    in_g_closed_form,
     purity_oracle,
 )
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
@@ -26,8 +24,10 @@ from crqmult.tables import MultTable
 from reference import (
     basis_vector,
     blocks_of,
+    element_d,
     element_of,
     fraction_block,
+    in_g_closed_form,
     in_scaled_A_tau,
     order_mod_A,
     project,

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from crqmult import groups
-from crqmult.elements import AmbientElement, element_d, in_G
+from crqmult.elements import AmbientElement, in_G
 from crqmult.groups import (
     MAX_TYPES,
     CRQGroupSpec,
@@ -31,6 +31,7 @@ from crqmult.tables import (
     decide_membership,
     generator_x,
 )
+from reference import element_d
 
 
 def make_type(tid, primes, rank, m, s=1):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, Blocks, element_d, element_from_dict
+from crqmult.elements import AmbientElement, Blocks, element_from_dict
 from crqmult.groups import GenBounds, random_spec
 from crqmult.numth import PrimeSet
 from crqmult.tables import (
@@ -31,6 +31,7 @@ from crqmult.tables import (
 from reference import (
     basis_vector,
     blocks_of,
+    element_d,
     element_of,
     fraction_block,
     fraction_matrix,
@@ -271,11 +272,13 @@ def test_generator_products_are_cube_slices(spec, data):
     d = element_d(spec)
     square, border = _generator_products(spec, table)
     assert square == product(d, d)
-    stored = {c.id: (den, cube) for c, den, cube in border}
-    assert [c.id for c, *_ in border] == [c.id for c in spec.clipped if table.part(c.id)]
+    stored = {c.id: cube for c, cube in border}
+    assert [c.id for c, _ in border] == [c.id for c in spec.clipped if table.part(c.id)]
     for c in spec.clipped:
         r = c.rank
-        den, cube = stored.get(c.id, (1, [0] * r**3))
+        part = table.part(c.id)
+        # the border products are over the block denominator times m
+        den, cube = (part[1] * c.m, stored[c.id]) if part else (1, [0] * r**3)
         # row 0 is one run of the stored cube, and column entry j the run at j * r * r
         row = cube[: r * r]
         column = [cube[j * r * r : j * r * r + r] for j in range(r)]

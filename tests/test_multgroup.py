@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from crqmult.elements import AmbientElement, element_d, in_G
+from crqmult.elements import AmbientElement, in_G
 from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
@@ -32,7 +32,7 @@ from crqmult.tables import (
     in_M2,
     sample_member_table,
 )
-from reference import basis_vector, element_of, fraction_matrix, table_as_element
+from reference import basis_vector, element_d, element_of, fraction_matrix, table_as_element
 from test_acceptance import TABLES_PER_SPEC, sample_strata, spec_population
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, element_d, in_G, in_g_closed_form, purity_oracle
+from crqmult.elements import AmbientElement, in_G, purity_oracle
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
 from crqmult.numth import PrimeSet, is_prime
@@ -33,11 +33,13 @@ from crqmult.tables import (
 from reference import (
     basis_vector,
     border_scaling_check,
+    element_d,
     element_of,
     fraction_matrix,
     support,
     table_of,
 )
+from test_acceptance import GEN_BOUNDS, SPEC_COUNT, sample_strata
 
 
 def make_type(tid, primes, rank, m, s=1):
@@ -105,7 +107,6 @@ WRONG_SHAPE_CALLS = {
     "oracle-short-cube": lambda spec: closure_oracle(spec, SHORT_CUBE),
     "in-G-table": lambda spec: in_G(spec, generator_x(spec)),
     "in-G-long-vector": lambda spec: in_G(spec, LONG_VECTOR),
-    "closed-form-table": lambda spec: in_g_closed_form(spec, generator_x(spec)),
     "coset-shift-table": lambda spec: coset_relation(spec, 2, RANK1_CUBE),
     "product-table-left": lambda spec: build_product(spec, generator_x(spec))(
         RANK1_CUBE, element_d(spec)
@@ -131,12 +132,54 @@ for name, not_a_spec in (("none", None), ("dict", {})):
     }
 
 
+def non_canonical(cls):
+    """Containers of cls whose blocks fit the ranks of t1 and t2 but not the form
+    that from_parts builds; each breaks that form at block 't1'."""
+
+    def block(tid, size, den, first):
+        return (tid, size, den, (first,) + (0,) * (size**cls.depth - 1))
+
+    t1, t2 = block("t1", 2, 1, 11), block("t2", 1, 1, 3)
+    return {
+        "unsorted": cls((t2, t1)),
+        "repeated": cls((t1, t1)),
+        "zero-denominator": cls((block("t1", 2, 0, 11),)),
+        "negative-denominator": cls((block("t1", 2, -1, 11),)),
+        "zero-block": cls((block("t1", 2, 1, 0), t2)),
+        "unreduced": cls((block("t1", 2, 2, 22), t2)),
+    }
+
+
+NON_CANONICAL_CALLS = {}
+for form, table in non_canonical(MultTable).items():
+    NON_CANONICAL_CALLS |= {
+        f"decide-{form}-table": lambda spec, t=table: decide_membership(spec, t),
+        f"oracle-{form}-table": lambda spec, t=table: closure_oracle(spec, t),
+        f"product-{form}-table": lambda spec, t=table: build_product(spec, t),
+        f"rescale-{form}-table": lambda spec, t=table: rescale_slot0_coords(spec, t, {}),
+    }
+for form, g in non_canonical(AmbientElement).items():
+    NON_CANONICAL_CALLS |= {
+        f"in-G-{form}-element": lambda spec, g=g: in_G(spec, g),
+        f"coset-shift-{form}-element": lambda spec, g=g: coset_relation(spec, 2, g),
+        f"product-left-{form}-element": lambda spec, g=g: build_product(spec, generator_x(spec))(
+            g, element_d(spec)
+        ),
+        f"product-right-{form}-element": lambda spec, g=g: build_product(spec, generator_x(spec))(
+            element_d(spec), g
+        ),
+    }
+WRONG_SHAPE_CALLS |= NON_CANONICAL_CALLS
+
+
 @pytest.mark.parametrize("name", WRONG_SHAPE_CALLS)
 def test_a_container_of_the_wrong_kind_or_length_is_refused(name):
     spec = CRQGroupSpec.of([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
     assert not spec.violations
-    # anything but a spec is named in the refusal
+    # anything but a spec is named in the refusal, and so is a block out of form
     named = r"^expected a CRQGroupSpec, got (NoneType|dict)$" if name.endswith("-spec") else None
+    if name in NON_CANONICAL_CALLS:
+        named = r"^block 't1' "
     with pytest.raises(ValueError, match=named):
         WRONG_SHAPE_CALLS[name](spec)
 
@@ -343,6 +386,35 @@ def test_decision_is_a_homomorphism(spec_seed, table_seed, c):
     scaled = decide_membership(spec, c * t1)
     assert scaled.member and (scaled.alpha[0] - c * alpha1) % n == 0
     assert in_M2(spec, t1 - alpha1 * generator_x(spec))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, SPEC_COUNT - 1), st.integers(0, 2**32))
+def test_unreduced_copies_are_refused_by_both_routes(spec_seed, table_seed):
+    # one table of each stratum of acceptance criterion 1
+    spec = random_spec(spec_seed, GEN_BOUNDS)
+    routes = (decide_membership, closure_oracle)
+    for table, member, alpha in sample_strata(spec, random.Random(table_seed), 4):
+        verdict = decide_membership(spec, table)
+        assert verdict.member == member == closure_oracle(spec, table)
+        if member:
+            assert verdict.alpha == (alpha % spec.n, spec.n)
+        # the same values, with every numerator and denominator times a factor
+        copies = [
+            MultTable(
+                tuple(
+                    (tid, size, den * factor, tuple(factor * x for x in nums))
+                    for tid, size, den, nums in table.parts
+                )
+            )
+            for factor in (2, 3, 5, 7)
+        ]
+        # the zero table has no block to scale, so its copies are the zero table
+        for copy, route in itertools.product(copies if table.parts else [], routes):
+            with pytest.raises(ValueError, match=r"^block '\w+' is not reduced"):
+                route(spec, copy)
+        # the refused copies leave the reduced table's verdicts as they were
+        assert [route(spec, table) for route in routes] == [verdict, member]
 
 
 def test_member_square_of_d_lands_in_witness_coset():
