@@ -12,8 +12,6 @@ source, and importing this module loads no other module.
 
 from __future__ import annotations
 
-__all__ = ["record"]
-
 
 def record(cls):
     """Install the record methods on cls and return it.

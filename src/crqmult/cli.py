@@ -37,8 +37,6 @@ if TYPE_CHECKING:
     # what every handler returns: verdict, report (None when nothing is emitted), text lines
     Result = tuple[bool, Optional[dict], list[str]]
 
-__all__ = ["main"]
-
 
 def _emit(report: dict, fmt: str, lines: list[str]) -> None:
     if fmt == "json":

@@ -26,16 +26,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import ClassVar, Mapping, Optional, Sequence
 
-__all__ = [
-    "AmbientElement",
-    "Blocks",
-    "GMembership",
-    "in_G",
-    "purity_oracle",
-    "element_from_dict",
-    "coords_from_json",
-]
-
 # in_G tries up to n candidates; full scans of two or three rank-1 types took 1.1-1.3 us
 # per candidate (Python 3.11, 2-vCPU VM), so n at this bound costs about 0.023 s.
 MAX_SCAN_INDEX = 20000
@@ -55,14 +45,6 @@ def format_coord(num: int, den: int) -> str:
     if g == den:
         return str(num // den)
     return f"{num // g}/{den // g}"
-
-
-def _reduced(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Denominator and numerators with their common factor divided out."""
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return den, tuple(nums)
-    return den // g, tuple([x // g for x in nums])
 
 
 def common_form(nums: list[int], dens: Sequence[int]) -> tuple[int, list[int]]:
@@ -104,12 +86,23 @@ class Blocks:
 
     @classmethod
     def from_parts(cls, parts: Mapping[str, tuple[int, int, Sequence[int]]]):
-        """Container from (size, denominator, numerators) per type id, not yet reduced."""
+        """Container from (size, denominator, numerators) per type id, not yet reduced.
+
+        Each nonzero block is divided by its common factor, and the sign of a
+        negative denominator moves into the numerators.  Denominator 0 is refused.
+        """
         out = []
         for tid in sorted(parts):
             size, den, nums = parts[tid]
+            if den < 1:
+                if not den:
+                    raise ValueError(f"block {tid!r} has denominator 0")
+                den, nums = -den, [-x for x in nums]
             if any(nums):
-                out.append((tid, size, *_reduced(den, nums)))
+                g = math.gcd(den, *nums)
+                if g != 1:
+                    den, nums = den // g, [x // g for x in nums]
+                out.append((tid, size, den, tuple(nums)))
         return cls(tuple(out))
 
     @classmethod

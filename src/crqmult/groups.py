@@ -36,23 +36,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Mapping
 
-__all__ = [
-    "CriticalTypeData",
-    "CRQGroupSpec",
-    "Violation",
-    "validate_spec",
-    "ensure_valid",
-    "MainDecomposition",
-    "main_decomposition",
-    "GenBounds",
-    "GenerationError",
-    "random_spec",
-    "spec_to_dict",
-    "spec_from_dict",
-    "spec_to_json",
-    "spec_from_json",
-]
-
 # validation compares every pair of types, so its time grows as the square
 # of the type count.  `crqmult validate` on single-prime types took 0.04, 0.13,
 # 0.19, 0.25 and 0.46 s at 400, 800, 1000, 1200 and 1600 types (Python 3.11,

@@ -32,7 +32,7 @@ from .numth import (
 )
 from .tables import (
     MultTable,
-    _corner_table,
+    corner_table,
     decide_membership,
     generator_x,
     in_M2,
@@ -48,20 +48,6 @@ from .tables import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Optional
-
-__all__ = [
-    "RegulatorBlock",
-    "MultGroupDescriptor",
-    "RankLimitError",
-    "compute_mult_group",
-    "iterate_mult",
-    "CosetRelation",
-    "CosetReport",
-    "coset_relation",
-    "CrossBasisCase",
-    "CrossBasisReport",
-    "cross_basis_example",
-]
 
 
 # Bounds on user numbers that drive the work of the checks below: coset
@@ -168,9 +154,9 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
     new_spec = CRQGroupSpec.of(entries)
     if k > 1:
         return MultGroupDescriptor(new_spec, basis=None, generator=None, depth=k)
-    basis = tuple((d.id, _corner_table([d], lambda t: t.m * t.m)) for d in spec.clipped)
+    basis = tuple((d.id, corner_table([d], lambda t: t.m * t.m)) for d in spec.clipped)
     # m times the new coefficient, an inverse of s modulo m, on each clipped corner
-    generator = _corner_table(spec.clipped, lambda d: d.m * new_spec.data_for(d.id).s)
+    generator = corner_table(spec.clipped, lambda d: d.m * new_spec.data_for(d.id).s)
     return MultGroupDescriptor(new_spec, basis=basis, generator=generator)
 
 

@@ -17,22 +17,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-__all__ = [
-    "PrimeSet",
-    "lcm_all",
-    "lcm_of_others",
-    "mod_inverse",
-    "is_prime",
-    "prime_factors",
-    "is_p_integer",
-    "has_factor_in",
-    "coprime_part",
-    "p0_class_representative",
-    "p0_inverse",
-    "crt_solve",
-    "condition_m_check",
-]
-
 # Miller-Rabin bases; MAX_PRIME_TESTED is the least strong pseudoprime to all of them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_TESTED = 3317044064679887385961981

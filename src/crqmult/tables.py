@@ -32,25 +32,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Optional, Sequence
 
-__all__ = [
-    "MultTable",
-    "MembershipFailure",
-    "MembershipVerdict",
-    "single_entry_table",
-    "generator_x",
-    "in_M2",
-    "decide_membership",
-    "closure_oracle",
-    "rescale_slot0_coords",
-    "random_r_fraction",
-    "sample_m2_table",
-    "sample_member_table",
-    "sample_broken_corner_table",
-    "sample_unscaled_border_table",
-    "table_to_dict",
-    "table_from_dict",
-]
-
 # sampled coordinates: |numerator| <= _NUM_BOUND, listed primes up to _MAX_POWER in the
 # denominator, and the shares of nonzero entries and of nonzero coordinates in them
 _NUM_BOUND = 9
@@ -98,7 +79,7 @@ def single_entry_table(
     return MultTable.from_parts({tid: (rank, 1, _single_entry(rank, entry, slot, value))})
 
 
-def _corner_table(
+def corner_table(
     types: Sequence[CriticalTypeData], value: Callable[[CriticalTypeData], int]
 ) -> MultTable:
     """Table holding value(d) on slot 0 of the corner entry (0, 0) of each type d."""
@@ -110,7 +91,7 @@ def _corner_table(
 def generator_x(spec: CRQGroupSpec) -> MultTable:
     """Distinguished coset generator: m * s^{-1} on slot 0 of each clipped corner."""
     ensure_valid(spec)
-    return _corner_table(spec.clipped, lambda d: d.m * mod_inverse(d.s, d.m))
+    return corner_table(spec.clipped, lambda d: d.m * mod_inverse(d.s, d.m))
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
@@ -249,45 +230,32 @@ def build_product(
     return product
 
 
-def _generator_products(spec: CRQGroupSpec, table: MultTable) -> tuple[AmbientElement, list]:
-    """The square of the distinguished generator d, and its border products.
-
-    d is s/m times basis vector 0 on each clipped type and vanishes
-    elsewhere, so its products are slices of the stored cube T:
-    d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0].
-    Each stored clipped type d gives one border (d, nums), with nums the
-    stored cube: the border products are s times its row 0 and column 0,
-    as `_border_gcd` reads them, over den * m.
-    """
-    square = {}
-    border = []
-    for d in spec.clipped:
-        part = table.part(d.id)
-        if part is None:
-            continue
-        size, den, nums = part
-        square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
-        border.append((d, nums))
-    return AmbientElement.from_parts(square), border
-
-
 def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     """Check closure of the induced bilinear map directly on generators.
 
     True when all basis products are integral, the square of the
-    distinguished generator lands back in the group, and its products with
-    every basis vector land in the regulator.  Products of d with a basis
-    vector of another type vanish, so only the clipped types the table
-    stores are read.
+    distinguished generator d lands back in the group, and its products with
+    every basis vector land in the regulator.
     """
     if _entries_in_A(spec, table) is not None:
         return False
-    square, border = _generator_products(spec, table)
+    # d is s/m times basis vector 0 on each clipped type and vanishes elsewhere, so only the
+    # clipped cubes T that the table stores are read, and d's products are slices of them:
+    # d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0]
+    square = {}
+    border = []
+    for d in spec.clipped:
+        part = table.part(d.id)
+        if part is not None:
+            size, den, nums = part
+            square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
+            border.append((d.m, size, nums))
     # d*d is tested first, so a regulator index past the scan limit is refused
-    if in_G(spec, square) is None:
+    if in_G(spec, AmbientElement.from_parts(square)) is None:
         return False
-    # s * x / (den * m) is in the regulator when m divides x: den and s are units modulo m
-    return all(_border_gcd(d.m, nums, d.rank) == d.m for d, nums in border)
+    # the border products are s times row 0 and column 0 of nums over den * m, so in the
+    # regulator when m divides each x there: den and s are units modulo m
+    return all(_border_gcd(m, nums, size) == m for m, size, nums in border)
 
 
 def rescale_slot0_coords(
@@ -316,10 +284,9 @@ def rescale_slot0_coords(
             raise ValueError(
                 f"{format_coord(num, den)} is not invertible in the localization of type {tid!r}"
             )
-        # slot 0 takes the inverse unit den / num; put over |num|, which keeps the block
-        # denominator positive, that is den * sign(num) on slot 0 and |num| on every other slot
-        sign = 1 if num > 0 else -1
-        factors[tid] = (sign * den, sign * num)
+        # slot 0 takes the inverse unit den / num: put over num, that is den on slot 0 and
+        # num on every other slot; from_parts moves the sign of a negative num
+        factors[tid] = (den, num)
     out = {}
     for tid, size, den, nums in table.parts:
         if tid in factors:

@@ -1,4 +1,6 @@
-"""The package defines and exports only names that its own code uses."""
+"""The package defines and exports only names that its own code uses, and states its
+public surface once: `crqmult._EXPORTS`, with a leading underscore marking every
+module-private name."""
 
 import ast
 import io
@@ -30,7 +32,8 @@ def code_references(source):
 
 
 def package_sources():
-    return [path.read_text(encoding="utf-8") for path in sorted(SOURCE_DIR.glob("*.py"))]
+    """Source text of each module of the package, by module name."""
+    return {path.stem: path.read_text(encoding="utf-8") for path in SOURCE_DIR.glob("*.py")}
 
 
 def public_definitions(source):
@@ -41,16 +44,47 @@ def public_definitions(source):
 
 
 def test_every_export_has_a_caller_in_the_package():
-    used = set().union(*map(code_references, package_sources()))
+    used = set().union(*map(code_references, package_sources().values()))
     exported = {name for names in crqmult._EXPORTS.values() for name in names}
     assert sorted(exported - used - set(UNCALLED)) == []
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
-    sources = package_sources()
+    sources = package_sources().values()
     used = set().union(*map(code_references, sources))
     defined = set().union(*map(public_definitions, sources))
     assert set(UNCALLED) <= defined
     assert sorted(defined - used - set(UNCALLED)) == []
     # an allowed exception that gains a caller leaves the list
     assert sorted(set(UNCALLED) & used) == []
+
+
+def test_no_submodule_states_a_public_surface_of_its_own():
+    stated = []
+    for module, source in package_sources().items():
+        for node in ast.parse(source).body:
+            # Assign has targets; AnnAssign and AugAssign have one target
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if "__all__" in [getattr(t, "id", None) for t in targets]:
+                stated.append(module)
+    assert stated == ["__init__"]
+
+
+def test_every_export_is_a_definition_of_the_module_it_is_listed_under():
+    sources = package_sources()
+    for module, names in crqmult._EXPORTS.items():
+        defined = public_definitions(sources[module])
+        for name in names:
+            assert name in defined, (module, name)
+            assert getattr(crqmult, name).__module__ == f"crqmult.{module}", (module, name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = []
+    for module, source in package_sources().items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or node.module.partition(".")[0] == "crqmult":
+                imported += [(module, a.name) for a in node.names if a.name[0] == "_"]
+    assert imported == []

@@ -21,7 +21,6 @@ from crqmult.numth import PrimeSet
 from crqmult.tables import (
     MultTable,
     _border_gcd,
-    _generator_products,
     build_product,
     closure_oracle,
     decide_membership,
@@ -120,6 +119,19 @@ def test_a_shared_block_of_another_size_is_refused(cls, op):
 def test_containers_of_two_kinds_are_not_combined(left, right, op):
     with pytest.raises(TypeError):
         op(one_block(left, "t1", 1), one_block(right, "t1", 1))
+
+
+@pytest.mark.parametrize("cls", CONTAINERS)
+def test_from_parts_keeps_the_denominator_positive(cls):
+    nums = [2, 3] + [0] * (2**cls.depth - 2)
+    b = cls.from_parts({"t2": (2, -6, nums)})
+    assert b == cls.from_parts({"t2": (2, 6, [-x for x in nums])})
+    assert flat(b) == {"t2": [Fraction(x, -6) for x in nums]}
+    assert b + b == 2 * b
+    assert [den for _, _, den, _ in (-b).parts] == [6]
+    for zero in (nums, [0] * len(nums)):
+        with pytest.raises(ValueError, match="block 't2' has denominator 0"):
+            cls.from_parts({"t1": (1, 1, [1] * cls.depth), "t2": (2, 0, zero)})
 
 
 @st.composite
@@ -265,20 +277,24 @@ def test_oracle_agrees_with_reference_and_decision(spec, data):
 
 @ORACLE_PROPERTY
 @given(spec=wide_specs(), data=st.data())
-def test_generator_products_are_cube_slices(spec, data):
+def test_oracle_products_are_cube_slices(spec, data):
     ranks = {d.id: d.rank for d in spec.types}
     table = build(MultTable, reference_blocks(data.draw, ranks, 3, spec_denominators(spec)), ranks)
     product = build_product(spec, table)
     d = element_d(spec)
-    square, border = _generator_products(spec, table)
-    assert square == product(d, d)
-    stored = {c.id: cube for c, cube in border}
-    assert [c.id for c, _ in border] == [c.id for c in spec.clipped if table.part(c.id)]
+    # the oracle's d*d is (s/m)^2 times the corner T[0][0] of each stored clipped cube
+    square = {}
+    for c in spec.clipped:
+        part = table.part(c.id)
+        if part:
+            size, den, cube = part
+            square[c.id] = [Fraction(c.s, c.m) ** 2 * Fraction(x, den) for x in cube[:size]]
+    assert ref_drop_zero(square) == flat(product(d, d))
     for c in spec.clipped:
         r = c.rank
         part = table.part(c.id)
         # the border products are over the block denominator times m
-        den, cube = (part[1] * c.m, stored[c.id]) if part else (1, [0] * r**3)
+        den, cube = (part[1] * c.m, part[2]) if part else (1, [0] * r**3)
         # row 0 is one run of the stored cube, and column entry j the run at j * r * r
         row = cube[: r * r]
         column = [cube[j * r * r : j * r * r + r] for j in range(r)]
