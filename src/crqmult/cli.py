@@ -18,6 +18,7 @@ from .groups import (
     ensure_valid,
     main_decomposition,
     random_spec,
+    read_json,
     spec_from_dict,
     spec_to_dict,
     spec_to_json,
@@ -49,7 +50,7 @@ def _emit(report: dict, fmt: str, lines: list[str]) -> None:
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return read_json(handle.read())
         except RecursionError:
             raise ValueError(f"{path} is nested too deeply to parse") from None
 
@@ -247,7 +248,7 @@ def _cmd_oracle(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
 def _cmd_purity(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .elements import purity_oracle
 
-    ids = [args.type] if args.type else list(spec.type_ids)
+    ids = [args.type] if args.type is not None else list(spec.type_ids)
     results = {tid: purity_oracle(spec, tid) for tid in ids}
     lines = [
         f"  block {tid}: {'pure' if ok else 'not pure'}" for tid, ok in results.items()
@@ -310,63 +311,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide and describe ring multiplications on block-rigid "
         "groups with cyclic regulator quotient.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    with_spec = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_spec.add_argument("--spec", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[with_spec], help="validate a spec file")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name: str, help: str, handler: Callable, with_spec: bool = True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        if with_spec:
+            p.add_argument("--spec", required=True)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("describe", parents=[with_spec], help="invariants and decomposition")
-    p.set_defaults(handler=_cmd_describe)
-
-    p = sub.add_parser("mult", parents=[with_spec], help="structure of the multiplication group")
-    p.set_defaults(handler=_cmd_mult)
-
-    p = sub.add_parser("iterate", parents=[with_spec], help="iterated multiplication groups")
+    command("validate", "validate a spec file", _cmd_validate)
+    command("describe", "invariants and decomposition", _cmd_describe)
+    command("mult", "structure of the multiplication group", _cmd_mult)
+    p = command("iterate", "iterated multiplication groups", _cmd_iterate)
     p.add_argument("--k", type=int, required=True, help="number of applications")
     p.add_argument("--max-rank", type=int, default=10**18, help="symbolic rank bound")
-    p.set_defaults(handler=_cmd_iterate)
-
-    p = sub.add_parser("check-table", parents=[with_spec], help="membership decision for a table")
+    p = command("check-table", "membership decision for a table", _cmd_membership)
     p.add_argument("--table", required=True)
-    p.set_defaults(handler=_cmd_membership)
-
-    p = sub.add_parser("oracle", parents=[with_spec], help="direct closure check for a table")
+    p = command("oracle", "direct closure check for a table", _cmd_oracle)
     p.add_argument("--table", required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("purity", parents=[with_spec], help="purity of regulator blocks")
+    p = command("purity", "purity of regulator blocks", _cmd_purity)
     p.add_argument("--type", default=None, help="restrict to one type id")
-    p.set_defaults(handler=_cmd_purity)
-
-    p = sub.add_parser("coset", parents=[with_spec], help="compare two presentations")
+    p = command("coset", "compare two presentations", _cmd_coset)
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--b", required=True, help="shift element file")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_coset)
-
-    p = sub.add_parser(
-        "example27", parents=[common], help="two-basis intersection construction"
-    )
+    p = command("example27", "two-basis intersection construction", _cmd_example27, with_spec=False)
     p.add_argument("--s1", type=int, required=True)
     p.add_argument("--s2", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_example27)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a random valid spec")
+    p = command("gen", "generate a random valid spec", _cmd_gen, with_spec=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-types", type=int, default=3)
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--max-m", type=int, default=36)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_gen)
 
     return parser
 

@@ -55,19 +55,6 @@ def common_form(nums: list[int], dens: Sequence[int]) -> tuple[int, list[int]]:
     return den, [x * (den // d) for x, d in zip(nums, dens)]
 
 
-def first_outside(den: int, nums: Sequence[int], primes: tuple[int, ...]) -> Optional[int]:
-    """Index of the first x in nums whose x / den has a prime outside primes below it, or None.
-
-    That is the first x that bad, the part of den coprime to the primes, does not divide.
-    """
-    bad = coprime_part(den, primes)
-    if bad != 1:
-        for i, x in enumerate(nums):
-            if x % bad:
-                return i
-    return None
-
-
 @record
 class Blocks:
     """Exact rational blocks per type id, sorted by id, all-zero blocks dropped.
@@ -150,13 +137,16 @@ class Blocks:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
 
         A coordinate lies in the regulator block of its type when its
-        denominator has no prime outside the type's infinite primes.
+        denominator has no prime outside the type's infinite primes; x / den
+        lies there exactly when bad, the part of den coprime to them, divides x.
         """
         for tid, _, den, nums in self.parts:
             if den != 1:
-                leaf = first_outside(den, nums, spec.data_for(tid).inf_primes.primes)
-                if leaf is not None:
-                    return tid, leaf
+                bad = coprime_part(den, spec.data_for(tid).inf_primes.primes)
+                if bad != 1:
+                    for i, x in enumerate(nums):
+                        if x % bad:
+                            return tid, i
         return None
 
     def _combine(self, other: "Blocks", sign: int):

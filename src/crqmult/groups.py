@@ -369,4 +369,18 @@ def spec_to_json(spec: CRQGroupSpec) -> str:
 
 
 def spec_from_json(text: str) -> CRQGroupSpec:
-    return spec_from_dict(json.loads(text))
+    return spec_from_dict(read_json(text))
+
+
+def read_json(text: str) -> object:
+    """The value of a JSON document; an object that repeats a key raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        out[key] = value
+    return out

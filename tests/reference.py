@@ -1,12 +1,19 @@
 """Independent reference routes that the library no longer carries.
 
 Each function computes a fact by a different route from the library's own,
-so acceptance criteria can check one against the other.
+so acceptance criteria can check one against the other.  The golden CLI
+runner at the end is shared by the pytest suite and the standard-library replay.
 """
 
+import io
+import json
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
+from crqmult.cli import main
 from crqmult.elements import AmbientElement, GMembership, in_G
 from crqmult.groups import ensure_valid
 from crqmult.numth import crt_solve, fraction_residue, is_p_integer, mod_inverse, prime_factors
@@ -348,3 +355,70 @@ def ref_decide(spec, cubes):
         return (False, None, "ALPHA_INCONSISTENT", None, None,
                 "corner congruences admit no common witness")
     return (True, (solution[0] % spec.n, spec.n), None, None, None, "")
+
+
+# The golden CLI runner, shared by tests/test_cli_golden.py and tests/replay_stdlib.py.
+
+# (name, argv) of each golden case; "{name}" in an argument is the path of that input file
+COMMANDS = (
+    ("check-table member", ("check-table", "--spec", "{spec}", "--table", "{member}")),
+    ("check-table broken", ("check-table", "--spec", "{spec}", "--table", "{broken}")),
+    ("check-table unscaled", ("check-table", "--spec", "{spec}", "--table", "{unscaled}")),
+    ("oracle member", ("oracle", "--spec", "{spec}", "--table", "{member}")),
+    ("oracle broken", ("oracle", "--spec", "{spec}", "--table", "{broken}")),
+    ("oracle unscaled", ("oracle", "--spec", "{spec}", "--table", "{unscaled}")),
+    ("mult", ("mult", "--spec", "{spec}")),
+    ("iterate", ("iterate", "--spec", "{spec}", "--k", "2")),
+    ("coset", ("coset", "--spec", "{spec}", "--gamma", "3", "--b", "{shift}")),
+    ("example27", ("example27", "--s1", "2", "--s2", "3", "--m", "7")),
+    ("validate", ("validate", "--spec", "{spec}")),
+    ("describe", ("describe", "--spec", "{spec}")),
+    ("purity", ("purity", "--spec", "{spec}")),
+    ("purity t1", ("purity", "--spec", "{spec}", "--type", "t1")),
+    ("gen", ("gen", "--seed", "7")),
+    ("check-table malformed", ("check-table", "--spec", "{spec}", "--table", "{malformed}")),
+)
+FORMATS = ("json", "text")
+# the top level and every command, each pinned by its --help text
+HELP_PREFIXES = (
+    "",
+    "validate",
+    "describe",
+    "mult",
+    "iterate",
+    "check-table",
+    "oracle",
+    "purity",
+    "coset",
+    "example27",
+    "gen",
+)
+
+
+def run_cli(argv, inputs, directory):
+    """Exit code, stdout and stderr of `main(argv)`, each input written to directory first."""
+    paths = {}
+    for name, data in inputs.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        paths[name] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def help_texts():
+    """stdout of `crqmult PREFIX --help` per prefix, on a terminal 100 columns wide."""
+    texts = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        for prefix in HELP_PREFIXES:
+            out = io.StringIO()
+            try:
+                with redirect_stdout(out):
+                    main([*prefix.split(), "--help"])
+            except SystemExit as exc:
+                if exc.code != 0:
+                    raise
+            texts[prefix] = out.getvalue()
+    return texts

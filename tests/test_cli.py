@@ -296,6 +296,40 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
         assert captured.err == f"error: {deep} is nested too deeply to parse\n"
 
 
+# json.dumps cannot repeat a key, so these documents are written as text
+TWO_BLOCK_TEXT = json.dumps(TWO_BLOCK_SPEC)
+REPEATED_KEY_CASES = [
+    ("validate", f'{{"types": {json.dumps(TWO_BLOCK_SPEC["types"])}, "types": []}}', None, "types"),
+    ("validate", TWO_BLOCK_TEXT.replace('"rank": 1', '"rank": 99, "rank": 1'), None, "rank"),
+    ("check-table", TWO_BLOCK_TEXT, '{"blocks": {"t2": [[["7"]]], "t2": [[["1/2"]]]}}', "t2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, spec_text, table_text, key", REPEATED_KEY_CASES, ids=["types", "rank", "block"]
+)
+def test_repeated_json_keys_are_an_input_error(tmp_path, capsys, command, spec_text, table_text, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    argv = [command, "--spec", str(spec)]
+    if table_text is not None:
+        table = tmp_path / "table.json"
+        table.write_text(table_text, encoding="utf-8")
+        argv += ["--table", str(table)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON object repeats key {key!r}\n"
+
+
+def test_purity_of_an_empty_type_id_is_an_input_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
+    assert main(["purity", "--spec", spec, "--type", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown type id ''\n"
+
+
 def test_purity_exit_codes(tmp_path, capsys):
     impure = write_json(
         tmp_path / "impure.json",

@@ -4,21 +4,20 @@ The inputs in `cli_golden.json` were built once from seeded library calls
 (`random_spec(10, GenBounds(3, 3, 36))` and tables sampled with
 `random.Random(10)`) and are stored verbatim, so the test does not depend on
 the sampling code it guards.  Every case runs in both output formats.
+`cli_help.json` pins the `--help` text of the top level and of every command,
+on a terminal 100 columns wide.
 
 To regenerate after an intended output change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
 
-import io
 import json
 import random
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from crqmult.cli import main
 from crqmult.groups import GenBounds, random_spec, spec_to_dict
 from crqmult.tables import (
     sample_broken_corner_table,
@@ -26,41 +25,10 @@ from crqmult.tables import (
     sample_unscaled_border_table,
     table_to_dict,
 )
+from reference import COMMANDS, FORMATS, help_texts, run_cli
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
-
-# (name, argv); "{name}" in an argument is the path of that input file
-COMMANDS = (
-    ("check-table member", ("check-table", "--spec", "{spec}", "--table", "{member}")),
-    ("check-table broken", ("check-table", "--spec", "{spec}", "--table", "{broken}")),
-    ("check-table unscaled", ("check-table", "--spec", "{spec}", "--table", "{unscaled}")),
-    ("oracle member", ("oracle", "--spec", "{spec}", "--table", "{member}")),
-    ("oracle broken", ("oracle", "--spec", "{spec}", "--table", "{broken}")),
-    ("oracle unscaled", ("oracle", "--spec", "{spec}", "--table", "{unscaled}")),
-    ("mult", ("mult", "--spec", "{spec}")),
-    ("iterate", ("iterate", "--spec", "{spec}", "--k", "2")),
-    ("coset", ("coset", "--spec", "{spec}", "--gamma", "3", "--b", "{shift}")),
-    ("example27", ("example27", "--s1", "2", "--s2", "3", "--m", "7")),
-    ("validate", ("validate", "--spec", "{spec}")),
-    ("describe", ("describe", "--spec", "{spec}")),
-    ("purity", ("purity", "--spec", "{spec}")),
-    ("purity t1", ("purity", "--spec", "{spec}", "--type", "t1")),
-    ("gen", ("gen", "--seed", "7")),
-    ("check-table malformed", ("check-table", "--spec", "{spec}", "--table", "{malformed}")),
-)
-FORMATS = ("json", "text")
-
-
-def _run(argv, inputs, directory):
-    paths = {}
-    for name, data in inputs.items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        paths[name] = str(path)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([arg.format(**paths) for arg in argv])
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+HELP = Path(__file__).with_name("cli_help.json")
 
 
 def _load():
@@ -71,7 +39,7 @@ def _load():
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
 def test_cli_output_is_pinned(name, argv, fmt, tmp_path):
     golden = _load()
-    got = _run((*argv, "--format", fmt), golden["inputs"], tmp_path)
+    got = run_cli((*argv, "--format", fmt), golden["inputs"], tmp_path)
     assert got == golden["cases"][f"{name} --format {fmt}"]
 
 
@@ -79,6 +47,11 @@ def test_golden_file_covers_every_case():
     cases = _load()["cases"]
     assert set(cases) == {f"{name} --format {fmt}" for name, _ in COMMANDS for fmt in FORMATS}
     assert {case["exit"] for case in cases.values()} == {0, 1, 2}
+
+
+def test_help_text_is_pinned():
+    pinned = json.loads(HELP.read_text(encoding="utf-8"))
+    assert help_texts() == pinned
 
 
 def _build_inputs():
@@ -99,7 +72,7 @@ def _build_inputs():
 def _regenerate(directory):
     inputs = _build_inputs()
     cases = {
-        f"{name} --format {fmt}": _run((*argv, "--format", fmt), inputs, directory)
+        f"{name} --format {fmt}": run_cli((*argv, "--format", fmt), inputs, directory)
         for name, argv in COMMANDS
         for fmt in FORMATS
     }
@@ -107,6 +80,7 @@ def _regenerate(directory):
         json.dumps({"inputs": inputs, "cases": cases}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+    HELP.write_text(json.dumps(help_texts(), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

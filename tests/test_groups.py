@@ -158,6 +158,12 @@ def test_spec_json_round_trip():
     assert spec_to_json(spec_from_json(text)) == text
 
 
+def test_spec_from_json_refuses_a_repeated_key():
+    text = '{"types": [{"id": "t1", "id": "t2", "inf_primes": [5], "rank": 1, "m": 1, "s": 1}]}'
+    with pytest.raises(ValueError, match="JSON object repeats key 'id'"):
+        spec_from_json(text)
+
+
 def test_spec_from_dict_rejects_bad_shapes():
     with pytest.raises(ValueError):
         spec_from_dict({"types": "nope"})
