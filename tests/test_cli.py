@@ -203,6 +203,7 @@ INPUT_FILES = {
     "too_many_types": TOO_MANY_TYPES,
     "large_index": LARGE_INDEX_SPEC,
     "unit_table": {"blocks": {"t1": [[["1"]]]}},
+    "scaled_table": {"blocks": {"t1": [[[str(LARGE_INDEX)]]]}},
 }
 WORK_REFUSALS = {
     "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
@@ -219,7 +220,8 @@ WORK_REFUSALS = {
     "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],
     "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
     "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
-    "oracle-large-index": ["oracle", "--spec", "{large_index}", "--table", "{unit_table}"],
+    # the border is m-scaled, so d*d reaches the scan, which the index bound refuses
+    "oracle-large-index": ["oracle", "--spec", "{large_index}", "--table", "{scaled_table}"],
 }
 
 
@@ -240,6 +242,20 @@ def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
         assert set(json.loads(captured.err)) == {"error"}
     else:
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unscaled_border_past_scan_limit_is_a_quick_verdict(tmp_path, capsys, fmt):
+    # the unscaled border is found before d*d would need the scan, so the index bound never applies
+    spec = write_json(tmp_path / "spec.json", LARGE_INDEX_SPEC)
+    table = write_json(tmp_path / "t.json", INPUT_FILES["unit_table"])
+    started = time.perf_counter()
+    assert main(["oracle", "--spec", spec, "--table", table, "--format", fmt]) == 1
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    if fmt == "json":
+        assert json.loads(captured.out)["defines_multiplication"] is False
 
 
 def test_string_vectors_are_an_input_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import AmbientElement, in_G, purity_oracle
+from crqmult.elements import MAX_SCAN_INDEX, AmbientElement, in_G, purity_oracle
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
 from crqmult.numth import PrimeSet, is_prime
@@ -322,6 +322,34 @@ def test_decision_matches_closure_oracle():
         tables.append(sample_unscaled_border_table(spec, rng))
     for table in tables:
         assert decide_membership(spec, table).member == closure_oracle(spec, table)
+
+
+# the least primes past the in_G index bound: a spec on one of them is refused by every scan
+LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(MAX_SCAN_INDEX + 1)), 3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(LARGE_PRIMES),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([1, 3, 5, 7]),
+    st.integers(0, 2**32),
+)
+def test_unscaled_borders_get_verdicts_past_the_scan_limit(m, rank1, rank2, s, table_seed):
+    # shaped like the CLI's large-index spec: two types sharing one prime m past the bound
+    spec = CRQGroupSpec.of([make_type("t1", [2], rank1, m, s), make_type("t2", [3], rank2, m)])
+    assert spec.n > MAX_SCAN_INDEX
+    rng = random.Random(table_seed)
+    unscaled = sample_unscaled_border_table(spec, rng)
+    assert closure_oracle(spec, unscaled) is False
+    assert decide_membership(spec, unscaled).failure.code == "BORDER_NOT_SCALED"
+    # a member of witness 0 has m-scaled borders, so the oracle's d*d reaches the scan
+    member = sample_m2_table(spec, rng) + single_entry_table("t1", rank1, (0, 0), 0, m * m)
+    verdict = decide_membership(spec, member)
+    assert verdict.member and verdict.alpha == (0, spec.n)
+    with pytest.raises(ValueError, match="exceeds the scan limit"):
+        closure_oracle(spec, member)
 
 
 # specs with the ids and ranks of two_block_spec but another s, m or set of infinite
