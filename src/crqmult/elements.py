@@ -26,15 +26,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import ClassVar, Mapping, Optional, Sequence
 
-# in_G tries up to n candidates; full scans of two or three rank-1 types took 1.1-1.3 us
-# per candidate (Python 3.11, 2-vCPU VM), so n at this bound costs about 0.023 s.
-MAX_SCAN_INDEX = 20000
-# n times the coordinates stored in g and d bounded scans that re-read every coordinate
-# per candidate.  A candidate now reads one residue per clipped type, so this overstates
-# the work: full scans with n times those coordinates near the bound took 0.6 ms at
-# n = 211 (two rank-3554 types) and 2.4 ms at n = 2003 (two rank-374 types), on the
-# same machine.  The bound and its refusals stay as long as the scan does.
-MAX_SCAN_WORK = 3 * 10**6
+# a scan reads n residues per clipped type and its witness stores each clipped type's rank
+# coordinates; two rank-1 types scan up to n = 29,999 under this bound
+MAX_SCAN_WORK = 60000
 # (size, denominator, numerators) of one stored block
 Part = tuple[int, int, tuple[int, ...]]
 
@@ -206,13 +200,12 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     Tries each candidate k in turn; the decomposition is unique when it
     exists because n is the order of d over the regulator.  k*d moves only
     slot 0 of each clipped type, so every other coordinate is tested once,
-    and a candidate costs one residue per clipped type.  A regulator index
-    past MAX_SCAN_INDEX is refused.  Past k = 0, so is a scan whose n times
-    the coordinates stored in g and d passes MAX_SCAN_WORK.
+    and a candidate costs one residue per clipped type.  Only a scan is
+    bounded: when neither k = 0 nor a coordinate that no k*d moves answers,
+    n residues per clipped type plus the clipped ranks must be at most
+    MAX_SCAN_WORK.
     """
     AmbientElement.check(spec, g)
-    if spec.n > MAX_SCAN_INDEX:
-        raise ValueError(f"regulator index {spec.n} exceeds the scan limit {MAX_SCAN_INDEX}")
     # one pass reads each block's bad: the k = 0 answer, and whether a coordinate that no
     # k*d moves (an unclipped block, or a slot past 0) is outside, which is final
     inside = fixed_inside = True
@@ -227,15 +220,14 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
             inside = fixed_inside = False
     if inside:
         return GMembership(0, g)
-    # d stores a full-rank vector for every clipped type: count it before building it
-    work = spec.n * (sum(len(p[3]) for p in g.parts) + sum(t.rank for t in spec.clipped))
-    if work > MAX_SCAN_WORK:
-        raise ValueError(
-            f"regulator index {spec.n} times the stored coordinates comes to {work}, "
-            f"over the scan limit {MAX_SCAN_WORK}"
-        )
     if not fixed_inside:
         return None
+    work = spec.n * len(spec.clipped) + sum(t.rank for t in spec.clipped)
+    if work > MAX_SCAN_WORK:
+        raise ValueError(
+            f"a scan of regulator index {spec.n} comes to {work} residues and coordinates, "
+            f"over the scan limit {MAX_SCAN_WORK}"
+        )
     # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when lcm(bad, m)
     # divides it: m has no infinite prime, so that is the part of lcm(den, m) outside them
     scan, lifts = [], []

@@ -179,12 +179,12 @@ def iterate_mult(
 
     Only the first application materializes basis tables; deeper iterates
     report ranks, invariants and coefficients without building matrices.
-    max_rank must be a positive int: with no bound the work grows with k alone.
+    k and max_rank must be positive ints: with no bound the work grows with k alone.
     """
+    if type(k) is not int or k < 1:
+        raise ValueError(f"iteration depth must be a positive int, got {k!r}")
     if type(max_rank) is not int or max_rank < 1:
         raise ValueError(f"max_rank must be a positive int, got {max_rank!r}")
-    if k < 1:
-        raise ValueError(f"iteration depth must be at least 1, got {k}")
     ensure_valid(spec)
     return _structure(spec, k, max_rank)
 

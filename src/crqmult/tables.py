@@ -253,7 +253,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
                 return False
             square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
     # the border products cost O(rank^2) per type and are tested first, so only a table whose
-    # borders are m-scaled pays for the O(n) scan of d*d, or is refused past its scan limits
+    # borders are m-scaled can need the O(n) scan of d*d, or be refused past the scan bound
     return in_G(spec, AmbientElement.from_parts(square)) is not None
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from crqmult.cli import main
-from crqmult.elements import MAX_SCAN_INDEX
+from crqmult.elements import MAX_SCAN_WORK
 from crqmult.groups import MAX_TYPES, spec_from_json, spec_to_json
 from crqmult.numth import is_prime
 from crqmult.tables import (
@@ -178,8 +178,10 @@ TOO_MANY_TYPES = {
 }
 
 
-# Two rank-1 types sharing the least prime invariant past the in_G scan bound.
-LARGE_INDEX = next(m for m in range(MAX_SCAN_INDEX + 1, 2 * MAX_SCAN_INDEX) if is_prime(m))
+# Two rank-1 types sharing the least prime invariant p past the in_G scan bound: a scan
+# reads 2p residues and its witness stores 2 coordinates, and from p = MAX_SCAN_WORK // 2
+# on, 2p + 2 passes MAX_SCAN_WORK.
+LARGE_INDEX = next(filter(is_prime, range(MAX_SCAN_WORK // 2, MAX_SCAN_WORK)))
 LARGE_INDEX_SPEC = {
     "types": [
         {"id": "t1", "inf_primes": [2], "rank": 1, "m": LARGE_INDEX, "s": 1},
@@ -220,7 +222,7 @@ WORK_REFUSALS = {
     "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],
     "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
     "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
-    # the border is m-scaled, so d*d reaches the scan, which the index bound refuses
+    # the border is m-scaled and d*d is off the regulator, so it needs the scan, which is refused
     "oracle-large-index": ["oracle", "--spec", "{large_index}", "--table", "{scaled_table}"],
 }
 
@@ -246,7 +248,7 @@ def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unscaled_border_past_scan_limit_is_a_quick_verdict(tmp_path, capsys, fmt):
-    # the unscaled border is found before d*d would need the scan, so the index bound never applies
+    # the unscaled border is found before d*d would need the scan, so the scan bound never applies
     spec = write_json(tmp_path / "spec.json", LARGE_INDEX_SPEC)
     table = write_json(tmp_path / "t.json", INPUT_FILES["unit_table"])
     started = time.perf_counter()
@@ -256,6 +258,28 @@ def test_unscaled_border_past_scan_limit_is_a_quick_verdict(tmp_path, capsys, fm
     assert captured.err == "" and "Traceback" not in captured.out
     if fmt == "json":
         assert json.loads(captured.out)["defines_multiplication"] is False
+
+
+# an m-scaled border whose d*d lies in the regulator, as it does for the zero table
+NO_SCAN_TABLES = {
+    "zero": {"blocks": {}},
+    "witness-0": {"blocks": {"t1": [[[str(LARGE_INDEX**2)]]]}},
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(NO_SCAN_TABLES))
+def test_member_past_scan_limit_needing_no_scan_is_a_quick_verdict(tmp_path, capsys, name, fmt):
+    # d*d has witness 0, so in_G answers before the scan bound applies, as check-table does
+    spec = write_json(tmp_path / "spec.json", LARGE_INDEX_SPEC)
+    table = write_json(tmp_path / "t.json", NO_SCAN_TABLES[name])
+    started = time.perf_counter()
+    assert main(["oracle", "--spec", spec, "--table", table, "--format", fmt]) == 0
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    if fmt == "json":
+        assert json.loads(captured.out)["defines_multiplication"] is True
 
 
 def test_string_vectors_are_an_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ambient elements, group membership, order, and purity."""
 
+import itertools
 import math
 import random
 import time
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crqmult.elements import (
-    MAX_SCAN_INDEX,
+    MAX_SCAN_WORK,
     AmbientElement,
     GMembership,
     element_from_dict,
@@ -182,11 +183,12 @@ def test_in_G_on_generators():
     assert hit is not None and hit.k == 0 and hit.a == inside
 
 
-# (m, rank) of two clipped types sharing the prime invariant m: one index past
-# MAX_SCAN_INDEX, and the rank-1000 scan under it that took 4.67 s unbounded
+# the least prime m whose scan over two rank-1 types sharing it passes MAX_SCAN_WORK: from
+# m = MAX_SCAN_WORK // 2 on, 2m residues plus the witness's two coordinates pass it
+PAST_SCAN_BOUND = next(filter(is_prime, itertools.count(MAX_SCAN_WORK // 2)))
+# (m, rank) of two clipped types sharing the prime invariant m: the index past the bound
 SCAN_REFUSALS = {
-    "index-past-bound": (next(m for m in range(MAX_SCAN_INDEX + 1, 10**5) if is_prime(m)), 1),
-    "rank-1000": (19997, 1000),
+    "index-past-bound": (PAST_SCAN_BOUND, 1),
 }
 
 
@@ -202,9 +204,22 @@ def test_in_G_refuses_large_scans_quickly(case):
     assert time.perf_counter() - started < 0.5
 
 
+@pytest.mark.parametrize("slots", ["every-coordinate", "slot-0"])
+def test_in_G_answers_rank_1000_quickly(slots):
+    # two rank-1000 types at n = 19997 took 4.67 s when every candidate re-read every
+    # coordinate: 1/5 past slot 0 answers at once, 1/5 on slot 0 alone is a full scan
+    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
+    vec = [Fraction(1, 5)] * 1000 if slots == "every-coordinate" else [Fraction(1, 5)] + [0] * 999
+    g = element_of({"t1": vec, "t2": vec})
+    started = time.perf_counter()
+    assert in_G(spec, g) is None
+    assert time.perf_counter() - started < 0.5
+
+
 def test_in_G_answers_k_zero_past_the_work_bound():
     # an element of the regulator needs no scan, even where a scan is refused
-    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
+    m = PAST_SCAN_BOUND
+    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, m), make_type("t2", [3], 1000, m)])
     g = element_of({"t1": [Fraction(1, 2)] * 1000})
     started = time.perf_counter()
     assert in_G(spec, g) == GMembership(0, g)
@@ -216,8 +231,8 @@ def test_in_G_refuses_past_the_work_bound_before_building_the_generator():
     spec = CRQGroupSpec.of([make_type("t1", [3], 1, 2), make_type("t2", [5], 10**7, 2)])
     g = element_of({"t1": [Fraction(1, 4)]})
     message = (
-        "regulator index 2 times the stored coordinates comes to 20000004, "
-        "over the scan limit 3000000"
+        "a scan of regulator index 2 comes to 10000005 residues and coordinates, "
+        "over the scan limit 60000"
     )
     tracemalloc.start()
     try:
@@ -301,6 +316,56 @@ def test_in_G_agrees_with_closed_form_and_definition(seed, data):
     assert in_G(spec, g) == in_g_closed_form(spec, g) == expected
     if place == "member":
         assert expected == GMembership(k, g - k * element_d(spec))
+
+
+# invariants shared by two clipped types, shaped like the CLI's large-index spec: a small
+# prime; MAX_SCAN_WORK // 2 - 1, where a scan of two rank-1 types comes to the bound and
+# any larger rank passes it; and the primes nearest the bound on either side
+EDGE_INVARIANTS = (
+    101,
+    MAX_SCAN_WORK // 2 - 1,
+    *filter(is_prime, range(PAST_SCAN_BOUND - 25, PAST_SCAN_BOUND + 3)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    m=st.sampled_from(EDGE_INVARIANTS),
+    ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    s=st.sampled_from([1, 3, 5, 7]),
+    data=st.data(),
+)
+def test_in_G_refuses_only_a_scan_past_the_bound(m, ranks, s, data):
+    spec = CRQGroupSpec.of(
+        [make_type("t1", [2], ranks[0], m, s), make_type("t2", [3], ranks[1], m)]
+    )
+    k = data.draw(st.one_of(st.just(0), st.integers(0, m - 1)))
+    blocks = {}
+    for t in spec.types:
+        coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, *t.inf_primes)))
+        blocks[t.id] = data.draw(st.lists(coord, min_size=t.rank, max_size=t.rank))
+        blocks[t.id][0] += Fraction(k * t.s, t.m)
+    targets = {
+        "clipped slot 0": [(t, 0) for t in spec.types],
+        "later clipped slot": [(t, i) for t in spec.types for i in range(1, t.rank)],
+    }
+    places = ["member", "clipped block absent", *(p for p, ts in targets.items() if ts)]
+    place = data.draw(st.sampled_from(places))
+    if place == "clipped block absent":
+        del blocks[data.draw(st.sampled_from(spec.types)).id]
+    elif place != "member":
+        t, slot = data.draw(st.sampled_from(targets[place]))
+        q = data.draw(st.sampled_from([p for p in OUTSIDE_PRIMES if p not in t.inf_primes]))
+        blocks[t.id][slot] += Fraction(1, q)
+    g = element_of(blocks)
+    closed = in_g_closed_form(spec, g)
+    # k = 0 and a coordinate past slot 0 outside the regulator are answered without a scan
+    needs_scan = place != "later clipped slot" and (closed is None or closed.k != 0)
+    if needs_scan and 2 * spec.n + sum(ranks) > MAX_SCAN_WORK:
+        with pytest.raises(ValueError, match="scan limit"):
+            in_G(spec, g)
+    else:
+        assert in_G(spec, g) == closed
 
 
 def test_in_G_stops_at_a_coordinate_no_multiple_of_d_moves():

@@ -149,12 +149,17 @@ def test_iterate_huge_depth_is_bounded():
         iterate_mult(two_block_spec(), 10**9)
 
 
-@pytest.mark.parametrize("max_rank", [None, True, 1e18, 0, -5])
-def test_iterate_refuses_a_rank_bound_that_is_not_a_positive_int(max_rank):
+@pytest.mark.parametrize(
+    "k, max_rank",
+    [pytest.param(10**6, bound, id=repr(bound)) for bound in (None, True, 1e18, 0, -5)]
+    + [pytest.param(True, 10**18, id="k-True"), pytest.param(2.0, 10**18, id="k-2.0")],
+)
+def test_iterate_refuses_a_rank_bound_that_is_not_a_positive_int(k, max_rank):
     # refused before any cube is taken: at this depth an unbounded rank two
-    # would grow to 2 ** 3**(10**6)
-    with pytest.raises(ValueError, match="max_rank must be a positive int"):
-        iterate_mult(two_block_spec(), 10**6, max_rank=max_rank)
+    # would grow to 2 ** 3**(10**6); a depth that is not an int is refused the same way
+    name = "max_rank" if k == 10**6 else "iteration depth"
+    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+        iterate_mult(two_block_spec(), k, max_rank=max_rank)
 
 
 @pytest.mark.parametrize("max_rank", [None, 10**18, 10**30, 0, -5])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crqmult.elements import MAX_SCAN_INDEX, AmbientElement, in_G, purity_oracle
+from crqmult.elements import MAX_SCAN_WORK, AmbientElement, in_G, purity_oracle
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
 from crqmult.numth import PrimeSet, is_prime
@@ -324,8 +324,9 @@ def test_decision_matches_closure_oracle():
         assert decide_membership(spec, table).member == closure_oracle(spec, table)
 
 
-# the least primes past the in_G index bound: a spec on one of them is refused by every scan
-LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(MAX_SCAN_INDEX + 1)), 3))
+# the least primes m past the in_G scan bound for two types sharing m: from m =
+# MAX_SCAN_WORK // 2 on, 2m residues plus the witness's two or more coordinates pass it
+LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(MAX_SCAN_WORK // 2)), 3))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -339,16 +340,21 @@ LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(MAX_SCAN_I
 def test_unscaled_borders_get_verdicts_past_the_scan_limit(m, rank1, rank2, s, table_seed):
     # shaped like the CLI's large-index spec: two types sharing one prime m past the bound
     spec = CRQGroupSpec.of([make_type("t1", [2], rank1, m, s), make_type("t2", [3], rank2, m)])
-    assert spec.n > MAX_SCAN_INDEX
+    assert 2 * spec.n + rank1 + rank2 > MAX_SCAN_WORK
     rng = random.Random(table_seed)
     unscaled = sample_unscaled_border_table(spec, rng)
     assert closure_oracle(spec, unscaled) is False
     assert decide_membership(spec, unscaled).failure.code == "BORDER_NOT_SCALED"
-    # a member of witness 0 has m-scaled borders, so the oracle's d*d reaches the scan
+    # a member of witness 0 has m-scaled borders and d*d in the regulator: no scan
     member = sample_m2_table(spec, rng) + single_entry_table("t1", rank1, (0, 0), 0, m * m)
     verdict = decide_membership(spec, member)
     assert verdict.member and verdict.alpha == (0, spec.n)
-    with pytest.raises(ValueError, match="exceeds the scan limit"):
+    assert closure_oracle(spec, member) is True
+    # past witness 0, d*d is k*d plus the regulator with k != 0, so only a scan finds it
+    member, alpha = sample_member_table(spec, rng)
+    verdict = decide_membership(spec, member)
+    assert verdict.member and verdict.alpha == (alpha, spec.n) and alpha != 0
+    with pytest.raises(ValueError, match="scan limit"):
         closure_oracle(spec, member)
 
 
