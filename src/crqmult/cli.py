@@ -209,7 +209,7 @@ def _cmd_mult(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
 def _cmd_iterate(args: argparse.Namespace, spec: CRQGroupSpec) -> Result:
     from .multgroup import iterate_mult
 
-    desc = iterate_mult(spec, args.k, max_rank=args.max_rank)
+    desc = iterate_mult(spec, args.k)
     lines = [f"structure after {args.k} application(s):"]
     lines.extend(_spec_summary_lines(desc.spec))
     if desc.basis is None:
@@ -326,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     command("mult", "structure of the multiplication group", _cmd_mult)
     p = command("iterate", "iterated multiplication groups", _cmd_iterate)
     p.add_argument("--k", type=int, required=True, help="number of applications")
-    p.add_argument("--max-rank", type=int, default=10**18, help="symbolic rank bound")
     p = command("check-table", "membership decision for a table", _cmd_membership)
     p.add_argument("--table", required=True)
     p = command("oracle", "direct closure check for a table", _cmd_oracle)

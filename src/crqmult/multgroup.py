@@ -64,6 +64,9 @@ MAX_TABLE_COORDS = 32**3
 # bounds samples times the sum of those cubes (1000 samples of three rank-3
 # types fit, 20 samples of two rank-16 types do not).
 MAX_SAMPLED_COORDS = 10**5
+# Iterated ranks stay symbolic, and rank^(3^k) grows with the depth k alone;
+# this bounds every iterated rank (a rank above 10**6 is refused at depth 1).
+MAX_ITERATED_RANK = 10**18
 
 
 class RankLimitError(ValueError):
@@ -112,18 +115,15 @@ class MultGroupDescriptor:
 def _iterated_coefficient(d: CriticalTypeData, k: int) -> int:
     # the canonical inverse depends only on the residue class, so the
     # sequence s, s', s'', ... alternates with period 2 after the first step
-    if d.m == 1:
-        return d.s
     first = p0_inverse(d.s, d.m, d.inf_primes)
     if k % 2 == 1:
         return first
     return p0_inverse(first, d.m, d.inf_primes)
 
 
-def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
-    """rank ** (3 ** k), or None when it exceeds max_rank.
+def _iterated_rank(rank: int, k: int) -> Optional[int]:
+    """rank ** (3 ** k), or None when it exceeds MAX_ITERATED_RANK.
 
-    max_rank None means no bound; compute_mult_group uses that at depth 1.
     The rank is cubed one step at a time and refused at the first power past
     the bound, so no power past the cube of the bound or of the rank is built.
     """
@@ -131,22 +131,41 @@ def _iterated_rank(rank: int, k: int, max_rank: Optional[int]) -> Optional[int]:
         return 1
     for _ in range(k):
         rank = rank**3
-        if max_rank is not None and rank > max_rank:
+        if rank > MAX_ITERATED_RANK:
             return None
     return rank
 
 
-def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroupDescriptor:
-    """Structure of a valid spec after k applications; tables only when k == 1."""
+def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
+    """Full structure of the group of multiplications of a valid spec.
+
+    Per type the rank is cubed and the coefficient becomes the smallest
+    positive inverse of s modulo m with no factor among the infinite primes.
+    The clipped basis element of each type is the corner table carrying m^2,
+    and the coset generator scales those by the new coefficients over m.
+    """
+    return iterate_mult(spec, 1)
+
+
+def iterate_mult(spec: CRQGroupSpec, k: int) -> MultGroupDescriptor:
+    """Structure after k applications, with ranks computed symbolically.
+
+    Only the first application materializes basis tables; deeper iterates
+    report ranks, invariants and coefficients without building matrices.
+    k must be a positive int, and every iterated rank at most MAX_ITERATED_RANK.
+    """
+    if type(k) is not int or k < 1:
+        raise ValueError(f"iteration depth must be a positive int, got {k!r}")
+    ensure_valid(spec)
     coords = sum(d.rank**3 for d in spec.clipped) if k == 1 else 0
     if coords > MAX_TABLE_COORDS:
         raise RankLimitError(f"clipped ranks cubed sum to {coords}, over {MAX_TABLE_COORDS}")
     entries = []
     for d in spec.types:
-        rank = _iterated_rank(d.rank, k, max_rank)
+        rank = _iterated_rank(d.rank, k)
         if rank is None:
             raise RankLimitError(
-                f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {max_rank}"
+                f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {MAX_ITERATED_RANK}"
             )
         entries.append(
             CriticalTypeData(d.id, d.inf_primes, rank, d.m, _iterated_coefficient(d, k))
@@ -158,35 +177,6 @@ def _structure(spec: CRQGroupSpec, k: int, max_rank: Optional[int]) -> MultGroup
     # m times the new coefficient, an inverse of s modulo m, on each clipped corner
     generator = corner_table(spec.clipped, lambda d: d.m * new_spec.data_for(d.id).s)
     return MultGroupDescriptor(new_spec, basis=basis, generator=generator)
-
-
-def compute_mult_group(spec: CRQGroupSpec) -> MultGroupDescriptor:
-    """Full structure of the group of multiplications of a valid spec.
-
-    Per type the rank is cubed and the coefficient becomes the smallest
-    positive inverse of s modulo m with no factor among the infinite primes.
-    The clipped basis element of each type is the corner table carrying m^2,
-    and the coset generator scales those by the new coefficients over m.
-    """
-    ensure_valid(spec)
-    return _structure(spec, 1, None)
-
-
-def iterate_mult(
-    spec: CRQGroupSpec, k: int, *, max_rank: int = 10**18
-) -> MultGroupDescriptor:
-    """Structure after k applications, with ranks computed symbolically.
-
-    Only the first application materializes basis tables; deeper iterates
-    report ranks, invariants and coefficients without building matrices.
-    k and max_rank must be positive ints: with no bound the work grows with k alone.
-    """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"iteration depth must be a positive int, got {k!r}")
-    if type(max_rank) is not int or max_rank < 1:
-        raise ValueError(f"max_rank must be a positive int, got {max_rank!r}")
-    ensure_valid(spec)
-    return _structure(spec, k, max_rank)
 
 
 @record
@@ -241,8 +231,12 @@ def coset_relation(
     verdicts agree on sampled tables; otherwise the pair is reported not
     applicable.
     """
-    if not 1 <= samples <= MAX_COSET_SAMPLES:
-        raise ValueError(f"samples must be between 1 and {MAX_COSET_SAMPLES}, got {samples}")
+    if type(samples) is not int or not 1 <= samples <= MAX_COSET_SAMPLES:
+        raise ValueError(
+            f"samples must be an int between 1 and {MAX_COSET_SAMPLES}, got {samples!r}"
+        )
+    if type(gamma) is not int:
+        raise ValueError(f"gamma must be an int, got {gamma!r}")
     AmbientElement.check(spec, b)
     coords = samples * sum(d.rank**3 for d in spec.types)
     if coords > MAX_SAMPLED_COORDS:
@@ -377,6 +371,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     membership sets therefore intersect exactly in the regulator
     multiplications.
     """
+    if not all(type(x) is int for x in (s1, s2, m)):
+        raise ValueError(f"s1, s2 and m must be ints, got {s1!r}, {s2!r}, {m!r}")
     if s1 <= 1 or s2 <= 1:
         raise ValueError("s1 and s2 must both exceed 1")
     if math.gcd(s1, s2) != 1:

@@ -137,7 +137,7 @@ def test_mult_and_iterate(spec_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["depth"] == 2 and report["basis"] is None
 
-    # depth pushes the rank past the default budget
+    # depth pushes the rank past the iterated rank bound
     assert main(["iterate", "--spec", str(spec_file), "--k", "64"]) == 2
     assert "error" in capsys.readouterr().err
 
@@ -155,6 +155,11 @@ WIDE_SPEC = {
         {"id": "t1", "inf_primes": [5], "rank": 48, "m": 7, "s": 2},
         {"id": "t2", "inf_primes": [2], "rank": 48, "m": 7, "s": 3},
     ]
+}
+
+# One unclipped type whose rank cubed, about 10**18 + 3 * 10**12, is past MAX_ITERATED_RANK.
+HUGE_UNCLIPPED_SPEC = {
+    "types": [{"id": "t1", "inf_primes": [5], "rank": 10**6 + 1, "m": 1, "s": 1}]
 }
 
 
@@ -198,6 +203,7 @@ INPUT_FILES = {
     "spec": TWO_BLOCK_SPEC,
     "b": {},
     "wide": WIDE_SPEC,
+    "huge_unclipped": HUGE_UNCLIPPED_SPEC,
     "pseudoprime": with_inf_prime(318665857834031151167461),
     "past_prime_bound": with_inf_prime(3317044064679887385961981),
     "rank16": with_ranks(16),
@@ -217,6 +223,7 @@ WORK_REFUSALS = {
     "gen-huge-max-m": ["gen", "--seed", "0", "--max-m", "1000000000000"],
     "mult-wide-ranks": ["mult", "--spec", "{wide}"],
     "iterate-k1-wide-ranks": ["iterate", "--spec", "{wide}", "--k", "1"],
+    "mult-huge-unclipped-rank": ["mult", "--spec", "{huge_unclipped}"],
     "coset-rank-16": ["coset", "--spec", "{rank16}", "--gamma", "1", "--b", "{b}"],
     "coset-rank-32": ["coset", "--spec", "{rank32}", "--gamma", "1", "--b", "{b}"],
     "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],

@@ -16,6 +16,7 @@ from crqmult.groups import (
 )
 from crqmult.multgroup import (
     MAX_COSET_SAMPLES,
+    MAX_ITERATED_RANK,
     RankLimitError,
     _iterated_rank,
     compute_mult_group,
@@ -98,10 +99,17 @@ def test_structure_without_clipped_types():
     assert desc.spec.types[0].rank == 27
     assert desc.generator is not None and desc.generator.parts == ()
     assert desc.basis == ()
+    # the m = 1 coefficient is normalised to 1 and stays 1 at every depth
+    for k in (1, 2, 3):
+        assert iterate_mult(solo, k).spec.types[0].s == 1
 
 
-def test_iterate_depth_one_matches_direct_computation():
-    spec = two_block_spec()
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(two_block_spec(), id="two-block")]
+    + [pytest.param(random_spec(seed), id=f"random-{seed}") for seed in range(50)],
+)
+def test_iterate_depth_one_matches_direct_computation(spec):
     assert iterate_mult(spec, 1) == compute_mult_group(spec)
 
 
@@ -109,14 +117,18 @@ def test_iterate_rank_growth_and_coefficient_period():
     spec = two_block_spec()
     d2 = iterate_mult(spec, 2)
     d3 = iterate_mult(spec, 3)
-    d4 = iterate_mult(spec, 4, max_rank=10**30)  # rank grows to 2**81
     by_id = {t.id: t for t in d2.spec.types}
     assert by_id["t1"].rank == 2**9 and by_id["t2"].rank == 1
     # the coefficient sequence alternates between the class and its inverse
     assert [t.s for t in d2.spec.types] == [2, 3]
     assert [t.s for t in d3.spec.types] == [4, 5]
-    assert [t.s for t in d4.spec.types] == [2, 3]
     assert d2.depth == 2 and d2.basis is None and d2.generator is None
+    # at k = 4 the rank-2 type would grow to 2**81, past the bound; a rank-1 copy
+    # of the spec shows the period there
+    with pytest.raises(RankLimitError, match=f"exceeds the bound {MAX_ITERATED_RANK}"):
+        iterate_mult(spec, 4)
+    rank_one = CRQGroupSpec.of([make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)])
+    assert [t.s for t in iterate_mult(rank_one, 4).spec.types] == [2, 3]
 
 
 def test_iterate_validates_depth_and_rank_budget():
@@ -150,27 +162,22 @@ def test_iterate_huge_depth_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "k, max_rank",
-    [pytest.param(10**6, bound, id=repr(bound)) for bound in (None, True, 1e18, 0, -5)]
-    + [pytest.param(True, 10**18, id="k-True"), pytest.param(2.0, 10**18, id="k-2.0")],
+    "k", [pytest.param(True, id="k-True"), pytest.param(2.0, id="k-2.0")]
 )
-def test_iterate_refuses_a_rank_bound_that_is_not_a_positive_int(k, max_rank):
-    # refused before any cube is taken: at this depth an unbounded rank two
-    # would grow to 2 ** 3**(10**6); a depth that is not an int is refused the same way
-    name = "max_rank" if k == 10**6 else "iteration depth"
-    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
-        iterate_mult(two_block_spec(), k, max_rank=max_rank)
+def test_iterate_refuses_a_depth_that_is_not_an_int(k):
+    # True and 2.0 compare equal to depths 1 and 2, but are refused before any cube is taken
+    with pytest.raises(ValueError, match="iteration depth must be a positive int"):
+        iterate_mult(two_block_spec(), k)
 
 
-@pytest.mark.parametrize("max_rank", [None, 10**18, 10**30, 0, -5])
-def test_iterated_rank_is_the_power_within_the_bound(max_rank):
+def test_iterated_rank_is_the_power_within_the_bound():
     for rank in range(1, 6):
         for k in range(1, 6):
             value = rank ** 3**k
-            # rank one stays 1 whatever the bound
-            if rank > 1 and max_rank is not None and value > max_rank:
+            # rank one stays 1 at any depth
+            if value > MAX_ITERATED_RANK:
                 value = None
-            assert _iterated_rank(rank, k, max_rank) == value, (rank, k)
+            assert _iterated_rank(rank, k) == value, (rank, k)
 
 
 def test_depth_one_tables_are_bounded():
@@ -256,9 +263,13 @@ def test_coset_rejects_malformed_input():
         coset_relation(spec, 1, element_of({"t1": [Fraction(1, 2), 0]}))
     inside = coset_relation(spec, 1, element_of({"t1": [Fraction(1, 5), 0]}))
     assert not inside.applicable
-    for samples in (-5, 0, 1001):
-        with pytest.raises(ValueError):
+    # True and 2.5 are not sample counts, though True == 1 and 2.5 lies in range
+    for samples in (-5, 0, 1001, True, 2.5):
+        with pytest.raises(ValueError, match="samples must be"):
             coset_relation(spec, 1, AmbientElement.zero(), samples=samples)
+    for gamma in (1.0, True):
+        with pytest.raises(ValueError, match="gamma must be an int"):
+            coset_relation(spec, gamma, AmbientElement.zero())
 
 
 def test_coset_checks_exactly_the_requested_samples():
@@ -348,6 +359,9 @@ def test_cross_basis_rejects_bad_hypotheses():
         cross_basis_example(2, 3, 1009)  # m - 1 witness values, each an O(m) scan
     with pytest.raises(ValueError):
         cross_basis_example(10**20 + 3, 3, 7)  # s1 + m too large to factor
+    for args in ((2.0, 3, 7), (2, 3.0, 7), (2, 3, 7.0), (True, 3, 7), (2, 3, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            cross_basis_example(*args)
 
 
 # -- Mult G through the engine: the structure theorem as a third route ----------
