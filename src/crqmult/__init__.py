@@ -14,6 +14,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "numth": (
+        "LimitError",
         "PrimeSet",
         "condition_m_check",
         "crt_solve",
@@ -59,7 +60,6 @@ _EXPORTS = {
         "CosetReport",
         "CrossBasisReport",
         "MultGroupDescriptor",
-        "RankLimitError",
         "RegulatorBlock",
         "compute_mult_group",
         "coset_relation",

@@ -1,7 +1,8 @@
 """Command line interface for the group and multiplication-table toolkit.
 
 Exit codes: 0 for success and true verdicts, 1 for false verdicts, 2 for
-malformed input or domain errors.  All randomness is driven by --seed, and
+malformed input, domain errors or a number past a work bound (a LimitError,
+whose JSON error names the bound).  All randomness is driven by --seed, and
 structured output is byte-identical for identical inputs and seed.
 """
 
@@ -24,6 +25,7 @@ from .groups import (
     spec_to_json,
     validate_spec,
 )
+from .numth import LimitError
 
 # Each handler imports the table and multiplication-group layers it uses, so a
 # run of `validate`, `describe` or `gen` does not load them.  TYPE_CHECKING is
@@ -363,7 +365,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
         if args.format == "json":
-            print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+            error: dict = {"error": str(exc)}
+            if isinstance(exc, LimitError):
+                error["limit"] = {"name": exc.name, "value": exc.value, "bound": exc.bound}
+            print(json.dumps(error, sort_keys=True), file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2

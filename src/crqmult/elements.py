@@ -19,7 +19,7 @@ import re
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_spec, ensure_valid
-from .numth import coprime_part
+from .numth import LimitError, coprime_part
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
@@ -202,8 +202,8 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     slot 0 of each clipped type, so every other coordinate is tested once,
     and a candidate costs one residue per clipped type.  Only a scan is
     bounded: when neither k = 0 nor a coordinate that no k*d moves answers,
-    n residues per clipped type plus the clipped ranks must be at most
-    MAX_SCAN_WORK.
+    n residues per clipped type plus the clipped ranks past MAX_SCAN_WORK
+    raise LimitError.
     """
     AmbientElement.check(spec, g)
     # one pass reads each block's bad: the k = 0 answer, and whether a coordinate that no
@@ -224,10 +224,7 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
         return None
     work = spec.n * len(spec.clipped) + sum(t.rank for t in spec.clipped)
     if work > MAX_SCAN_WORK:
-        raise ValueError(
-            f"a scan of regulator index {spec.n} comes to {work} residues and coordinates, "
-            f"over the scan limit {MAX_SCAN_WORK}"
-        )
+        raise LimitError(f"the scan work at n = {spec.n}", work, "MAX_SCAN_WORK", MAX_SCAN_WORK)
     # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when lcm(bad, m)
     # divides it: m has no infinite prime, so that is the part of lcm(den, m) outside them
     scan, lifts = [], []

@@ -23,6 +23,7 @@ from itertools import combinations
 
 from ._record import record
 from .numth import (
+    LimitError,
     PrimeSet,
     condition_m_check,
     has_factor_in,
@@ -36,10 +37,10 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Mapping
 
-# validation compares every pair of types, so its time grows as the square
-# of the type count.  `crqmult validate` on single-prime types took 0.04, 0.13,
-# 0.19, 0.25 and 0.46 s at 400, 800, 1000, 1200 and 1600 types (Python 3.11,
-# 2-vCPU VM); specs past this bound are refused before any check runs.
+# bounds only validation's pairwise pass, whose time grows as the square of the type
+# count: `crqmult validate` on single-prime types took 0.04, 0.13, 0.19, 0.25 and 0.46 s
+# at 400, 800, 1000, 1200 and 1600 types (Python 3.11, 2-vCPU VM).  Specs past it are
+# refused before any check runs; every other route reads each type once.
 MAX_TYPES = 1000
 
 
@@ -102,13 +103,13 @@ class CRQGroupSpec:
     def violations(self) -> tuple[Violation, ...]:
         """All rule violations of this spec, empty when it is valid.
 
-        More than MAX_TYPES types are refused with ValueError first.  The checks, in
+        More than MAX_TYPES types are refused with LimitError first.  The checks, in
         order: duplicate ids, positive ranks, m and s supported away from the infinite
         primes of their own type, s coprime to m, pairwise incomparable types, and the
         shared-prime-power condition on the m values.
         """
         if len(self.types) > MAX_TYPES:
-            raise ValueError(f"spec has {len(self.types)} types, over the limit {MAX_TYPES}")
+            raise LimitError("the type count", len(self.types), "MAX_TYPES", MAX_TYPES)
         violations: list[Violation] = []
         seen: set[str] = set()
         for d in self.types:
@@ -185,7 +186,7 @@ class Violation:
 def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
     """The violations that the spec computes once and keeps, empty when it is valid.
 
-    Anything but a spec, or more than MAX_TYPES types, is refused with ValueError.
+    Anything but a spec is refused with ValueError, more than MAX_TYPES types with LimitError.
     """
     ensure_spec(spec)
     return list(spec.violations)
@@ -228,7 +229,7 @@ def main_decomposition(spec: CRQGroupSpec) -> MainDecomposition:
 
 
 class GenerationError(ValueError):
-    """Raised when generator bounds cannot be satisfied."""
+    """Raised when generator bounds cannot be met; a max_m past MAX_GEN_M is a LimitError."""
 
 
 @record
@@ -257,7 +258,7 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
     if bounds.max_types < 1 or bounds.max_rank < 1 or bounds.max_m < 1:
         raise GenerationError(f"bounds must be positive, got {bounds}")
     if bounds.max_m > MAX_GEN_M:
-        raise GenerationError(f"max_m = {bounds.max_m} exceeds the limit {MAX_GEN_M}")
+        raise LimitError("max_m", bounds.max_m, "MAX_GEN_M", MAX_GEN_M)
     if bounds.max_types == 1 and bounds.max_m > 1:
         raise GenerationError("a single type cannot share its prime powers, need max_m == 1")
     if len(_PRIME_POOL) < bounds.max_types:

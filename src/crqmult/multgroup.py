@@ -23,6 +23,7 @@ from .groups import (
     main_decomposition,
 )
 from .numth import (
+    LimitError,
     PrimeSet,
     has_factor_in,
     is_prime,
@@ -67,10 +68,6 @@ MAX_SAMPLED_COORDS = 10**5
 # Iterated ranks stay symbolic, and rank^(3^k) grows with the depth k alone;
 # this bounds every iterated rank (a rank above 10**6 is refused at depth 1).
 MAX_ITERATED_RANK = 10**18
-
-
-class RankLimitError(ValueError):
-    """Raised when iterated ranks or depth-1 tables exceed their bound."""
 
 
 @record
@@ -121,10 +118,10 @@ def _iterated_coefficient(d: CriticalTypeData, k: int) -> int:
     return p0_inverse(first, d.m, d.inf_primes)
 
 
-def _iterated_rank(rank: int, k: int) -> Optional[int]:
-    """rank ** (3 ** k), or None when it exceeds MAX_ITERATED_RANK.
+def _iterated_rank(rank: int, k: int) -> int:
+    """rank ** (3 ** k), or its first power rank ** (3 ** j) past MAX_ITERATED_RANK.
 
-    The rank is cubed one step at a time and refused at the first power past
+    The rank is cubed one step at a time and stops at the first power past
     the bound, so no power past the cube of the bound or of the rank is built.
     """
     if rank == 1:
@@ -132,7 +129,7 @@ def _iterated_rank(rank: int, k: int) -> Optional[int]:
     for _ in range(k):
         rank = rank**3
         if rank > MAX_ITERATED_RANK:
-            return None
+            break
     return rank
 
 
@@ -159,14 +156,13 @@ def iterate_mult(spec: CRQGroupSpec, k: int) -> MultGroupDescriptor:
     ensure_valid(spec)
     coords = sum(d.rank**3 for d in spec.clipped) if k == 1 else 0
     if coords > MAX_TABLE_COORDS:
-        raise RankLimitError(f"clipped ranks cubed sum to {coords}, over {MAX_TABLE_COORDS}")
+        raise LimitError("the sum of clipped rank^3", coords, "MAX_TABLE_COORDS", MAX_TABLE_COORDS)
     entries = []
     for d in spec.types:
         rank = _iterated_rank(d.rank, k)
-        if rank is None:
-            raise RankLimitError(
-                f"rank {d.rank}^(3^{k}) at type {d.id!r} exceeds the bound {MAX_ITERATED_RANK}"
-            )
+        if rank > MAX_ITERATED_RANK:
+            what = f"rank {d.rank}^(3^{k}) at type {d.id!r}"
+            raise LimitError(what, rank, "MAX_ITERATED_RANK", MAX_ITERATED_RANK)
         entries.append(
             CriticalTypeData(d.id, d.inf_primes, rank, d.m, _iterated_coefficient(d, k))
         )
@@ -231,19 +227,17 @@ def coset_relation(
     verdicts agree on sampled tables; otherwise the pair is reported not
     applicable.
     """
-    if type(samples) is not int or not 1 <= samples <= MAX_COSET_SAMPLES:
-        raise ValueError(
-            f"samples must be an int between 1 and {MAX_COSET_SAMPLES}, got {samples!r}"
-        )
+    if type(samples) is not int or samples < 1:
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
+    if samples > MAX_COSET_SAMPLES:
+        raise LimitError("the sample count", samples, "MAX_COSET_SAMPLES", MAX_COSET_SAMPLES)
     if type(gamma) is not int:
         raise ValueError(f"gamma must be an int, got {gamma!r}")
     AmbientElement.check(spec, b)
     coords = samples * sum(d.rank**3 for d in spec.types)
     if coords > MAX_SAMPLED_COORDS:
-        raise ValueError(
-            f"samples times the cubed ranks come to {coords} coordinates, "
-            f"over {MAX_SAMPLED_COORDS}"
-        )
+        what = "the sample count times the sum of rank^3"
+        raise LimitError(what, coords, "MAX_SAMPLED_COORDS", MAX_SAMPLED_COORDS)
     if math.gcd(gamma, spec.n) != 1:
         raise ValueError(f"gamma = {gamma} is not coprime to the regulator index {spec.n}")
     t0 = set(spec.t0_ids)
@@ -257,9 +251,9 @@ def coset_relation(
         raise ValueError(f"shift element lies outside the regulator at type {outside[0]!r}")
 
     s_prime: dict[str, int] = {}
+    shift = {tid: (nums[0], den) for tid, _, den, nums in b.parts}
     for d in spec.clipped:
-        part = b.part(d.id)
-        b0, den = (part[2][0], part[1]) if part else (0, 1)
+        b0, den = shift.get(d.id, (0, 1))
         # gamma * s + m * b0 / den, over den
         num = gamma * d.s * den + d.m * b0
         if num % den:
@@ -325,13 +319,8 @@ class CrossBasisCase:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.member_first
-            and self.rejected_second
-            and self.member_second
-            and self.rejected_first
-            and self.oracles_consistent
-        )
+        # every field after alpha is a flag
+        return all(getattr(self, name) for name in self.__match_args__[1:])
 
 
 @record
@@ -384,9 +373,9 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     if (s1 * s1 - s2 * s2) % m == 0:
         raise ValueError(f"m = {m} must not divide s1^2 - s2^2")
     if m > MAX_CROSS_BASIS_M:
-        raise ValueError(f"m = {m} exceeds the limit {MAX_CROSS_BASIS_M}")
+        raise LimitError("m", m, "MAX_CROSS_BASIS_M", MAX_CROSS_BASIS_M)
     if max(s1, s2) + m > MAX_FACTORED:
-        raise ValueError(f"s1 + m and s2 + m must not exceed {MAX_FACTORED}")
+        raise LimitError("max(s1, s2) + m", max(s1, s2) + m, "MAX_FACTORED", MAX_FACTORED)
 
     inf1 = set(prime_factors(s1 + m))
     inf2 = set(prime_factors(s2 + m))
@@ -441,15 +430,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
         cases.append(CrossBasisCase(alpha, *flags))
 
     regulator_table = sample_m2_table(spec_first, rng)
-    v_reg_first = decide_membership(spec_first, regulator_table)
     reg_as_second = rescale_slot0_coords(spec_first, regulator_table, units)
-    v_reg_second = decide_membership(spec_second, reg_as_second)
-    doubly_ok = (
-        v_reg_first.member
-        and v_reg_first.alpha[0] == 0
-        and v_reg_second.member
-        and v_reg_second.alpha[0] == 0
-    )
+    doubly_ok = in_M2(spec_first, regulator_table) and in_M2(spec_second, reg_as_second)
 
     return CrossBasisReport(
         s1=s1,

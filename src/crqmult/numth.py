@@ -1,8 +1,8 @@
 """Exact integer arithmetic: lcm, modular inverses, prime sets, CRT.
 
 Everything works on arbitrary-precision Python integers.  Domain violations
-raise ValueError; an unsolvable congruence system is an absent return value,
-not an error.
+raise ValueError, and numbers past a work bound its subclass LimitError; an
+unsolvable congruence system is an absent return value, not an error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,19 @@ if TYPE_CHECKING:
 # Miller-Rabin bases; MAX_PRIME_TESTED is the least strong pseudoprime to all of them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_TESTED = 3317044064679887385961981
+
+
+class LimitError(ValueError):
+    """`value` past a work bound, the constant `name` = `bound`; an int too long to write
+    has its size in words as its value."""
+
+    def __init__(self, what: str, value: int, name: str, bound: int):
+        try:
+            written = str(value)
+        except ValueError:
+            value = written = f"a {value.bit_length()}-bit integer"
+        super().__init__(f"{what} reaches {written}, past the bound {name} = {bound}")
+        self.name, self.value, self.bound = name, value, bound
 
 
 def lcm_all(values: Iterable[int]) -> int:
@@ -45,7 +58,7 @@ def mod_inverse(s: int, m: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n below MAX_PRIME_TESTED."""
     if n >= MAX_PRIME_TESTED:
-        raise ValueError(f"primality is only decided below {MAX_PRIME_TESTED}, got {n}")
+        raise LimitError("a number tested for primality", n, "MAX_PRIME_TESTED", MAX_PRIME_TESTED)
     if n < 2:
         return False
     for p in _MR_BASES:

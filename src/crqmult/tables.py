@@ -170,8 +170,9 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
     if failure is not None:
         return MembershipVerdict(False, None, failure)
     congruences = []
+    blocks = {tid: (size, den, nums) for tid, size, den, nums in table.parts}
     for d in spec.clipped:
-        part = table.part(d.id)
+        part = blocks.get(d.id)
         if part is None:
             congruences.append((0, d.m))
             continue
@@ -243,15 +244,14 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     # clipped cubes T that the table stores are read, and d's products are slices of them:
     # d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0]
     square = {}
-    for d in spec.clipped:
-        part = table.part(d.id)
-        if part is not None:
-            size, den, nums = part
+    for tid, size, den, nums in table.parts:
+        d = spec.data_for(tid)
+        if d.m > 1:
             # the border products are s times row 0 and column 0 of nums over den * m, so in
             # the regulator when m divides each x there: den and s are units modulo m
             if _border_gcd(d.m, nums, size) != d.m:
                 return False
-            square[d.id] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
+            square[tid] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
     # the border products cost O(rank^2) per type and are tested first, so only a table whose
     # borders are m-scaled can need the O(n) scan of d*d, or be refused past the scan bound
     return in_G(spec, AmbientElement.from_parts(square)) is not None

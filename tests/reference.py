@@ -2,17 +2,22 @@
 
 Each function computes a fact by a different route from the library's own,
 so acceptance criteria can check one against the other.  The golden CLI
-runner at the end is shared by the pytest suite and the standard-library replay.
+runner at the end is shared by the pytest suite and the standard-library replay,
+and `work_bounds` reads the package's work bounds from its source.
 """
 
+import ast
 import io
 import json
 import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
 from unittest import mock
 
+import crqmult
 from crqmult.cli import main
 from crqmult.elements import AmbientElement, GMembership, in_G
 from crqmult.groups import ensure_valid
@@ -422,3 +427,15 @@ def help_texts():
                     raise
             texts[prefix] = out.getvalue()
     return texts
+
+
+def work_bounds():
+    """(module, value) of every MAX_* constant that a module of the package assigns, by name."""
+    found = {}
+    for path in sorted(Path(crqmult.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for target in getattr(node, "targets", []):
+                if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                    module = import_module(f"crqmult.{path.stem}")
+                    found[target.id] = (path.stem, getattr(module, target.id))
+    return found

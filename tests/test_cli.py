@@ -19,6 +19,7 @@ from crqmult.tables import (
     sample_member_table,
     table_to_dict,
 )
+from reference import work_bounds
 
 # rank 2 at t1, so deep iterates overflow the rank bound
 TWO_BLOCK_SPEC = {
@@ -208,30 +209,63 @@ INPUT_FILES = {
     "past_prime_bound": with_inf_prime(3317044064679887385961981),
     "rank16": with_ranks(16),
     "rank32": with_ranks(32),
+    # its ranks cubed have 5998 digits, more than str writes by default
+    "rank_2000_digits": with_ranks(10**1999),
     "too_many_types": TOO_MANY_TYPES,
     "large_index": LARGE_INDEX_SPEC,
     "unit_table": {"blocks": {"t1": [[["1"]]]}},
     "scaled_table": {"blocks": {"t1": [[[str(LARGE_INDEX)]]]}},
 }
+# Each case with the bound its JSON error names, or None where no bound refuses it.
 WORK_REFUSALS = {
-    "coset-zero-samples": ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"],
-    "coset-huge-samples": [
-        "coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "1000000000"
-    ],
-    "example27-large-m": ["example27", "--s1", "2", "--s2", "3", "--m", "1009"],
-    "example27-huge-s1": ["example27", "--s1", str(10**20 + 3), "--s2", "3", "--m", "7"],
-    "gen-huge-max-m": ["gen", "--seed", "0", "--max-m", "1000000000000"],
-    "mult-wide-ranks": ["mult", "--spec", "{wide}"],
-    "iterate-k1-wide-ranks": ["iterate", "--spec", "{wide}", "--k", "1"],
-    "mult-huge-unclipped-rank": ["mult", "--spec", "{huge_unclipped}"],
-    "coset-rank-16": ["coset", "--spec", "{rank16}", "--gamma", "1", "--b", "{b}"],
-    "coset-rank-32": ["coset", "--spec", "{rank32}", "--gamma", "1", "--b", "{b}"],
-    "validate-too-many-types": ["validate", "--spec", "{too_many_types}"],
-    "validate-strong-pseudoprime": ["validate", "--spec", "{pseudoprime}"],
-    "validate-past-prime-bound": ["validate", "--spec", "{past_prime_bound}"],
+    "coset-zero-samples": (
+        None, ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "0"]
+    ),
+    "coset-huge-samples": (
+        "MAX_COSET_SAMPLES",
+        ["coset", "--spec", "{spec}", "--gamma", "1", "--b", "{b}", "--samples", "1000000000"],
+    ),
+    "example27-large-m": (
+        "MAX_CROSS_BASIS_M", ["example27", "--s1", "2", "--s2", "3", "--m", "1009"]
+    ),
+    "example27-huge-s1": (
+        "MAX_FACTORED", ["example27", "--s1", str(10**20 + 3), "--s2", "3", "--m", "7"]
+    ),
+    "gen-huge-max-m": ("MAX_GEN_M", ["gen", "--seed", "0", "--max-m", "1000000000000"]),
+    "mult-wide-ranks": ("MAX_TABLE_COORDS", ["mult", "--spec", "{wide}"]),
+    "iterate-k1-wide-ranks": ("MAX_TABLE_COORDS", ["iterate", "--spec", "{wide}", "--k", "1"]),
+    "mult-huge-unclipped-rank": ("MAX_ITERATED_RANK", ["mult", "--spec", "{huge_unclipped}"]),
+    "coset-rank-16": (
+        "MAX_SAMPLED_COORDS", ["coset", "--spec", "{rank16}", "--gamma", "1", "--b", "{b}"]
+    ),
+    "coset-rank-32": (
+        "MAX_SAMPLED_COORDS", ["coset", "--spec", "{rank32}", "--gamma", "1", "--b", "{b}"]
+    ),
+    "mult-2000-digit-rank": ("MAX_TABLE_COORDS", ["mult", "--spec", "{rank_2000_digits}"]),
+    "iterate-k1-2000-digit-rank": (
+        "MAX_TABLE_COORDS", ["iterate", "--spec", "{rank_2000_digits}", "--k", "1"]
+    ),
+    "coset-2000-digit-rank": (
+        "MAX_SAMPLED_COORDS",
+        ["coset", "--spec", "{rank_2000_digits}", "--gamma", "1", "--b", "{b}"],
+    ),
+    "validate-too-many-types": ("MAX_TYPES", ["validate", "--spec", "{too_many_types}"]),
+    "validate-strong-pseudoprime": (None, ["validate", "--spec", "{pseudoprime}"]),
+    "validate-past-prime-bound": (
+        "MAX_PRIME_TESTED", ["validate", "--spec", "{past_prime_bound}"]
+    ),
     # the border is m-scaled and d*d is off the regulator, so it needs the scan, which is refused
-    "oracle-large-index": ["oracle", "--spec", "{large_index}", "--table", "{scaled_table}"],
+    "oracle-large-index": (
+        "MAX_SCAN_WORK", ["oracle", "--spec", "{large_index}", "--table", "{scaled_table}"]
+    ),
 }
+BOUNDS = work_bounds()
+
+
+def test_every_bound_has_a_named_refusal():
+    # each case's name is checked against its JSON error by test_work_bounds_refuse_quickly
+    named = {name for name, _ in WORK_REFUSALS.values()} - {None}
+    assert sorted(BOUNDS) == sorted(named)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -240,17 +274,35 @@ def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
     files = {
         name: write_json(tmp_path / f"{name}.json", data) for name, data in INPUT_FILES.items()
     }
-    argv = [arg.format(**files) for arg in WORK_REFUSALS[case]]
+    name, args = WORK_REFUSALS[case]
+    argv = [arg.format(**files) for arg in args]
     started = time.perf_counter()
     assert main(argv + ["--format", fmt]) == 2
     assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    if fmt == "json":
+    # a number too long for str is written by its size, not refused by the interpreter
+    assert "4300 digits" not in captured.err
+    if fmt == "text":
+        assert captured.err.startswith("error: ")
+    elif name is None:
         assert set(json.loads(captured.err)) == {"error"}
     else:
-        assert captured.err.startswith("error: ")
+        error = json.loads(captured.err)
+        assert set(error) == {"error", "limit"}
+        limit = error["limit"]
+        assert (limit["name"], limit["bound"]) == (name, BOUNDS[name][1])
+        assert f"past the bound {name} = {limit['bound']}" in error["error"]
+        value = limit["value"]
+        if isinstance(value, str):
+            bits = int(value.removeprefix("a ").removesuffix("-bit integer"))
+            assert bits > limit["bound"].bit_length()
+        elif name == "MAX_PRIME_TESTED":
+            # the least number whose primality is not decided
+            assert value >= limit["bound"]
+        else:
+            assert value > limit["bound"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -20,7 +20,7 @@ from crqmult.elements import (
     purity_oracle,
 )
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
-from crqmult.numth import PrimeSet, condition_m_check, is_prime
+from crqmult.numth import LimitError, PrimeSet, condition_m_check, is_prime
 from crqmult.tables import MultTable
 from reference import (
     basis_vector,
@@ -199,9 +199,10 @@ def test_in_G_refuses_large_scans_quickly(case):
     # a coordinate over 5 keeps g out of G, so an unbounded scan would try every k
     g = element_of({"t1": [Fraction(1, 5)] * rank, "t2": [Fraction(1, 5)] * rank})
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="scan limit"):
+    with pytest.raises(LimitError) as refused:
         in_G(spec, g)
     assert time.perf_counter() - started < 0.5
+    assert refused.value.name == "MAX_SCAN_WORK" and refused.value.value > MAX_SCAN_WORK
 
 
 @pytest.mark.parametrize("slots", ["every-coordinate", "slot-0"])
@@ -231,12 +232,11 @@ def test_in_G_refuses_past_the_work_bound_before_building_the_generator():
     spec = CRQGroupSpec.of([make_type("t1", [3], 1, 2), make_type("t2", [5], 10**7, 2)])
     g = element_of({"t1": [Fraction(1, 4)]})
     message = (
-        "a scan of regulator index 2 comes to 10000005 residues and coordinates, "
-        "over the scan limit 60000"
+        "the scan work at n = 2 reaches 10000005, past the bound MAX_SCAN_WORK = 60000"
     )
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(LimitError) as refused:
             in_G(spec, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -362,8 +362,9 @@ def test_in_G_refuses_only_a_scan_past_the_bound(m, ranks, s, data):
     # k = 0 and a coordinate past slot 0 outside the regulator are answered without a scan
     needs_scan = place != "later clipped slot" and (closed is None or closed.k != 0)
     if needs_scan and 2 * spec.n + sum(ranks) > MAX_SCAN_WORK:
-        with pytest.raises(ValueError, match="scan limit"):
+        with pytest.raises(LimitError) as refused:
             in_G(spec, g)
+        assert refused.value.name == "MAX_SCAN_WORK"
     else:
         assert in_G(spec, g) == closed
 

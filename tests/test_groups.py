@@ -23,7 +23,7 @@ from crqmult.groups import (
     validate_spec,
 )
 from crqmult.multgroup import compute_mult_group, coset_relation, cross_basis_example
-from crqmult.numth import PrimeSet, condition_m_check, is_prime, prime_factors
+from crqmult.numth import LimitError, PrimeSet, condition_m_check, is_prime, prime_factors
 from crqmult.tables import (
     MembershipFailure,
     MembershipVerdict,
@@ -59,8 +59,9 @@ def test_validation_at_the_type_bound_is_quick():
     started = time.perf_counter()
     assert validate_spec(spec) == []
     assert time.perf_counter() - started < 0.5
-    with pytest.raises(ValueError, match="over the limit"):
+    with pytest.raises(LimitError) as refused:
         validate_spec(CRQGroupSpec.of(types))
+    assert (refused.value.name, refused.value.value) == ("MAX_TYPES", MAX_TYPES + 1)
 
 
 def test_codes_for_broken_specs():
@@ -216,9 +217,10 @@ def test_random_spec_rejects_impossible_bounds():
     with pytest.raises(GenerationError):
         # thirteen pool primes distinguish at most thirteen types
         random_spec(0, GenBounds(max_types=14, max_rank=1, max_m=6))
-    with pytest.raises(GenerationError):
-        # drawing s is linear in max_m
+    # drawing s is linear in max_m, which is bounded
+    with pytest.raises(LimitError) as refused:
         random_spec(0, GenBounds(max_m=10**12))
+    assert (refused.value.name, refused.value.value) == ("MAX_GEN_M", 10**12)
 
 
 def test_random_spec_single_type_trivial_quotient():

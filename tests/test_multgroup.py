@@ -17,14 +17,13 @@ from crqmult.groups import (
 from crqmult.multgroup import (
     MAX_COSET_SAMPLES,
     MAX_ITERATED_RANK,
-    RankLimitError,
     _iterated_rank,
     compute_mult_group,
     coset_relation,
     cross_basis_example,
     iterate_mult,
 )
-from crqmult.numth import PrimeSet, p0_inverse
+from crqmult.numth import LimitError, PrimeSet, p0_inverse
 from crqmult.tables import (
     MultTable,
     closure_oracle,
@@ -125,8 +124,12 @@ def test_iterate_rank_growth_and_coefficient_period():
     assert d2.depth == 2 and d2.basis is None and d2.generator is None
     # at k = 4 the rank-2 type would grow to 2**81, past the bound; a rank-1 copy
     # of the spec shows the period there
-    with pytest.raises(RankLimitError, match=f"exceeds the bound {MAX_ITERATED_RANK}"):
+    with pytest.raises(LimitError) as refused:
         iterate_mult(spec, 4)
+    assert (refused.value.name, refused.value.value) == ("MAX_ITERATED_RANK", 2**81)
+    assert str(refused.value) == (
+        f"rank 2^(3^4) at type 't1' reaches {2**81}, past the bound MAX_ITERATED_RANK = {10**18}"
+    )
     rank_one = CRQGroupSpec.of([make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)])
     assert [t.s for t in iterate_mult(rank_one, 4).spec.types] == [2, 3]
 
@@ -135,8 +138,9 @@ def test_iterate_validates_depth_and_rank_budget():
     spec = two_block_spec()
     with pytest.raises(ValueError):
         iterate_mult(spec, 0)
-    with pytest.raises(RankLimitError):
+    with pytest.raises(LimitError) as refused:
         iterate_mult(spec, 40)
+    assert refused.value.name == "MAX_ITERATED_RANK"
     # rank one types never overflow, even at absurd depths
     solo = CRQGroupSpec.of(
         [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)]
@@ -157,8 +161,9 @@ def test_iterate_huge_depth_is_bounded():
     assert [(t.rank, t.s) for t in desc.spec.types] == [(1, 2), (1, 3)]
     odd = iterate_mult(solo, 10**9 + 1)
     assert [(t.rank, t.s) for t in odd.spec.types] == [(1, 4), (1, 5)]
-    with pytest.raises(RankLimitError):
+    with pytest.raises(LimitError) as refused:
         iterate_mult(two_block_spec(), 10**9)
+    assert (refused.value.name, refused.value.value) == ("MAX_ITERATED_RANK", 2**81)
 
 
 @pytest.mark.parametrize(
@@ -173,11 +178,9 @@ def test_iterate_refuses_a_depth_that_is_not_an_int(k):
 def test_iterated_rank_is_the_power_within_the_bound():
     for rank in range(1, 6):
         for k in range(1, 6):
-            value = rank ** 3**k
-            # rank one stays 1 at any depth
-            if value > MAX_ITERATED_RANK:
-                value = None
-            assert _iterated_rank(rank, k) == value, (rank, k)
+            # rank one stays 1 at any depth; past the bound, the first power past it stands
+            j = next((j for j in range(1, k) if rank ** 3**j > MAX_ITERATED_RANK), k)
+            assert _iterated_rank(rank, k) == rank ** 3**j, (rank, k)
 
 
 def test_depth_one_tables_are_bounded():
@@ -189,10 +192,10 @@ def test_depth_one_tables_are_bounded():
         )
 
     assert len(compute_mult_group(pair(25)).basis) == 2
-    with pytest.raises(RankLimitError, match="sum to 35152"):
-        compute_mult_group(pair(26))
-    with pytest.raises(RankLimitError):
-        iterate_mult(pair(26), 1)
+    for refused_call in (lambda: compute_mult_group(pair(26)), lambda: iterate_mult(pair(26), 1)):
+        with pytest.raises(LimitError) as refused:
+            refused_call()
+        assert (refused.value.name, refused.value.value) == ("MAX_TABLE_COORDS", 35152)
     # deeper iterates build no tables, and unclipped types get none
     assert iterate_mult(pair(26), 2).basis is None
     unclipped = CRQGroupSpec.of([make_type("t1", [5], 40, 1), make_type("t2", [2], 40, 1)])
@@ -264,9 +267,14 @@ def test_coset_rejects_malformed_input():
     inside = coset_relation(spec, 1, element_of({"t1": [Fraction(1, 5), 0]}))
     assert not inside.applicable
     # True and 2.5 are not sample counts, though True == 1 and 2.5 lies in range
-    for samples in (-5, 0, 1001, True, 2.5):
-        with pytest.raises(ValueError, match="samples must be"):
+    for samples in (-5, 0, True, 2.5):
+        with pytest.raises(ValueError, match="samples must be") as refused:
             coset_relation(spec, 1, AmbientElement.zero(), samples=samples)
+        assert not isinstance(refused.value, LimitError)
+    # only a count past the bound is a bound refusal
+    with pytest.raises(LimitError) as refused:
+        coset_relation(spec, 1, AmbientElement.zero(), samples=MAX_COSET_SAMPLES + 1)
+    assert (refused.value.name, refused.value.value) == ("MAX_COSET_SAMPLES", 1001)
     for gamma in (1.0, True):
         with pytest.raises(ValueError, match="gamma must be an int"):
             coset_relation(spec, gamma, AmbientElement.zero())

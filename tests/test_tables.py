@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from crqmult.elements import MAX_SCAN_WORK, AmbientElement, in_G, purity_oracle
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
-from crqmult.numth import PrimeSet, is_prime
+from crqmult.numth import LimitError, PrimeSet, is_prime
 from crqmult.tables import (
     MultTable,
     build_product,
@@ -354,8 +355,33 @@ def test_unscaled_borders_get_verdicts_past_the_scan_limit(m, rank1, rank2, s, t
     member, alpha = sample_member_table(spec, rng)
     verdict = decide_membership(spec, member)
     assert verdict.member and verdict.alpha == (alpha, spec.n) and alpha != 0
-    with pytest.raises(ValueError, match="scan limit"):
+    with pytest.raises(LimitError) as refused:
         closure_oracle(spec, member)
+    assert refused.value.name == "MAX_SCAN_WORK"
+
+
+def test_decision_and_oracle_time_is_linear_in_the_type_count():
+    # each route reads the table's blocks once, not once per type: 4x the types take about
+    # 4x the time, where a scan of the blocks per type took 9 to 10x.  The sizes take turns,
+    # so a busy spell on a shared machine slows both, and 6x leaves a margin for the rest.
+    primes = list(itertools.islice(filter(is_prime, itertools.count(3)), 1000))
+    cases = {}
+    for count in (250, 1000):
+        types = [make_type(f"t{i:04d}", [p], 1, 2) for i, p in enumerate(primes[:count])]
+        spec = CRQGroupSpec.of(types)
+        # 4 = m^2 on every clipped corner: a member of witness 0, so no route stops early
+        table = MultTable.from_parts({d.id: (1, 1, [4]) for d in types})
+        assert decide_membership(spec, table).member and closure_oracle(spec, table)
+        cases[count] = spec, table
+    routes = (decide_membership, closure_oracle)
+    runs = {(route, count): [] for route in routes for count in cases}
+    for _ in range(5):
+        for (route, count), times in runs.items():
+            spec, table = cases[count]
+            times.append(timeit.timeit(lambda: route(spec, table), number=1))
+    for route in routes:
+        few, many = min(runs[route, 250]), min(runs[route, 1000])
+        assert many < 6 * few, (route.__name__, few, many)
 
 
 # specs with the ids and ranks of two_block_spec but another s, m or set of infinite
