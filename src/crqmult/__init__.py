@@ -7,7 +7,8 @@ structure of the group formed by all of those multiplications.
 
 The names below are re-exported lazily: a submodule is imported on first
 access to one of its names, so `import crqmult.cli` loads only what the
-command needs.
+command needs.  `_EXPORTS` states the public surface once, each name under
+its module, and `__all__` is derived from it.
 """
 
 from importlib import import_module

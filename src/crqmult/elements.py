@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_spec, ensure_valid
@@ -266,7 +267,8 @@ def coords_from_json(leaves: list, tid: str) -> tuple[int, list[int]]:
     """Common denominator and numerators of a block's JSON coordinates, not reduced.
 
     Only integers and fraction strings are accepted; denominators may be
-    unreduced but not zero.
+    unreduced but not zero.  A block of strings is checked by one match; any
+    other is read one coordinate at a time, which names the first malformed one.
     """
     # the common case, strings only, checked with one match for the block
     try:
@@ -294,10 +296,11 @@ def coords_from_json(leaves: list, tid: str) -> tuple[int, list[int]]:
         try:
             nums.append(int(num))
             dens.append(1 if den is None else int(den))
-            if dens[-1] == 0:
-                raise ZeroDivisionError(f"Fraction({nums[-1]}, 0)")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"block {tid!r} has a malformed coordinate: {exc}") from None
+        except ValueError:  # the digits match, so only their count is refused
+            digits = f"more than {sys.get_int_max_str_digits()} digits, too many to read"
+            raise ValueError(f"block {tid!r} has a coordinate of {digits}") from None
+        if dens[-1] == 0:
+            raise ValueError(f"block {tid!r} has a malformed coordinate: Fraction({nums[-1]}, 0)")
     return common_form(nums, dens)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from functools import cached_property
 from itertools import combinations
 
@@ -374,8 +375,17 @@ def spec_from_json(text: str) -> CRQGroupSpec:
 
 
 def read_json(text: str) -> object:
-    """The value of a JSON document; an object that repeats a key raises ValueError."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """The value of a JSON document; an object that repeats a key, or an integer with more
+    digits than int() reads, raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_read_int)
+
+
+def _read_int(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # json matched the digits, so only their count is refused
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number has more than {limit} digits, too many to read") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

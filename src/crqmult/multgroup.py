@@ -161,7 +161,8 @@ def iterate_mult(spec: CRQGroupSpec, k: int) -> MultGroupDescriptor:
     for d in spec.types:
         rank = _iterated_rank(d.rank, k)
         if rank > MAX_ITERATED_RANK:
-            what = f"rank {d.rank}^(3^{k}) at type {d.id!r}"
+            # no digits of the rank, which may be too long for str to write
+            what = f"rank^(3^{k}) at type {d.id!r}"
             raise LimitError(what, rank, "MAX_ITERATED_RANK", MAX_ITERATED_RANK)
         entries.append(
             CriticalTypeData(d.id, d.inf_primes, rank, d.m, _iterated_coefficient(d, k))

@@ -147,7 +147,7 @@ def test_iterate_huge_depth_exits_2(tmp_path, capsys):
     wide = write_json(tmp_path / "wide.json", TWO_BLOCK_SPEC)
     assert main(["iterate", "--spec", wide, "--k", str(10**9)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: rank 2^(3^1000000000)") and err.count("\n") == 1
+    assert err.startswith("error: rank^(3^1000000000) at type 't1'") and err.count("\n") == 1
 
 
 # Two clipped rank-48 types: their depth-1 basis tables hold 2 * 48**3 coordinates.
@@ -419,6 +419,50 @@ def test_repeated_json_keys_are_an_input_error(tmp_path, capsys, command, spec_t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: JSON object repeats key {key!r}\n"
+
+
+# Integers with more digits than int() reads: malformed input, not a work bound, so the JSON
+# error carries no limit.  json.dumps cannot write them either, so the files are text.
+LONG_NUMBER = "1" + "0" * 5000
+DIGIT_LIMIT_CASES = {
+    "spec-number": (
+        TWO_BLOCK_TEXT.replace('"rank": 1', f'"rank": {LONG_NUMBER}'), None, "a number has"
+    ),
+    "table-number": (
+        TWO_BLOCK_TEXT, f'{{"blocks": {{"t2": [[[{LONG_NUMBER}]]]}}}}', "a number has"
+    ),
+    "table-string": (
+        TWO_BLOCK_TEXT,
+        f'{{"blocks": {{"t2": [[["{LONG_NUMBER}"]]]}}}}',
+        "block 't2' has a coordinate of",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(DIGIT_LIMIT_CASES))
+def test_numbers_past_the_digit_limit_are_an_input_error(tmp_path, capsys, case, fmt):
+    spec_text, table_text, subject = DIGIT_LIMIT_CASES[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    argv = ["validate", "--spec", str(spec)]
+    if table_text is not None:
+        table = tmp_path / "table.json"
+        table.write_text(table_text, encoding="utf-8")
+        argv = ["check-table", "--spec", str(spec), "--table", str(table)]
+    started = time.perf_counter()
+    assert main(argv + ["--format", fmt]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    # the message names the limit, not the interpreter setting that raises it
+    assert "set_int_max_str_digits" not in captured.err
+    message = f"{subject} more than {sys.get_int_max_str_digits()} digits, too many to read"
+    if fmt == "json":
+        assert json.loads(captured.err) == {"error": message}
+    else:
+        assert captured.err == f"error: {message}\n"
 
 
 def test_purity_of_an_empty_type_id_is_an_input_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,7 +129,7 @@ def test_iterate_rank_growth_and_coefficient_period():
         iterate_mult(spec, 4)
     assert (refused.value.name, refused.value.value) == ("MAX_ITERATED_RANK", 2**81)
     assert str(refused.value) == (
-        f"rank 2^(3^4) at type 't1' reaches {2**81}, past the bound MAX_ITERATED_RANK = {10**18}"
+        f"rank^(3^4) at type 't1' reaches {2**81}, past the bound MAX_ITERATED_RANK = {10**18}"
     )
     rank_one = CRQGroupSpec.of([make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)])
     assert [t.s for t in iterate_mult(rank_one, 4).spec.types] == [2, 3]
@@ -164,6 +165,19 @@ def test_iterate_huge_depth_is_bounded():
     with pytest.raises(LimitError) as refused:
         iterate_mult(two_block_spec(), 10**9)
     assert (refused.value.name, refused.value.value) == ("MAX_ITERATED_RANK", 2**81)
+
+
+def test_iterate_refuses_a_rank_too_long_to_write():
+    # 10**5000 has more digits than str writes by default, so the refusal writes no digit of it
+    spec = CRQGroupSpec.of([make_type("t1", [5], 10**5000, 1)])
+    started = time.perf_counter()
+    with pytest.raises(LimitError) as refused:
+        iterate_mult(spec, 1)
+    assert time.perf_counter() - started < 0.5
+    assert refused.value.name == "MAX_ITERATED_RANK"
+    assert refused.value.value == f"a {(10**15000).bit_length()}-bit integer"
+    assert str(refused.value).startswith("rank^(3^1) at type 't1' reaches a ")
+    assert "set_int_max_str_digits" not in str(refused.value)
 
 
 @pytest.mark.parametrize(
