@@ -17,8 +17,8 @@ def record(cls):
     """Install the record methods on cls and return it.
 
     An annotation that starts with "ClassVar" is not a field.  An `__init__`
-    written in the class body is kept; a record built on a hot path writes
-    its own to skip argument binding.
+    written in the class body is kept; a record that stores its fields in a
+    canonical form, not as given, writes its own.
     """
     names = tuple(n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar"))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}

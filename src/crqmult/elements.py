@@ -8,8 +8,10 @@ cube per type instead of one vector.
 
 A block is kept as one positive denominator and a flat tuple of integer
 numerators in row-major order, reduced so that the denominator and the
-numerators have no common factor.  That form is unique for each value, and
-arithmetic, the regulator test and the JSON forms all run on those integers.
+numerators have no common factor.  That form is unique for each value.  The
+one constructor builds it from entries in any order and form, so every
+container holds it, and arithmetic, the regulator test and the JSON forms all
+run on those integers without checking it again.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from operator import itemgetter
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_spec, ensure_valid
@@ -25,7 +28,7 @@ from .numth import LimitError, coprime_part
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import ClassVar, Mapping, Optional, Sequence
+    from typing import ClassVar, Iterable, Optional, Sequence
 
 # a scan reads n residues per clipped type and its witness stores each clipped type's rank
 # coordinates; two rank-1 types scan up to n = 29,999 under this bound
@@ -62,20 +65,24 @@ class Blocks:
     parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()
     depth: ClassVar[int]
 
-    def __init__(self, parts: tuple[tuple[str, int, int, tuple[int, ...]], ...] = ()):
-        # written out, not bound by the record: every arithmetic step builds one
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[tuple[str, int, int, Sequence[int]]] = ()):
+        """Container from (type id, size, denominator, numerators) entries, in any order.
 
-    @classmethod
-    def from_parts(cls, parts: Mapping[str, tuple[int, int, Sequence[int]]]):
-        """Container from (size, denominator, numerators) per type id, not yet reduced.
-
-        Each nonzero block is divided by its common factor, and the sign of a
-        negative denominator moves into the numerators.  Denominator 0 is refused.
+        Each nonzero block is divided by its common factor, the sign of a
+        negative denominator moves into the numerators, and all-zero blocks
+        are dropped.  A repeated type id, denominator 0 and a block without
+        size ** depth numerators are refused.
         """
         out = []
-        for tid in sorted(parts):
-            size, den, nums = parts[tid]
+        previous = None
+        for tid, size, den, nums in sorted(parts, key=itemgetter(0)):
+            if tid == previous:
+                raise ValueError(f"block {tid!r} is given twice")
+            previous = tid
+            if len(nums) != size**self.depth:
+                raise ValueError(
+                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{self.depth}"
+                )
             if den < 1:
                 if not den:
                     raise ValueError(f"block {tid!r} has denominator 0")
@@ -85,11 +92,11 @@ class Blocks:
                 if g != 1:
                     den, nums = den // g, [x // g for x in nums]
                 out.append((tid, size, den, tuple(nums)))
-        return cls(tuple(out))
+        object.__setattr__(self, "parts", tuple(out))
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls()
 
     def part(self, tid: str) -> Optional[Part]:
         """(size, denominator, numerators) of the block of tid, or None when it is zero."""
@@ -102,31 +109,16 @@ class Blocks:
     def check(cls, spec: CRQGroupSpec, value: object) -> None:
         """Raise ValueError unless the spec is valid and value is a cls that fits it.
 
-        Every block must belong to a type of the spec, have that type's rank
-        as its size and hold size ** depth numerators, in the form that
-        `from_parts` builds: type ids strictly increasing, and each block
-        nonzero and reduced over a positive denominator.
+        Every block must belong to a type of the spec and have that type's
+        rank as its size; the constructor has put it in canonical form.
         """
         ensure_valid(spec)
         if not isinstance(value, cls):
             raise ValueError(f"expected {cls.__name__}, got {type(value).__name__}")
-        previous = None
-        for tid, size, den, nums in value.parts:
+        for tid, size, _, _ in value.parts:
             rank = spec.data_for(tid).rank
             if size != rank:
                 raise ValueError(f"block {tid!r} has size {size}, expected {rank}")
-            if len(nums) != size**cls.depth:
-                raise ValueError(
-                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{cls.depth}"
-                )
-            if previous is not None and tid <= previous:
-                raise ValueError(f"block {tid!r} does not follow block {previous!r} in id order")
-            previous = tid
-            common = math.gcd(*nums)
-            if common == 0:
-                raise ValueError(f"block {tid!r} is all zero")
-            if den < 1 or math.gcd(den, common) != 1:
-                raise ValueError(f"block {tid!r} is not reduced over a positive denominator: {den}")
 
     def outside_regulator(self, spec: CRQGroupSpec) -> Optional[tuple[str, int]]:
         """(type id, leaf index) of the first coordinate outside the regulator, or None.
@@ -145,21 +137,21 @@ class Blocks:
         return None
 
     def _combine(self, other: "Blocks", sign: int):
-        """Sum (sign 1) or difference (sign -1), built and reduced by from_parts."""
+        """Sum (sign 1) or difference (sign -1), built and reduced by the constructor."""
         if type(other) is not type(self):
             return NotImplemented
-        merged = {tid: (size, den, nums) for tid, size, den, nums in self.parts}
+        merged = {part[0]: part for part in self.parts}
         for tid, size, den, nums in other.parts:
             if tid not in merged:
-                merged[tid] = (size, den, [sign * y for y in nums])
+                merged[tid] = (tid, size, den, [sign * y for y in nums])
                 continue
-            size1, d1, n1 = merged[tid]
+            _, size1, d1, n1 = merged[tid]
             if size1 != size:
                 raise ValueError(f"block {tid!r} has mismatched sizes {size1} and {size}")
             common = math.lcm(d1, den)
             a, b = common // d1, sign * (common // den)
-            merged[tid] = (size, common, [x * a + b * y for x, y in zip(n1, nums)])
-        return self.from_parts(merged)
+            merged[tid] = (tid, size, common, [x * a + b * y for x, y in zip(n1, nums)])
+        return type(self)(merged.values())
 
     def __add__(self, other: "Blocks"):
         return self._combine(other, 1)
@@ -174,8 +166,8 @@ class Blocks:
         # integers only: any other type gets NotImplemented, so Python raises TypeError
         if not isinstance(scalar, int):
             return NotImplemented
-        return self.from_parts(
-            {tid: (size, den, [scalar * x for x in nums]) for tid, size, den, nums in self.parts}
+        return type(self)(
+            (tid, size, den, [scalar * x for x in nums]) for tid, size, den, nums in self.parts
         )
 
     __rmul__ = __mul__
@@ -238,10 +230,10 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     for k in range(1, spec.n):
         if not any((x - k * step) % bad for x, step, bad in scan):
             # a = g - k*d: each clipped block over lcm(den, m), slot 0 moved by k steps
-            parts = {tid: (size, den, nums) for tid, size, den, nums in g.parts}
+            parts = {part[0]: part for part in g.parts}
             for (x, step, _), (t, common, up, nums) in zip(scan, lifts):
-                parts[t.id] = (t.rank, common, [x - k * step, *[y * up for y in nums[1:]]])
-            return GMembership(k, AmbientElement.from_parts(parts))
+                parts[t.id] = (t.id, t.rank, common, [x - k * step, *[y * up for y in nums[1:]]])
+            return GMembership(k, AmbientElement(parts.values()))
     return None
 
 
@@ -307,11 +299,11 @@ def coords_from_json(leaves: list, tid: str) -> tuple[int, list[int]]:
 def element_from_dict(data: object) -> AmbientElement:
     if not isinstance(data, dict):
         raise ValueError("element document must be an object")
-    parts = {}
+    parts = []
     for tid, vec in data.items():
         if not isinstance(tid, str):
             raise ValueError("block keys must be type ids")
         if not isinstance(vec, list):
             raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
-        parts[tid] = (len(vec), *coords_from_json(vec, tid))
-    return AmbientElement.from_parts(parts)
+        parts.append((tid, len(vec), *coords_from_json(vec, tid)))
+    return AmbientElement(parts)

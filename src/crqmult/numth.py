@@ -246,6 +246,3 @@ class PrimeSet:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-    def __bool__(self) -> bool:
-        return bool(self.primes)

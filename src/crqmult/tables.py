@@ -76,16 +76,14 @@ def single_entry_table(
     tid: str, rank: int, entry: tuple[int, int], slot: int, value: int
 ) -> MultTable:
     """Table whose only nonzero coordinate is `value`, at `slot` of one entry of one block."""
-    return MultTable.from_parts({tid: (rank, 1, _single_entry(rank, entry, slot, value))})
+    return MultTable([(tid, rank, 1, _single_entry(rank, entry, slot, value))])
 
 
 def corner_table(
     types: Sequence[CriticalTypeData], value: Callable[[CriticalTypeData], int]
 ) -> MultTable:
     """Table holding value(d) on slot 0 of the corner entry (0, 0) of each type d."""
-    return MultTable.from_parts(
-        {d.id: (d.rank, 1, _single_entry(d.rank, (0, 0), 0, value(d))) for d in types}
-    )
+    return MultTable((d.id, d.rank, 1, _single_entry(d.rank, (0, 0), 0, value(d))) for d in types)
 
 
 def generator_x(spec: CRQGroupSpec) -> MultTable:
@@ -114,7 +112,7 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
     return failure
 
 
-# The guard keeps each block reduced, so once every entry is integral at its type the
+# The constructor keeps each block reduced, so once every entry is integral at its type the
 # block denominator is a product of the type's infinite primes and so a unit modulo m:
 # a coordinate x / den is divisible by a power of m exactly when its numerator x is.
 
@@ -205,7 +203,7 @@ def build_product(
     def product(g: AmbientElement, h: AmbientElement) -> AmbientElement:
         AmbientElement.check(spec, g)
         AmbientElement.check(spec, h)
-        out: dict[str, tuple[int, int, list[int]]] = {}
+        out = []
         for tid, size, g_den, g_nums in g.parts:
             h_part = h.part(tid)
             cube = cubes.get(tid)
@@ -225,8 +223,8 @@ def build_product(
                     for k, c in enumerate(t_nums[start : start + size]):
                         if c:
                             acc[k] += coeff * c
-            out[tid] = (size, g_den * h_den * t_den, acc)
-        return AmbientElement.from_parts(out)
+            out.append((tid, size, g_den * h_den * t_den, acc))
+        return AmbientElement(out)
 
     return product
 
@@ -243,7 +241,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     # d is s/m times basis vector 0 on each clipped type and vanishes elsewhere, so only the
     # clipped cubes T that the table stores are read, and d's products are slices of them:
     # d*d = (s/m)^2 T[0][0], d*e_j = (s/m) T[0][j] and e_j*d = (s/m) T[j][0]
-    square = {}
+    square = []
     for tid, size, den, nums in table.parts:
         d = spec.data_for(tid)
         if d.m > 1:
@@ -251,10 +249,10 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
             # the regulator when m divides each x there: den and s are units modulo m
             if _border_gcd(d.m, nums, size) != d.m:
                 return False
-            square[tid] = (size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]])
+            square.append((tid, size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]]))
     # the border products cost O(rank^2) per type and are tested first, so only a table whose
     # borders are m-scaled can need the O(n) scan of d*d, or be refused past the scan bound
-    return in_G(spec, AmbientElement.from_parts(square)) is not None
+    return in_G(spec, AmbientElement(square)) is not None
 
 
 def rescale_slot0_coords(
@@ -284,16 +282,16 @@ def rescale_slot0_coords(
                 f"{format_coord(num, den)} is not invertible in the localization of type {tid!r}"
             )
         # slot 0 takes the inverse unit den / num: put over num, that is den on slot 0 and
-        # num on every other slot; from_parts moves the sign of a negative num
+        # num on every other slot; the constructor moves the sign of a negative num
         factors[tid] = (den, num)
-    out = {}
+    out = []
     for tid, size, den, nums in table.parts:
         if tid in factors:
             up, down = factors[tid]
             den = den * down
             nums = [x * (down if i % size else up) for i, x in enumerate(nums)]
-        out[tid] = (size, den, nums)
-    return MultTable.from_parts(out)
+        out.append((tid, size, den, nums))
+    return MultTable(out)
 
 
 def random_r_fraction(rng: random.Random, inf_primes) -> tuple[int, int]:
@@ -321,7 +319,7 @@ def _random_entry(rng: random.Random, rank: int, inf: tuple[int, ...]) -> list[t
 def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
     """Random table with scaled borders and doubly scaled corners."""
     ensure_valid(spec)
-    parts = {}
+    parts = []
     for d in spec.types:
         inf = tuple(d.inf_primes)
         nums: list[int] = []
@@ -337,8 +335,8 @@ def sample_m2_table(spec: CRQGroupSpec, rng: random.Random) -> MultTable:
                 for num, den in _random_entry(rng, d.rank, inf):
                     nums.append(scale * num)
                     dens.append(den)
-        parts[d.id] = (d.rank, *common_form(nums, dens))
-    return MultTable.from_parts(parts)
+        parts.append((d.id, d.rank, *common_form(nums, dens)))
+    return MultTable(parts)
 
 
 def sample_member_table(spec: CRQGroupSpec, rng: random.Random) -> tuple[MultTable, int]:
@@ -434,9 +432,9 @@ def table_from_dict(data: object) -> MultTable:
                 wide = wide and len(vec) == size
         if not wide:
             ragged.append(tid)
-        parts[tid] = (size, *coords_from_json(leaves, tid))
+        parts[tid] = (tid, size, *coords_from_json(leaves, tid))
     # refused only after every coordinate is read, so a malformed one is named first
     if ragged:
         tid = min(ragged)
-        raise ValueError(f"block {tid!r} is not {parts[tid][0]} wide at every level")
-    return MultTable.from_parts(parts)
+        raise ValueError(f"block {tid!r} is not {parts[tid][1]} wide at every level")
+    return MultTable(parts.values())

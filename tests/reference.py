@@ -20,9 +20,24 @@ from unittest import mock
 import crqmult
 from crqmult.cli import main
 from crqmult.elements import AmbientElement, GMembership, in_G
-from crqmult.groups import ensure_valid
-from crqmult.numth import crt_solve, fraction_residue, is_p_integer, mod_inverse, prime_factors
+from crqmult.groups import CRQGroupSpec, CriticalTypeData, ensure_valid
+from crqmult.numth import (
+    PrimeSet,
+    crt_solve,
+    fraction_residue,
+    is_p_integer,
+    mod_inverse,
+    prime_factors,
+)
 from crqmult.tables import MultTable, build_product
+
+
+def make_type(tid, primes, rank, m, s=1):
+    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
+
+
+def two_block_spec():
+    return CRQGroupSpec.of([make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)])
 
 
 def blocks_of(cls, mapping):
@@ -48,11 +63,11 @@ def blocks_of(cls, mapping):
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"block {tid!r} has coordinate {c!r}, not an int or Fraction")
         den = math.lcm(*(c.denominator for c in level))
-        coords[tid] = (size, den, [int(c * den) for c in level])
+        coords[tid] = (tid, size, den, [int(c * den) for c in level])
     if ragged:
         tid = min(ragged)
-        raise ValueError(f"block {tid!r} is not {coords[tid][0]} wide at every level")
-    return cls.from_parts(coords)
+        raise ValueError(f"block {tid!r} is not {coords[tid][1]} wide at every level")
+    return cls(coords.values())
 
 
 def support(blocks):
@@ -224,9 +239,7 @@ def table_as_element(spec, table):
 def element_d(spec):
     """The distinguished generator over the regulator, s/m on each clipped slot."""
     ensure_valid(spec)
-    return AmbientElement.from_parts(
-        {d.id: (d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped}
-    )
+    return AmbientElement((d.id, d.rank, d.m, [d.s] + [0] * (d.rank - 1)) for d in spec.clipped)
 
 
 def in_g_closed_form(spec, g):

@@ -379,6 +379,56 @@ def test_blocks_must_match_the_spec_even_when_zero(tmp_path, capsys, kind, block
         assert captured.err == f"error: {message}\n"
 
 
+# t1 holds one vector of 1 coordinate where rank 2 needs 2 at every level
+RAGGED_T1 = [[["1", "0"], ["0"]], [["0", "0"], ["0", "0"]]]
+TABLE_READER_CASES = {
+    "blocks-not-an-object": ([], "'blocks' must map type ids to matrices"),
+    "ragged": ({"t1": RAGGED_T1}, "block 't1' is not 2 wide at every level"),
+    # every coordinate is read before a width fault is named, in any block
+    "ragged-then-malformed": (
+        {"t1": RAGGED_T1, "t2": [[["x"]]]},
+        "block 't2' has coordinate 'x', expected an integer or a fraction string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_READER_CASES))
+def test_table_reader_refusals_are_an_input_error(tmp_path, capsys, case):
+    blocks, message = TABLE_READER_CASES[case]
+    spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
+    table = write_json(tmp_path / "t.json", {"blocks": blocks})
+    for command in ("check-table", "oracle"):
+        assert main([command, "--spec", spec, "--table", table]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+VALID_TYPE = TWO_BLOCK_SPEC["types"][0]
+SPEC_READER_CASES = {
+    "type-not-an-object": (["t1"], "each type must be an object"),
+    "id-not-a-string": ([{**VALID_TYPE, "id": 1}], "type id must be a string"),
+    "primes-not-a-list": ([{**VALID_TYPE, "inf_primes": 5}], "inf_primes must be a list of integers"),
+    "prime-not-an-integer": (
+        [{**VALID_TYPE, "inf_primes": ["5"]}],
+        "inf_primes must be a list of integers",
+    ),
+    "rank-a-float": ([{**VALID_TYPE, "rank": 2.0}], "rank must be an integer"),
+    "m-a-string": ([{**VALID_TYPE, "m": "7"}], "m must be an integer"),
+    "s-a-bool": ([{**VALID_TYPE, "s": True}], "s must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_READER_CASES))
+def test_spec_reader_refusals_are_an_input_error(tmp_path, capsys, case):
+    types, message = SPEC_READER_CASES[case]
+    spec = write_json(tmp_path / "spec.json", {"types": types})
+    assert main(["validate", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     # json.dumps cannot nest this deep, so the file is written as text
     deep = tmp_path / "deep.json"

@@ -19,8 +19,8 @@ from crqmult.elements import (
     in_G,
     purity_oracle,
 )
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec
-from crqmult.numth import LimitError, PrimeSet, condition_m_check, is_prime
+from crqmult.groups import CRQGroupSpec, GenBounds, random_spec
+from crqmult.numth import LimitError, condition_m_check, is_prime
 from crqmult.tables import MultTable
 from reference import (
     basis_vector,
@@ -30,6 +30,7 @@ from reference import (
     fraction_block,
     in_g_closed_form,
     in_scaled_A_tau,
+    make_type,
     order_mod_A,
     project,
     purity_witness,
@@ -37,17 +38,8 @@ from reference import (
     scaled,
     support,
     table_of,
+    two_block_spec,
 )
-
-
-def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
-
-
-def two_block_spec():
-    return CRQGroupSpec.of(
-        [make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)]
-    )
 
 
 def test_element_arithmetic_and_canonical_form():

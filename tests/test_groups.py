@@ -31,11 +31,7 @@ from crqmult.tables import (
     decide_membership,
     generator_x,
 )
-from reference import element_d
-
-
-def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
+from reference import element_d, make_type
 
 
 def make_spec(*types):

@@ -101,7 +101,7 @@ def test_arithmetic_matches_fractions(cls, data):
 
 def one_block(cls, tid, size):
     """Container whose only block, of tid, has the given size and all coordinates 1."""
-    return cls.from_parts({tid: (size, 1, [1] * size**cls.depth)})
+    return cls([(tid, size, 1, [1] * size**cls.depth)])
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
@@ -122,16 +122,16 @@ def test_containers_of_two_kinds_are_not_combined(left, right, op):
 
 
 @pytest.mark.parametrize("cls", CONTAINERS)
-def test_from_parts_keeps_the_denominator_positive(cls):
+def test_the_constructor_keeps_the_denominator_positive(cls):
     nums = [2, 3] + [0] * (2**cls.depth - 2)
-    b = cls.from_parts({"t2": (2, -6, nums)})
-    assert b == cls.from_parts({"t2": (2, 6, [-x for x in nums])})
+    b = cls([("t2", 2, -6, nums)])
+    assert b == cls([("t2", 2, 6, [-x for x in nums])])
     assert flat(b) == {"t2": [Fraction(x, -6) for x in nums]}
     assert b + b == 2 * b
     assert [den for _, _, den, _ in (-b).parts] == [6]
     for zero in (nums, [0] * len(nums)):
         with pytest.raises(ValueError, match="block 't2' has denominator 0"):
-            cls.from_parts({"t1": (1, 1, [1] * cls.depth), "t2": (2, 0, zero)})
+            cls([("t1", 1, 1, [1]), ("t2", 2, 0, zero)])
 
 
 @st.composite

@@ -8,13 +8,7 @@ from fractions import Fraction
 import pytest
 
 from crqmult.elements import AmbientElement, in_G
-from crqmult.groups import (
-    CRQGroupSpec,
-    CriticalTypeData,
-    GenBounds,
-    random_spec,
-    validate_spec,
-)
+from crqmult.groups import CRQGroupSpec, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import (
     MAX_COSET_SAMPLES,
     MAX_ITERATED_RANK,
@@ -24,7 +18,7 @@ from crqmult.multgroup import (
     cross_basis_example,
     iterate_mult,
 )
-from crqmult.numth import LimitError, PrimeSet, p0_inverse
+from crqmult.numth import LimitError, p0_inverse
 from crqmult.tables import (
     MultTable,
     closure_oracle,
@@ -33,18 +27,16 @@ from crqmult.tables import (
     in_M2,
     sample_member_table,
 )
-from reference import basis_vector, element_d, element_of, fraction_matrix, table_as_element
+from reference import (
+    basis_vector,
+    element_d,
+    element_of,
+    fraction_matrix,
+    make_type,
+    table_as_element,
+    two_block_spec,
+)
 from test_acceptance import TABLES_PER_SPEC, sample_strata, spec_population
-
-
-def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
-
-
-def two_block_spec():
-    return CRQGroupSpec.of(
-        [make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)]
-    )
 
 
 def test_structure_preserves_invariants_and_cubes_ranks():
@@ -275,6 +267,10 @@ def test_coset_rejects_malformed_input():
     solo_unclipped = element_of({"t9": [1]})
     with pytest.raises(ValueError):
         coset_relation(spec, 1, solo_unclipped)
+    # t3 has m = 1, so no multiple of d moves it
+    with_unclipped = CRQGroupSpec.of([*spec.types, make_type("t3", [3], 1, 1)])
+    with pytest.raises(ValueError, match="^shift element touches unclipped type 't3'$"):
+        coset_relation(with_unclipped, 1, element_of({"t3": [1]}))
     # 1/2 is not integral at t1, whose only inverted prime is 5
     with pytest.raises(ValueError, match="outside the regulator at type 't1'"):
         coset_relation(spec, 1, element_of({"t1": [Fraction(1, 2), 0]}))
@@ -454,9 +450,7 @@ def test_every_coset_of_a_tiny_spec(name):
         cubes = {d.id: [0] * d.rank**3 for d in spec.types}
         for (tid, leaf, _), value in zip(leaves, values):
             cubes[tid][leaf] = value
-        table = MultTable.from_parts(
-            {d.id: (d.rank, 1, cubes[d.id]) for d in spec.types}
-        )
+        table = MultTable((d.id, d.rank, 1, cubes[d.id]) for d in spec.types)
         verdict = decide_membership(spec, table)
         hit = in_G(mult_spec, table_as_element(spec, table))
         assert closure_oracle(spec, table) == verdict.member == (hit is not None)

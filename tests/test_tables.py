@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crqmult.elements import MAX_SCAN_WORK, AmbientElement, in_G, purity_oracle
-from crqmult.groups import CRQGroupSpec, CriticalTypeData, GenBounds, random_spec, validate_spec
+from crqmult.groups import CRQGroupSpec, GenBounds, random_spec, validate_spec
 from crqmult.multgroup import compute_mult_group, coset_relation
-from crqmult.numth import LimitError, PrimeSet, is_prime
+from crqmult.numth import LimitError, is_prime
 from crqmult.tables import (
     MultTable,
     build_product,
@@ -37,20 +37,12 @@ from reference import (
     element_d,
     element_of,
     fraction_matrix,
+    make_type,
     support,
     table_of,
+    two_block_spec,
 )
 from test_acceptance import GEN_BOUNDS, SPEC_COUNT, sample_strata
-
-
-def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
-
-
-def two_block_spec():
-    return CRQGroupSpec.of(
-        [make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)]
-    )
 
 
 def in_m1(spec, table):
@@ -91,24 +83,31 @@ def test_table_shape_validation():
             combine(cube_1, cube_2)
 
 
-# a vector where a cube belongs, a cube where a vector belongs, and containers
-# whose numerators do not fill a block of the type's rank 2 (m = 11)
-VECTOR = AmbientElement.from_parts({"t1": (2, 1, [11, 0])})
-SHORT_CUBE = MultTable.from_parts({"t1": (2, 1, [11, 0, 0])})
-LONG_VECTOR = AmbientElement.from_parts({"t1": (2, 1, [1, 2, 3])})
+# a vector where a cube belongs and a cube where a vector belongs (m = 11), and blocks
+# of the rank-1 type t2 that are 2 wide
+VECTOR = AmbientElement([("t1", 2, 1, [11, 0])])
+WIDE_CUBE = MultTable([("t2", 2, 1, [3] + [0] * 7)])
+WIDE_VECTOR = AmbientElement([("t2", 2, 1, [3, 0])])
+# entries whose numerators do not fill a block of the type's rank 2: refused when built
+SHORT_CUBE = [("t1", 2, 1, [11, 0, 0])]
+LONG_VECTOR = [("t1", 2, 1, [1, 2, 3])]
 # a cube of the rank-1 type holds 1 ** 3 numerators, as many as a vector
-RANK1_CUBE = MultTable.from_parts({"t2": (1, 1, [3])})
+RANK1_CUBE = MultTable([("t2", 1, 1, [3])])
 RNG = random.Random(0)
 WRONG_SHAPE_CALLS = {
     "decide-vector": lambda spec: decide_membership(spec, VECTOR),
     "oracle-vector": lambda spec: closure_oracle(spec, VECTOR),
     "product-vector": lambda spec: build_product(spec, VECTOR),
     "rescale-vector": lambda spec: rescale_slot0_coords(spec, VECTOR, {}),
-    "decide-short-cube": lambda spec: decide_membership(spec, SHORT_CUBE),
-    "oracle-short-cube": lambda spec: closure_oracle(spec, SHORT_CUBE),
+    "decide-short-cube": lambda spec: decide_membership(spec, MultTable(SHORT_CUBE)),
+    "oracle-short-cube": lambda spec: closure_oracle(spec, MultTable(SHORT_CUBE)),
+    "decide-wide-cube": lambda spec: decide_membership(spec, WIDE_CUBE),
+    "oracle-wide-cube": lambda spec: closure_oracle(spec, WIDE_CUBE),
     "in-G-table": lambda spec: in_G(spec, generator_x(spec)),
-    "in-G-long-vector": lambda spec: in_G(spec, LONG_VECTOR),
+    "in-G-long-vector": lambda spec: in_G(spec, AmbientElement(LONG_VECTOR)),
+    "in-G-wide-vector": lambda spec: in_G(spec, WIDE_VECTOR),
     "coset-shift-table": lambda spec: coset_relation(spec, 2, RANK1_CUBE),
+    "coset-shift-wide-vector": lambda spec: coset_relation(spec, 2, WIDE_VECTOR),
     "product-table-left": lambda spec: build_product(spec, generator_x(spec))(
         RANK1_CUBE, element_d(spec)
     ),
@@ -133,54 +132,69 @@ for name, not_a_spec in (("none", None), ("dict", {})):
     }
 
 
-def non_canonical(cls):
-    """Containers of cls whose blocks fit the ranks of t1 and t2 but not the form
-    that from_parts builds; each breaks that form at block 't1'."""
+def out_of_form(cls):
+    """Entries of cls that fit the ranks of t1 and t2 but break the canonical form at
+    block 't1', each with the parts they build, or None when building them is refused."""
 
     def block(tid, size, den, first):
         return (tid, size, den, (first,) + (0,) * (size**cls.depth - 1))
 
     t1, t2 = block("t1", 2, 1, 11), block("t2", 1, 1, 3)
     return {
-        "unsorted": cls((t2, t1)),
-        "repeated": cls((t1, t1)),
-        "zero-denominator": cls((block("t1", 2, 0, 11),)),
-        "negative-denominator": cls((block("t1", 2, -1, 11),)),
-        "zero-block": cls((block("t1", 2, 1, 0), t2)),
-        "unreduced": cls((block("t1", 2, 2, 22), t2)),
+        "unsorted": ((t2, t1), (t1, t2)),
+        "repeated": ((t1, t1), None),
+        "zero-denominator": ((block("t1", 2, 0, 11),), None),
+        "negative-denominator": ((block("t1", 2, -1, 11),), (block("t1", 2, 1, -11),)),
+        "zero-block": ((block("t1", 2, 1, 0), t2), (t2,)),
+        "unreduced": ((block("t1", 2, 2, 22), t2), (t1, t2)),
     }
 
 
-NON_CANONICAL_CALLS = {}
-for form, table in non_canonical(MultTable).items():
-    NON_CANONICAL_CALLS |= {
-        f"decide-{form}-table": lambda spec, t=table: decide_membership(spec, t),
-        f"oracle-{form}-table": lambda spec, t=table: closure_oracle(spec, t),
-        f"product-{form}-table": lambda spec, t=table: build_product(spec, t),
-        f"rescale-{form}-table": lambda spec, t=table: rescale_slot0_coords(spec, t, {}),
-    }
-for form, g in non_canonical(AmbientElement).items():
-    NON_CANONICAL_CALLS |= {
-        f"in-G-{form}-element": lambda spec, g=g: in_G(spec, g),
-        f"coset-shift-{form}-element": lambda spec, g=g: coset_relation(spec, 2, g),
-        f"product-left-{form}-element": lambda spec, g=g: build_product(spec, generator_x(spec))(
-            g, element_d(spec)
-        ),
-        f"product-right-{form}-element": lambda spec, g=g: build_product(spec, generator_x(spec))(
-            element_d(spec), g
-        ),
-    }
-WRONG_SHAPE_CALLS |= NON_CANONICAL_CALLS
+TABLE_ROUTES = {
+    "decide": decide_membership,
+    "oracle": closure_oracle,
+    "product": build_product,
+    "rescale": lambda spec, t: rescale_slot0_coords(spec, t, {}),
+}
+ELEMENT_ROUTES = {
+    "in-G": in_G,
+    "coset-shift": lambda spec, g: coset_relation(spec, 2, g),
+    "product-left": lambda spec, g: build_product(spec, generator_x(spec))(g, element_d(spec)),
+    "product-right": lambda spec, g: build_product(spec, generator_x(spec))(element_d(spec), g),
+}
+OUT_OF_FORM_CALLS = {
+    f"{route}-{form}-{kind}": (cls, entries, parts, call)
+    for cls, kind, routes in (
+        (MultTable, "table", TABLE_ROUTES),
+        (AmbientElement, "element", ELEMENT_ROUTES),
+    )
+    for form, (entries, parts) in out_of_form(cls).items()
+    for route, call in routes.items()
+}
 
 
-@pytest.mark.parametrize("name", WRONG_SHAPE_CALLS)
+@pytest.mark.parametrize("name", [*WRONG_SHAPE_CALLS, *OUT_OF_FORM_CALLS])
 def test_a_container_of_the_wrong_kind_or_length_is_refused(name):
     spec = CRQGroupSpec.of([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
     assert not spec.violations
-    # anything but a spec is named in the refusal, and so is a block out of form
+    if name in OUT_OF_FORM_CALLS:
+        # no container is out of form: the constructor refuses a repeated id and denominator 0,
+        # naming the block, and puts the other forms in canonical form, which each route takes
+        cls, entries, parts, call = OUT_OF_FORM_CALLS[name]
+        if parts is None:
+            with pytest.raises(ValueError, match=r"^block 't1' "):
+                cls(entries)
+        else:
+            built = cls(entries)
+            assert built.parts == parts
+            call(spec, built)
+        return
+    # anything but a spec is named in the refusal, and so is a block of the wrong length or size
     named = r"^expected a CRQGroupSpec, got (NoneType|dict)$" if name.endswith("-spec") else None
-    if name in NON_CANONICAL_CALLS:
-        named = r"^block 't1' "
+    if name.endswith(("short-cube", "long-vector")):
+        named = r"^block 't1' holds 3 coordinates, expected 2\^"
+    if "wide" in name:
+        named = r"^block 't2' has size 2, expected 1$"
     with pytest.raises(ValueError, match=named):
         WRONG_SHAPE_CALLS[name](spec)
 
@@ -370,7 +384,7 @@ def test_decision_and_oracle_time_is_linear_in_the_type_count():
         types = [make_type(f"t{i:04d}", [p], 1, 2) for i, p in enumerate(primes[:count])]
         spec = CRQGroupSpec.of(types)
         # 4 = m^2 on every clipped corner: a member of witness 0, so no route stops early
-        table = MultTable.from_parts({d.id: (1, 1, [4]) for d in types})
+        table = MultTable((d.id, 1, 1, [4]) for d in types)
         assert decide_membership(spec, table).member and closure_oracle(spec, table)
         cases[count] = spec, table
     routes = (decide_membership, closure_oracle)
@@ -450,31 +464,23 @@ def test_decision_is_a_homomorphism(spec_seed, table_seed, c):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, SPEC_COUNT - 1), st.integers(0, 2**32))
-def test_unreduced_copies_are_refused_by_both_routes(spec_seed, table_seed):
+def test_unreduced_copies_get_the_tables_verdicts(spec_seed, table_seed):
     # one table of each stratum of acceptance criterion 1
     spec = random_spec(spec_seed, GEN_BOUNDS)
-    routes = (decide_membership, closure_oracle)
     for table, member, alpha in sample_strata(spec, random.Random(table_seed), 4):
         verdict = decide_membership(spec, table)
         assert verdict.member == member == closure_oracle(spec, table)
         if member:
             assert verdict.alpha == (alpha % spec.n, spec.n)
         # the same values, with every numerator and denominator times a factor
-        copies = [
-            MultTable(
-                tuple(
-                    (tid, size, den * factor, tuple(factor * x for x in nums))
-                    for tid, size, den, nums in table.parts
-                )
+        for factor in (2, 3, 5, 7):
+            copy = MultTable(
+                (tid, size, den * factor, [factor * x for x in nums])
+                for tid, size, den, nums in table.parts
             )
-            for factor in (2, 3, 5, 7)
-        ]
-        # the zero table has no block to scale, so its copies are the zero table
-        for copy, route in itertools.product(copies if table.parts else [], routes):
-            with pytest.raises(ValueError, match=r"^block '\w+' is not reduced"):
-                route(spec, copy)
-        # the refused copies leave the reduced table's verdicts as they were
-        assert [route(spec, table) for route in routes] == [verdict, member]
+            assert copy == table
+            assert decide_membership(spec, copy) == verdict
+            assert closure_oracle(spec, copy) == member
 
 
 def test_member_square_of_d_lands_in_witness_coset():
