@@ -19,7 +19,6 @@ _EXPORTS = {
         "PrimeSet",
         "condition_m_check",
         "crt_solve",
-        "is_p_integer",
         "lcm_all",
         "mod_inverse",
         "p0_inverse",

@@ -191,12 +191,12 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     """Decompose g as k*d + a with 0 <= k < n and a in the regulator.
 
     Tries each candidate k in turn; the decomposition is unique when it
-    exists because n is the order of d over the regulator.  k*d moves only
-    slot 0 of each clipped type, so every other coordinate is tested once,
-    and a candidate costs one residue per clipped type.  Only a scan is
-    bounded: when neither k = 0 nor a coordinate that no k*d moves answers,
-    n residues per clipped type plus the clipped ranks past MAX_SCAN_WORK
-    raise LimitError.
+    exists because n is the order of d over the regulator, and the witness
+    is a = g - k*d.  k*d moves only slot 0 of each clipped type, so every
+    other coordinate is tested once, and a candidate costs one residue per
+    clipped type.  Only a scan is bounded: when neither k = 0 nor a
+    coordinate that no k*d moves answers, n residues per clipped type plus
+    the clipped ranks past MAX_SCAN_WORK raise LimitError.
     """
     AmbientElement.check(spec, g)
     # one pass reads each block's bad: the k = 0 answer, and whether a coordinate that no
@@ -207,7 +207,7 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
         data = spec.data_for(tid)
         bad = coprime_part(den, data.inf_primes.primes) if den != 1 else 1
         if data.m > 1:
-            slot0[tid] = (den, nums, bad)
+            slot0[tid] = (den, nums[0], bad)
             inside = inside and nums[0] % bad == 0
         if bad != 1 and math.gcd(bad, *(nums[1:] if data.m > 1 else nums)) != bad:
             inside = fixed_inside = False
@@ -220,20 +220,16 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
         raise LimitError(f"the scan work at n = {spec.n}", work, "MAX_SCAN_WORK", MAX_SCAN_WORK)
     # slot 0 of g - k*d is (x - k*step) / lcm(den, m), in the regulator when lcm(bad, m)
     # divides it: m has no infinite prime, so that is the part of lcm(den, m) outside them
-    scan, lifts = [], []
+    scan = []
     for t in spec.clipped:
-        den, nums, bad = slot0.get(t.id) or (1, (0,) * t.rank, 1)
+        den, x, bad = slot0.get(t.id, (1, 0, 1))
         common = math.lcm(den, t.m)
-        up = common // den
-        scan.append((nums[0] * up, t.s * (common // t.m), math.lcm(bad, t.m)))
-        lifts.append((t, common, up, nums))
+        scan.append((x * (common // den), t.s * (common // t.m), math.lcm(bad, t.m)))
     for k in range(1, spec.n):
         if not any((x - k * step) % bad for x, step, bad in scan):
-            # a = g - k*d: each clipped block over lcm(den, m), slot 0 moved by k steps
-            parts = {part[0]: part for part in g.parts}
-            for (x, step, _), (t, common, up, nums) in zip(scan, lifts):
-                parts[t.id] = (t.id, t.rank, common, [x - k * step, *[y * up for y in nums[1:]]])
-            return GMembership(k, AmbientElement(parts.values()))
+            # the witness is g - k*d, where d is s/m on slot 0 of each clipped type
+            kd = [(t.id, t.rank, t.m, [k * t.s] + [0] * (t.rank - 1)) for t in spec.clipped]
+            return GMembership(k, g - AmbientElement(kd))
     return None
 
 

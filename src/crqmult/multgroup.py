@@ -38,7 +38,6 @@ from .tables import (
     generator_x,
     in_M2,
     closure_oracle,
-    rescale_slot0_coords,
     sample_broken_corner_table,
     sample_m2_table,
     sample_member_table,
@@ -355,11 +354,12 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     Requires s1, s2 > 1 coprime, m prime dividing neither s1, s2 nor
     s1^2 - s2^2.  The infinite primes of each type are the prime factors of
     s_i + m (plus a fresh distinguishing prime when the factor sets nest), so
-    the vectors (s_i + m) e_i form a second basis of the regulator.  Every
-    non-regulator member with respect to either basis is rejected with
-    respect to the other, while doubly scaled tables pass both; the two
-    membership sets therefore intersect exactly in the regulator
-    multiplications.
+    the vectors (s_i + m) e_i form a second basis of the regulator.  Both
+    types have rank 1, so a table's coordinate of type i is divided by s_i + m
+    over the second basis, and multiplied by it back.  Every non-regulator
+    member with respect to either basis is rejected with respect to the
+    other, while doubly scaled tables pass both; the two membership sets
+    therefore intersect exactly in the regulator multiplications.
     """
     if not all(type(x) is int for x in (s1, s2, m)):
         raise ValueError(f"s1, s2 and m must be ints, got {s1!r}, {s2!r}, {m!r}")
@@ -392,8 +392,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     if violations:
         raise ValueError("construction produced an invalid spec: " + str(violations[0]))
     spec_second = spec_first.with_coefficients({"t1": 1, "t2": 1})
-    units = {"t1": (s1 + m, 1), "t2": (s2 + m, 1)}
-    inverse_units = {"t1": (1, s1 + m), "t2": (1, s2 + m)}
+    # a rank-1 table holds one coordinate per type: its numerators (x,) over d
+    scale = {"t1": s1 + m, "t2": s2 + m}
 
     rng = random.Random(seed)
     zero = MultTable.zero()
@@ -406,12 +406,16 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
         for noise_first, noise_second in ((zero, zero), noisy):
             table_first = alpha * x_first + noise_first
             v_first = decide_membership(spec_first, table_first)
-            table_as_second = rescale_slot0_coords(spec_first, table_first, units)
+            table_as_second = MultTable(
+                (t, 1, d * scale[t], nums) for t, _, d, nums in table_first.parts
+            )
             v_cross = decide_membership(spec_second, table_as_second)
 
             table_second = alpha * x_second + noise_second
             v_second = decide_membership(spec_second, table_second)
-            table_as_first = rescale_slot0_coords(spec_first, table_second, inverse_units)
+            table_as_first = MultTable(
+                (t, 1, d, [scale[t] * x]) for t, _, d, (x,) in table_second.parts
+            )
             v_back = decide_membership(spec_first, table_as_first)
 
             oracles = (
@@ -431,7 +435,7 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
         cases.append(CrossBasisCase(alpha, *flags))
 
     regulator_table = sample_m2_table(spec_first, rng)
-    reg_as_second = rescale_slot0_coords(spec_first, regulator_table, units)
+    reg_as_second = MultTable((t, 1, d * scale[t], nums) for t, _, d, nums in regulator_table.parts)
     doubly_ok = in_M2(spec_first, regulator_table) and in_M2(spec_second, reg_as_second)
 
     return CrossBasisReport(

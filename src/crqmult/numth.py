@@ -104,13 +104,6 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def is_p_integer(x: int, allowed: Iterable[int]) -> bool:
-    """True when every prime factor of |x| lies in `allowed`; +-1 always passes."""
-    if x == 0:
-        raise ValueError("0 is not a P-integer for any prime set")
-    return coprime_part(x, allowed) == 1
-
-
 def has_factor_in(x: int, primes: Iterable[int]) -> bool:
     """True when some prime in the set divides x; x must be nonzero."""
     if x == 0:

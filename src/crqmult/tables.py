@@ -25,12 +25,12 @@ from .elements import (
     in_G,
 )
 from .groups import CRQGroupSpec, CriticalTypeData, ensure_valid
-from .numth import crt_solve, is_p_integer, mod_inverse
+from .numth import crt_solve, mod_inverse
 
 # true only for type checkers, so typing stays unloaded at run time
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Mapping, Optional, Sequence
+    from typing import Callable, Optional, Sequence
 
 # sampled coordinates: |numerator| <= _NUM_BOUND, listed primes up to _MAX_POWER in the
 # denominator, and the shares of nonzero entries and of nonzero coordinates in them
@@ -253,45 +253,6 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
     # the border products cost O(rank^2) per type and are tested first, so only a table whose
     # borders are m-scaled can need the O(n) scan of d*d, or be refused past the scan bound
     return in_G(spec, AmbientElement(square)) is not None
-
-
-def rescale_slot0_coords(
-    spec: CRQGroupSpec, table: MultTable, units: Mapping[str, tuple[int, int]]
-) -> MultTable:
-    """Rewrite entry coordinates after rescaling slot-0 basis vectors by units.
-
-    Each unit is an integer pair (num, den), den positive, as `random_r_fraction`
-    returns it.  It must be invertible in the localization of its type, so the
-    rescaled vectors generate the same regulator block.  The slot-0
-    coordinate is divided by the unit (coordinates over the new basis);
-    the pair (den, num) undoes that.
-    """
-    MultTable.check(spec, table)
-    factors: dict[str, tuple[int, int]] = {}
-    for tid, unit in units.items():
-        data = spec.data_for(tid)
-        num, den = unit if isinstance(unit, tuple) else (unit, None)
-        if not (isinstance(num, int) and isinstance(den, int)):
-            raise ValueError(f"unit for type {tid!r} must be an integer pair, got {unit!r}")
-        if num == 0 or den <= 0:
-            raise ValueError(f"unit for type {tid!r} must be nonzero over a positive denominator")
-        common = math.gcd(num, den)
-        num, den = num // common, den // common
-        if not (is_p_integer(num, data.inf_primes) and is_p_integer(den, data.inf_primes)):
-            raise ValueError(
-                f"{format_coord(num, den)} is not invertible in the localization of type {tid!r}"
-            )
-        # slot 0 takes the inverse unit den / num: put over num, that is den on slot 0 and
-        # num on every other slot; the constructor moves the sign of a negative num
-        factors[tid] = (den, num)
-    out = []
-    for tid, size, den, nums in table.parts:
-        if tid in factors:
-            up, down = factors[tid]
-            den = den * down
-            nums = [x * (down if i % size else up) for i, x in enumerate(nums)]
-        out.append((tid, size, den, nums))
-    return MultTable(out)
 
 
 def random_r_fraction(rng: random.Random, inf_primes) -> tuple[int, int]:

@@ -23,13 +23,20 @@ from crqmult.elements import AmbientElement, GMembership, in_G
 from crqmult.groups import CRQGroupSpec, CriticalTypeData, ensure_valid
 from crqmult.numth import (
     PrimeSet,
+    coprime_part,
     crt_solve,
     fraction_residue,
-    is_p_integer,
     mod_inverse,
     prime_factors,
 )
 from crqmult.tables import MultTable, build_product
+
+
+def is_p_integer(x, allowed):
+    """True when every prime factor of |x| lies in `allowed`; +-1 always passes."""
+    if x == 0:
+        raise ValueError("0 is not a P-integer for any prime set")
+    return coprime_part(x, allowed) == 1
 
 
 def make_type(tid, primes, rank, m, s=1):

@@ -1,6 +1,7 @@
 """Structure of the multiplication group, presentations, and the two-basis example."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -360,6 +361,21 @@ def test_cross_basis_large_prime_scales_stay_fast():
     assert report.inf_primes_1 == (2, 3, 7, 197, 35251)
     assert report.inf_primes_2 == (2, 3, 11, 197, 35251)
     assert report.intersection_is_regulator
+
+
+def test_cross_basis_holds_on_every_admissible_small_triple():
+    # the per-type basis change on every (s1, s2, m) that the hypotheses admit for these m
+    admissible = 0
+    for m in (5, 7, 11, 13):
+        for s1, s2 in itertools.combinations(range(2, 13), 2):
+            if math.gcd(s1, s2) != 1 or 0 in (s1 % m, s2 % m, (s1 * s1 - s2 * s2) % m):
+                continue
+            admissible += 1
+            report = cross_basis_example(s1, s2, m)
+            assert [c.alpha for c in report.cases] == list(range(1, m)), (s1, s2, m)
+            assert [c for c in report.cases if not c.ok] == [], (s1, s2, m)
+            assert report.intersection_is_regulator, (s1, s2, m)
+    assert admissible == 75
 
 
 def test_cross_basis_rejects_bad_hypotheses():

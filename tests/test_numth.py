@@ -12,7 +12,6 @@ from crqmult.numth import (
     crt_solve,
     fraction_residue,
     has_factor_in,
-    is_p_integer,
     is_prime,
     lcm_all,
     mod_inverse,
@@ -20,7 +19,7 @@ from crqmult.numth import (
     p0_inverse,
     prime_factors,
 )
-from reference import euler_phi
+from reference import euler_phi, is_p_integer
 
 
 def test_mod_inverse_frozen_values():

@@ -22,7 +22,6 @@ from crqmult.tables import (
     generator_x,
     in_M2,
     random_r_fraction,
-    rescale_slot0_coords,
     sample_broken_corner_table,
     sample_m2_table,
     sample_member_table,
@@ -98,7 +97,6 @@ WRONG_SHAPE_CALLS = {
     "decide-vector": lambda spec: decide_membership(spec, VECTOR),
     "oracle-vector": lambda spec: closure_oracle(spec, VECTOR),
     "product-vector": lambda spec: build_product(spec, VECTOR),
-    "rescale-vector": lambda spec: rescale_slot0_coords(spec, VECTOR, {}),
     "decide-short-cube": lambda spec: decide_membership(spec, MultTable(SHORT_CUBE)),
     "oracle-short-cube": lambda spec: closure_oracle(spec, MultTable(SHORT_CUBE)),
     "decide-wide-cube": lambda spec: decide_membership(spec, WIDE_CUBE),
@@ -154,7 +152,6 @@ TABLE_ROUTES = {
     "decide": decide_membership,
     "oracle": closure_oracle,
     "product": build_product,
-    "rescale": lambda spec, t: rescale_slot0_coords(spec, t, {}),
 }
 ELEMENT_ROUTES = {
     "in-G": in_G,
@@ -521,39 +518,6 @@ def test_border_scaling_check():
     # interior entries are unconstrained
     data = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
     assert in_m1(spec, table_of(data))
-
-
-def test_rescale_round_trip():
-    spec = two_block_spec()
-    rng = random.Random(3)
-    table, _ = sample_member_table(spec, rng)
-    forward = rescale_slot0_coords(spec, table, {"t1": (5, 1), "t2": (1, 2)})
-    assert rescale_slot0_coords(spec, forward, {"t1": (1, 5), "t2": (2, 1)}) == table
-    # a unit given unreduced rescales as its reduced form does
-    assert rescale_slot0_coords(spec, table, {"t1": (10, 2), "t2": (2, 4)}) == forward
-    negated = rescale_slot0_coords(spec, table, {"t1": (-5, 1)})
-    assert rescale_slot0_coords(spec, negated, {"t1": (-1, 5)}) == table
-
-
-# t1 inverts only 5, so 3 is not a unit there
-REFUSED_UNITS = {
-    "not-a-unit": (3, 1),
-    "zero-denominator": (5, 0),
-    "zero": (0, 1),
-    "negative-denominator": (5, -1),
-    "float": 5.0,
-    "fraction": Fraction(5),
-    "float-in-pair": (5.0, 1),
-    "bare-int": 5,
-}
-
-
-@pytest.mark.parametrize("unit", REFUSED_UNITS.values(), ids=REFUSED_UNITS)
-def test_rescale_refuses_what_is_not_an_integer_pair_unit(unit):
-    spec = two_block_spec()
-    table, _ = sample_member_table(spec, random.Random(3))
-    with pytest.raises(ValueError):
-        rescale_slot0_coords(spec, table, {"t1": unit})
 
 
 def test_oracle_work_follows_the_table_not_the_rank():
