@@ -2,12 +2,15 @@
 
 `record` gives a class, from its annotated fields in order, the methods that
 the standard library's frozen data classes generate: `__init__` taking the
-class attributes of those names as defaults and then calling
-`__post_init__`, `__eq__` that holds only between records of one class with
-equal fields, `__hash__` equal to the hash of the tuple of fields,
-`__repr__`, and `__setattr__`/`__delattr__` that refuse every change.  The
-methods are closures over the field names, so defining a record compiles no
-source, and importing this module loads no other module.
+class attributes of those names as defaults, `__eq__` that holds only between
+records of one class with equal fields, `__hash__` equal to the hash of the
+tuple of fields, `__repr__`, and `__setattr__`/`__delattr__` that refuse
+every change.  The methods are closures over the field names, so defining a
+record compiles no source, and importing this module loads no other module.
+
+A record that checks or canonicalizes its fields writes its own `__init__`,
+which stores them with `object.__setattr__`; there is no hook after the
+generated one.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ def record(cls):
     """Install the record methods on cls and return it.
 
     An annotation that starts with "ClassVar" is not a field.  An `__init__`
-    written in the class body is kept; a record that stores its fields in a
-    canonical form, not as given, writes its own.
+    written in the class body is kept.
     """
     names = tuple(n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar"))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    post_init = hasattr(cls, "__post_init__")
     count = len(names)
     title = cls.__qualname__
     setter = object.__setattr__
@@ -51,8 +52,6 @@ def record(cls):
         # would build the dict and make every later attribute read slower
         for name, value in zip(names, args):
             setter(self, name, value)
-        if post_init:
-            self.__post_init__()
 
     def fields(self) -> tuple:
         return tuple([getattr(self, n) for n in names])

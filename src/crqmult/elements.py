@@ -94,10 +94,6 @@ class Blocks:
                 out.append((tid, size, den, tuple(nums)))
         object.__setattr__(self, "parts", tuple(out))
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def part(self, tid: str) -> Optional[Part]:
         """(size, denominator, numerators) of the block of tid, or None when it is zero."""
         for t, size, den, nums in self.parts:

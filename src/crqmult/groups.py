@@ -21,6 +21,7 @@ import random
 import sys
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 from ._record import record
 from .numth import (
@@ -57,18 +58,23 @@ class CriticalTypeData:
     inf_primes: PrimeSet
     rank: int
     m: int
-    s: int = 1
+    s: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"invariant m must be positive, got {self.m}")
-        if self.m == 1 and self.s != 1:
-            object.__setattr__(self, "s", 1)
+    def __init__(self, id: str, inf_primes: PrimeSet, rank: int, m: int, s: int = 1):
+        """Type with the given fields; m below 1 is refused, and m = 1 sets s to 1."""
+        if m < 1:
+            raise ValueError(f"invariant m must be positive, got {m}")
+        setter = object.__setattr__
+        setter(self, "id", id)
+        setter(self, "inf_primes", inf_primes)
+        setter(self, "rank", rank)
+        setter(self, "m", m)
+        setter(self, "s", 1 if m == 1 else s)
 
 
 @record
 class CRQGroupSpec:
-    """Full symbolic description of a group: one entry per critical type.
+    """Full symbolic description of a group: one entry per critical type, sorted by id.
 
     The validation result and the id index are computed on first use and kept
     with the value, so repeated guards on one spec cost an attribute read.
@@ -76,10 +82,10 @@ class CRQGroupSpec:
 
     types: tuple[CriticalTypeData, ...]
 
-    @classmethod
-    def of(cls, types: Iterable[CriticalTypeData]) -> "CRQGroupSpec":
-        """Canonical spec with entries sorted by type id."""
-        return cls(tuple(sorted(types, key=lambda d: d.id)))
+    def __init__(self, types: Iterable[CriticalTypeData]):
+        """Spec of the given types in any order; the sort is stable, so entries with one id
+        keep their order."""
+        object.__setattr__(self, "types", tuple(sorted(types, key=attrgetter("id"))))
 
     @property
     def type_ids(self) -> tuple[str, ...]:
@@ -168,7 +174,7 @@ class CRQGroupSpec:
                 out.append(CriticalTypeData(d.id, d.inf_primes, d.rank, d.m, coefficients[d.id]))
             else:
                 out.append(d)
-        return CRQGroupSpec.of(out)
+        return CRQGroupSpec(out)
 
 
 @record
@@ -301,21 +307,21 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
 
     entries = []
     for i in range(count):
-        inf = PrimeSet.of(inf_sets[i])
+        inf = PrimeSet(inf_sets[i])
         if ms[i] == 1:
             s = 1
         else:
             residues = [r for r in range(1, ms[i]) if math.gcd(r, ms[i]) == 1]
             s = p0_class_representative(rng.choice(residues), ms[i], inf)
         entries.append(CriticalTypeData(f"t{i + 1}", inf, ranks[i], ms[i], s))
-    spec = CRQGroupSpec.of(entries)
+    spec = CRQGroupSpec(entries)
     if spec.violations:
         raise GenerationError("generator produced an invalid spec: " + str(spec.violations[0]))
     return spec
 
 
 def spec_to_dict(spec: CRQGroupSpec) -> dict:
-    """Canonical JSON-ready form: types sorted by id, primes increasing."""
+    """JSON-ready form: types sorted by id and primes increasing, as the constructors hold them."""
     return {
         "types": [
             {
@@ -325,7 +331,7 @@ def spec_to_dict(spec: CRQGroupSpec) -> dict:
                 "m": d.m,
                 "s": d.s,
             }
-            for d in sorted(spec.types, key=lambda d: d.id)
+            for d in spec.types
         ]
     }
 
@@ -361,9 +367,9 @@ def spec_from_dict(data: object) -> CRQGroupSpec:
             if not isinstance(item[key], int) or isinstance(item[key], bool):
                 raise ValueError(f"{key} must be an integer")
         entries.append(
-            CriticalTypeData(item["id"], PrimeSet.of(primes), item["rank"], item["m"], item["s"])
+            CriticalTypeData(item["id"], PrimeSet(primes), item["rank"], item["m"], item["s"])
         )
-    return CRQGroupSpec.of(entries)
+    return CRQGroupSpec(entries)
 
 
 def spec_to_json(spec: CRQGroupSpec) -> str:

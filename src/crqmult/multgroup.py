@@ -166,7 +166,7 @@ def iterate_mult(spec: CRQGroupSpec, k: int) -> MultGroupDescriptor:
         entries.append(
             CriticalTypeData(d.id, d.inf_primes, rank, d.m, _iterated_coefficient(d, k))
         )
-    new_spec = CRQGroupSpec.of(entries)
+    new_spec = CRQGroupSpec(entries)
     if k > 1:
         return MultGroupDescriptor(new_spec, basis=None, generator=None, depth=k)
     basis = tuple((d.id, corner_table([d], lambda t: t.m * t.m)) for d in spec.clipped)
@@ -385,9 +385,9 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     if inf2 <= inf1:
         inf2.add(_fresh_prime(inf1 | inf2, m * s1 * s2))
 
-    first = CriticalTypeData("t1", PrimeSet.of(inf1), 1, m, s1)
-    second = CriticalTypeData("t2", PrimeSet.of(inf2), 1, m, s2)
-    spec_first = CRQGroupSpec.of([first, second])
+    first = CriticalTypeData("t1", PrimeSet(inf1), 1, m, s1)
+    second = CriticalTypeData("t2", PrimeSet(inf2), 1, m, s2)
+    spec_first = CRQGroupSpec([first, second])
     violations = spec_first.violations
     if violations:
         raise ValueError("construction produced an invalid spec: " + str(violations[0]))
@@ -396,7 +396,7 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
     scale = {"t1": s1 + m, "t2": s2 + m}
 
     rng = random.Random(seed)
-    zero = MultTable.zero()
+    zero = MultTable()
     x_first, x_second = generator_x(spec_first), generator_x(spec_second)
     cases = []
     for alpha in range(1, m):
@@ -442,8 +442,8 @@ def cross_basis_example(s1: int, s2: int, m: int, *, seed: int = 0) -> CrossBasi
         s1=s1,
         s2=s2,
         m=m,
-        inf_primes_1=tuple(sorted(inf1)),
-        inf_primes_2=tuple(sorted(inf2)),
+        inf_primes_1=first.inf_primes.primes,
+        inf_primes_2=second.inf_primes.primes,
         cases=tuple(cases),
         doubly_scaled_member_both=doubly_ok,
     )

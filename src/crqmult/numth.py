@@ -215,21 +215,17 @@ def fraction_residue(value: Fraction, modulus: int) -> int:
 
 @record
 class PrimeSet:
-    """Finite set of distinct primes stored in strictly increasing order."""
+    """Finite set of distinct primes stored in increasing order."""
 
-    primes: tuple[int, ...] = ()
+    primes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for i, p in enumerate(self.primes):
+    def __init__(self, primes: Iterable[int] = ()):
+        """Set of the given primes, in any order and with repeats; a non-prime is refused."""
+        canonical = tuple(sorted(set(primes)))
+        for p in canonical:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if i > 0 and p <= self.primes[i - 1]:
-                raise ValueError("primes must be strictly increasing")
-
-    @classmethod
-    def of(cls, primes: Iterable[int]) -> "PrimeSet":
-        """Canonical set from any iterable: deduplicated and sorted."""
-        return cls(tuple(sorted(set(primes))))
+        object.__setattr__(self, "primes", canonical)
 
     def __contains__(self, p: object) -> bool:
         return p in self.primes

@@ -40,11 +40,11 @@ def is_p_integer(x, allowed):
 
 
 def make_type(tid, primes, rank, m, s=1):
-    return CriticalTypeData(tid, PrimeSet.of(primes), rank, m, s)
+    return CriticalTypeData(tid, PrimeSet(primes), rank, m, s)
 
 
 def two_block_spec():
-    return CRQGroupSpec.of([make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)])
+    return CRQGroupSpec([make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3)])
 
 
 def blocks_of(cls, mapping):

@@ -167,10 +167,10 @@ def _condition_m_literal(values):
 def _purity_spec(values):
     anchors = (29, 31, 37, 41)
     types = [
-        CriticalTypeData(f"t{i + 1}", PrimeSet.of([anchors[i]]), 1, m)
+        CriticalTypeData(f"t{i + 1}", PrimeSet([anchors[i]]), 1, m)
         for i, m in enumerate(values)
     ]
-    return CRQGroupSpec.of(types)
+    return CRQGroupSpec(types)
 
 
 def test_criterion_3_shared_prime_power_equivalences():
@@ -317,7 +317,7 @@ def test_criterion_7_arithmetic_backbone():
             order = order_mod_A(spec, g)
             if order > 10**3:
                 continue
-            accum = AmbientElement.zero()
+            accum = AmbientElement()
             for k in range(1, order + 1):
                 accum = accum + g
                 inside = all(

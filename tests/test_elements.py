@@ -63,7 +63,7 @@ def test_no_float_or_fraction_enters_a_block(cls):
         return [[[c]]] if cls.depth == 3 else [c]
 
     a = blocks_of(cls, {"t1": block(1)})
-    assert a * True == a and 0 * a == cls.zero()
+    assert a * True == a and 0 * a == cls()
     for scalar in (0.5, Fraction(1, 2), 2.0, "2"):
         with pytest.raises(TypeError):
             a * scalar
@@ -122,10 +122,10 @@ def test_block_container_drops_zero_blocks(cls):
 
 
 def test_block_container_kinds_never_mix():
-    assert AmbientElement.zero() != MultTable.zero()
+    assert AmbientElement() != MultTable()
     assert element_of({"t1": [0]}) != table_of({"t1": [[[0]]]})
     with pytest.raises(TypeError):
-        AmbientElement.zero() + MultTable.zero()
+        AmbientElement() + MultTable()
 
 
 def test_element_d_standard_form():
@@ -187,7 +187,7 @@ SCAN_REFUSALS = {
 @pytest.mark.parametrize("case", sorted(SCAN_REFUSALS))
 def test_in_G_refuses_large_scans_quickly(case):
     m, rank = SCAN_REFUSALS[case]
-    spec = CRQGroupSpec.of([make_type("t1", [2], rank, m), make_type("t2", [3], rank, m)])
+    spec = CRQGroupSpec([make_type("t1", [2], rank, m), make_type("t2", [3], rank, m)])
     # a coordinate over 5 keeps g out of G, so an unbounded scan would try every k
     g = element_of({"t1": [Fraction(1, 5)] * rank, "t2": [Fraction(1, 5)] * rank})
     started = time.perf_counter()
@@ -201,7 +201,7 @@ def test_in_G_refuses_large_scans_quickly(case):
 def test_in_G_answers_rank_1000_quickly(slots):
     # two rank-1000 types at n = 19997 took 4.67 s when every candidate re-read every
     # coordinate: 1/5 past slot 0 answers at once, 1/5 on slot 0 alone is a full scan
-    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
+    spec = CRQGroupSpec([make_type("t1", [2], 1000, 19997), make_type("t2", [3], 1000, 19997)])
     vec = [Fraction(1, 5)] * 1000 if slots == "every-coordinate" else [Fraction(1, 5)] + [0] * 999
     g = element_of({"t1": vec, "t2": vec})
     started = time.perf_counter()
@@ -212,7 +212,7 @@ def test_in_G_answers_rank_1000_quickly(slots):
 def test_in_G_answers_k_zero_past_the_work_bound():
     # an element of the regulator needs no scan, even where a scan is refused
     m = PAST_SCAN_BOUND
-    spec = CRQGroupSpec.of([make_type("t1", [2], 1000, m), make_type("t2", [3], 1000, m)])
+    spec = CRQGroupSpec([make_type("t1", [2], 1000, m), make_type("t2", [3], 1000, m)])
     g = element_of({"t1": [Fraction(1, 2)] * 1000})
     started = time.perf_counter()
     assert in_G(spec, g) == GMembership(0, g)
@@ -221,7 +221,7 @@ def test_in_G_answers_k_zero_past_the_work_bound():
 
 def test_in_G_refuses_past_the_work_bound_before_building_the_generator():
     # the generator d would store a vector of rank 10^7 for t2 alone
-    spec = CRQGroupSpec.of([make_type("t1", [3], 1, 2), make_type("t2", [5], 10**7, 2)])
+    spec = CRQGroupSpec([make_type("t1", [3], 1, 2), make_type("t2", [5], 10**7, 2)])
     g = element_of({"t1": [Fraction(1, 4)]})
     message = (
         "the scan work at n = 2 reaches 10000005, past the bound MAX_SCAN_WORK = 60000"
@@ -238,7 +238,7 @@ def test_in_G_refuses_past_the_work_bound_before_building_the_generator():
 
 
 def test_in_G_closed_form_matches_scan():
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         [
             make_type("t1", [5], 2, 4, 3),
             make_type("t2", [7], 1, 6),
@@ -328,7 +328,7 @@ EDGE_INVARIANTS = (
     data=st.data(),
 )
 def test_in_G_refuses_only_a_scan_past_the_bound(m, ranks, s, data):
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         [make_type("t1", [2], ranks[0], m, s), make_type("t2", [3], ranks[1], m)]
     )
     k = data.draw(st.one_of(st.just(0), st.integers(0, m - 1)))
@@ -363,7 +363,7 @@ def test_in_G_refuses_only_a_scan_past_the_bound(m, ranks, s, data):
 
 def test_in_G_stops_at_a_coordinate_no_multiple_of_d_moves():
     # n = 19997, but 1/3 on the unclipped type stays outside for every k
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         [make_type("t1", [2], 1, 19997), make_type("t2", [5], 1, 19997), make_type("u", [7], 1, 1)]
     )
     g = element_of({"u": [Fraction(1, 3)]})
@@ -378,7 +378,7 @@ def test_order_mod_regulator():
     assert order_mod_A(spec, g) == 7
     assert order_mod_A(spec, element_d(spec)) == 7
     assert order_mod_A(spec, element_of({"t2": [Fraction(1, 5)]})) == 5
-    assert order_mod_A(spec, AmbientElement.zero()) == 1
+    assert order_mod_A(spec, AmbientElement()) == 1
 
 
 def test_order_matches_brute_force():
@@ -396,7 +396,7 @@ def test_order_matches_brute_force():
         g = element_of(blocks)
         order = order_mod_A(spec, g)
         assert order >= 1
-        accum = AmbientElement.zero()
+        accum = AmbientElement()
         for k in range(1, order + 1):
             accum = accum + g
             inside = accum.outside_regulator(spec) is None
@@ -405,7 +405,7 @@ def test_order_matches_brute_force():
 
 def test_purity_oracle_and_witness():
     # lcm of the others is 2, so the block with m = 4 sits impurely
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         [make_type("t1", [5], 1, 4), make_type("t2", [3], 1, 2)]
     )
     assert not purity_oracle(spec, "t1")
@@ -430,7 +430,7 @@ def test_every_block_pure_when_invariants_agree():
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 72)), min_size=1, max_size=8))
 def test_purity_and_condition_m_match_brute_force_lcm(entries):
     # entries sharing an id are one type to purity: all of them leave its lcm
-    spec = CRQGroupSpec.of(make_type(tid, [29], 1, m) for tid, m in entries)
+    spec = CRQGroupSpec(make_type(tid, [29], 1, m) for tid, m in entries)
     for tid in spec.type_ids:
         m = spec.data_for(tid).m
         rest = math.lcm(*(other for t, other in entries if t != tid))
@@ -458,7 +458,7 @@ def test_fractional_multiple_of_basis_never_in_G():
 def test_element_json_round_trip():
     g = element_of({"t1": [Fraction(2, 7), 0], "t2": [Fraction(-3, 5)]})
     assert element_from_dict({"t1": ["2/7", "0"], "t2": ["-3/5"]}) == g
-    assert element_from_dict({}) == AmbientElement.zero()
+    assert element_from_dict({}) == AmbientElement()
     parsed = element_from_dict({"t1": [3, "-2/7"]})
     assert parsed == element_of({"t1": [3, Fraction(-2, 7)]})
     with pytest.raises(ValueError):

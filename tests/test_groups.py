@@ -1,5 +1,7 @@
 """Spec validation, invariants, decomposition, and the random generator."""
 
+import hashlib
+import itertools
 import time
 
 import pytest
@@ -35,7 +37,7 @@ from reference import element_d, make_type
 
 
 def make_spec(*types):
-    return CRQGroupSpec.of(types)
+    return CRQGroupSpec(types)
 
 
 def test_valid_spec_has_no_violations():
@@ -51,12 +53,12 @@ def test_validation_at_the_type_bound_is_quick():
     # pairwise incomparable single-prime types; one past the bound is refused unread
     primes = [p for p in range(5, 10**4) if is_prime(p)][: MAX_TYPES + 1]
     types = [make_type(f"t{i:04d}", [p], 1, 3) for i, p in enumerate(primes)]
-    spec = CRQGroupSpec.of(types[:MAX_TYPES])
+    spec = CRQGroupSpec(types[:MAX_TYPES])
     started = time.perf_counter()
     assert validate_spec(spec) == []
     assert time.perf_counter() - started < 0.5
     with pytest.raises(LimitError) as refused:
-        validate_spec(CRQGroupSpec.of(types))
+        validate_spec(CRQGroupSpec(types))
     assert (refused.value.name, refused.value.value) == ("MAX_TYPES", MAX_TYPES + 1)
 
 
@@ -124,6 +126,35 @@ def test_lookup_keeps_the_first_of_repeated_ids():
     spec = CRQGroupSpec((first, make_type("t1", [3], 1, 1)))
     assert spec.data_for("t1") is first
     assert [v.code for v in spec.violations] == ["DUPLICATE_TYPE"]
+    # the constructor's sort by id is stable, so entries with one id keep their order
+    second, other = make_type("t1", [3], 1, 1), make_type("t0", [7], 1, 1)
+    spec = CRQGroupSpec((first, other, second))
+    assert spec.types == (other, first, second) and spec.data_for("t1") is first
+
+
+def test_a_spec_is_one_value_in_any_type_order():
+    types = (
+        make_type("t1", [5], 2, 7, 2),
+        make_type("t2", [2], 1, 7, 3),
+        make_type("t3", [3], 4, 1),
+    )
+    canonical = CRQGroupSpec(types)
+    for order in itertools.permutations(types):
+        spec = CRQGroupSpec(order)
+        assert spec.types == types and spec == canonical
+        assert hash(spec) == hash(canonical) and repr(spec) == repr(canonical)
+
+
+# sha256 of spec_to_json(random_spec(seed, GenBounds(3, 3, 36))) for seeds 0..199 in turn,
+# the acceptance population: how specs are built must not change a generated spec's bytes
+ACCEPTANCE_SPECS_SHA256 = "35bae645f22d1e86c1e538f980f262ac961a935f3bd9e9692ddbc8bc8358956d"
+
+
+def test_generated_specs_keep_their_bytes():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(spec_to_json(random_spec(seed, GenBounds(3, 3, 36))).encode())
+    assert digest.hexdigest() == ACCEPTANCE_SPECS_SHA256
 
 
 def test_unit_modulus_normalizes_coefficient():
@@ -232,7 +263,7 @@ def records():
     """One instance of each record class of the library, by class name."""
     spec = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
     desc = compute_mult_group(spec)
-    coset = coset_relation(spec, 3, AmbientElement.zero(), samples=1)
+    coset = coset_relation(spec, 3, AmbientElement(), samples=1)
     cross = cross_basis_example(2, 3, 7)
     failure = MembershipFailure("CORNER_RESIDUE", "t1", (0, 0), "slot 1 is nonzero")
     samples = [
@@ -307,11 +338,10 @@ def test_records_bind_arguments_as_declared():
     ):
         with pytest.raises(TypeError):
             bad()
-    # __post_init__ runs on positional and keyword construction alike
+    # a record's own __init__ checks and canonicalizes positional and keyword arguments alike
     with pytest.raises(ValueError):
         PrimeSet((4,))
-    with pytest.raises(ValueError):
-        PrimeSet(primes=(3, 2))
+    assert PrimeSet(primes=(3, 2)).primes == (2, 3)
     primes = PrimeSet((5,))
     with pytest.raises(ValueError):
         CriticalTypeData("t1", primes, 1, m=0)

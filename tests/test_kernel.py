@@ -404,7 +404,7 @@ def test_element_parser_reads_the_values_it_is_given(blocks):
 
 def test_records_of_different_classes_never_compare_equal():
     # every one of these holds the single field value (), so all four hash alike
-    zeros = [Blocks(()), AmbientElement.zero(), MultTable.zero(), PrimeSet(())]
+    zeros = [Blocks(()), AmbientElement(), MultTable(), PrimeSet(())]
     for i, a in enumerate(zeros):
         for b in zeros[i + 1 :]:
             assert a != b and not a == b

@@ -87,7 +87,7 @@ def test_structure_generator_and_basis_tables():
 
 
 def test_structure_without_clipped_types():
-    solo = CRQGroupSpec.of([make_type("t1", [5], 3, 1)])
+    solo = CRQGroupSpec([make_type("t1", [5], 3, 1)])
     desc = compute_mult_group(solo)
     assert desc.spec.types[0].rank == 27
     assert desc.generator is not None and desc.generator.parts == ()
@@ -124,7 +124,7 @@ def test_iterate_rank_growth_and_coefficient_period():
     assert str(refused.value) == (
         f"rank^(3^4) at type 't1' reaches {2**81}, past the bound MAX_ITERATED_RANK = {10**18}"
     )
-    rank_one = CRQGroupSpec.of([make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)])
+    rank_one = CRQGroupSpec([make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)])
     assert [t.s for t in iterate_mult(rank_one, 4).spec.types] == [2, 3]
 
 
@@ -136,7 +136,7 @@ def test_iterate_validates_depth_and_rank_budget():
         iterate_mult(spec, 40)
     assert refused.value.name == "MAX_ITERATED_RANK"
     # rank one types never overflow, even at absurd depths
-    solo = CRQGroupSpec.of(
+    solo = CRQGroupSpec(
         [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)]
     )
     desc = iterate_mult(solo, 10**6)
@@ -147,7 +147,7 @@ def test_iterate_validates_depth_and_rank_budget():
 def test_iterate_huge_depth_is_bounded():
     # the depth is never turned into 3**k: rank one stays put, and rank two
     # is refused at the first cube past the bound
-    solo = CRQGroupSpec.of(
+    solo = CRQGroupSpec(
         [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 1, 7, 3)]
     )
     desc = iterate_mult(solo, 10**9)
@@ -162,7 +162,7 @@ def test_iterate_huge_depth_is_bounded():
 
 def test_iterate_refuses_a_rank_too_long_to_write():
     # 10**5000 has more digits than str writes by default, so the refusal writes no digit of it
-    spec = CRQGroupSpec.of([make_type("t1", [5], 10**5000, 1)])
+    spec = CRQGroupSpec([make_type("t1", [5], 10**5000, 1)])
     started = time.perf_counter()
     with pytest.raises(LimitError) as refused:
         iterate_mult(spec, 1)
@@ -194,7 +194,7 @@ def test_depth_one_tables_are_bounded():
     # basis tables are dense rank^3 cubes: two clipped rank-25 types hold
     # 31250 coordinates and fit under 32**3, two rank-26 types hold 35152
     def pair(rank):
-        return CRQGroupSpec.of(
+        return CRQGroupSpec(
             [make_type("t1", [5], rank, 7, 2), make_type("t2", [2], rank, 7, 3)]
         )
 
@@ -205,13 +205,13 @@ def test_depth_one_tables_are_bounded():
         assert (refused.value.name, refused.value.value) == ("MAX_TABLE_COORDS", 35152)
     # deeper iterates build no tables, and unclipped types get none
     assert iterate_mult(pair(26), 2).basis is None
-    unclipped = CRQGroupSpec.of([make_type("t1", [5], 40, 1), make_type("t2", [2], 40, 1)])
+    unclipped = CRQGroupSpec([make_type("t1", [5], 40, 1), make_type("t2", [2], 40, 1)])
     assert compute_mult_group(unclipped).basis == ()
 
 
 def test_coset_identity_presentation():
     spec = two_block_spec()
-    report = coset_relation(spec, 1, AmbientElement.zero(), samples=10, seed=0)
+    report = coset_relation(spec, 1, AmbientElement(), samples=10, seed=0)
     assert report.applicable
     assert dict(report.s_prime) == {"t1": 2, "t2": 3}
     assert report.relation.witness.parts == ()
@@ -220,7 +220,7 @@ def test_coset_identity_presentation():
 
 def test_coset_scaled_presentation():
     spec = two_block_spec()
-    report = coset_relation(spec, 3, AmbientElement.zero(), samples=20, seed=1)
+    report = coset_relation(spec, 3, AmbientElement(), samples=20, seed=1)
     assert report.applicable
     assert dict(report.s_prime) == {"t1": 6, "t2": 9}
     assert report.relation.gamma_inverse == 5
@@ -262,14 +262,14 @@ def test_iterate_twice_is_mult_of_mult():
 def test_coset_rejects_malformed_input():
     spec = two_block_spec()
     with pytest.raises(ValueError):
-        coset_relation(spec, 7, AmbientElement.zero())  # shares a factor with n
+        coset_relation(spec, 7, AmbientElement())  # shares a factor with n
     with pytest.raises(ValueError):
         coset_relation(spec, 1, element_of({"t1": [0, 1]}))  # off slot 0
     solo_unclipped = element_of({"t9": [1]})
     with pytest.raises(ValueError):
         coset_relation(spec, 1, solo_unclipped)
     # t3 has m = 1, so no multiple of d moves it
-    with_unclipped = CRQGroupSpec.of([*spec.types, make_type("t3", [3], 1, 1)])
+    with_unclipped = CRQGroupSpec([*spec.types, make_type("t3", [3], 1, 1)])
     with pytest.raises(ValueError, match="^shift element touches unclipped type 't3'$"):
         coset_relation(with_unclipped, 1, element_of({"t3": [1]}))
     # 1/2 is not integral at t1, whose only inverted prime is 5
@@ -280,22 +280,22 @@ def test_coset_rejects_malformed_input():
     # True and 2.5 are not sample counts, though True == 1 and 2.5 lies in range
     for samples in (-5, 0, True, 2.5):
         with pytest.raises(ValueError, match="samples must be") as refused:
-            coset_relation(spec, 1, AmbientElement.zero(), samples=samples)
+            coset_relation(spec, 1, AmbientElement(), samples=samples)
         assert not isinstance(refused.value, LimitError)
     # only a count past the bound is a bound refusal
     with pytest.raises(LimitError) as refused:
-        coset_relation(spec, 1, AmbientElement.zero(), samples=MAX_COSET_SAMPLES + 1)
+        coset_relation(spec, 1, AmbientElement(), samples=MAX_COSET_SAMPLES + 1)
     assert (refused.value.name, refused.value.value) == ("MAX_COSET_SAMPLES", 1001)
     for gamma in (1.0, True):
         with pytest.raises(ValueError, match="gamma must be an int"):
-            coset_relation(spec, gamma, AmbientElement.zero())
+            coset_relation(spec, gamma, AmbientElement())
 
 
 def test_coset_checks_exactly_the_requested_samples():
     # random_spec(7) has four strata; whole batches would check 4, 8 and 24
     spec = random_spec(7)
     for samples in (1, 5, 21, MAX_COSET_SAMPLES):
-        report = coset_relation(spec, 1, AmbientElement.zero(), samples=samples, seed=3)
+        report = coset_relation(spec, 1, AmbientElement(), samples=samples, seed=3)
         assert report.samples_checked == samples
         assert report.witness_doubly_scaled and report.verdicts_agree
 
@@ -303,7 +303,7 @@ def test_coset_checks_exactly_the_requested_samples():
 def test_coset_witness_relation_on_scaled_tables():
     # membership witnesses transform by the scale factor between presentations
     spec = two_block_spec()
-    report = coset_relation(spec, 3, AmbientElement.zero(), samples=1, seed=0)
+    report = coset_relation(spec, 3, AmbientElement(), samples=1, seed=0)
     shifted = spec.with_coefficients(dict(report.s_prime))
     rng = random.Random(10)
     for _ in range(10):
@@ -455,7 +455,7 @@ def coset_leaves(spec):
 
 @pytest.mark.parametrize("name", sorted(TINY_SPECS))
 def test_every_coset_of_a_tiny_spec(name):
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         make_type(f"t{i + 1}", [p], r, m, s) for i, (p, r, m, s) in enumerate(TINY_SPECS[name])
     )
     assert not spec.violations

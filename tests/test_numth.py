@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from crqmult.numth import (
+    MAX_PRIME_TESTED,
+    LimitError,
     PrimeSet,
     condition_m_check,
     coprime_part,
@@ -82,7 +84,7 @@ def test_is_prime_rejects_strong_pseudoprimes_and_refuses_past_its_bound():
         with pytest.raises(ValueError):
             is_prime(n)
     with pytest.raises(ValueError):
-        PrimeSet.of([5, 3317044064679887385961981])
+        PrimeSet([5, 3317044064679887385961981])
 
 
 def test_prime_factors():
@@ -222,18 +224,22 @@ def test_fraction_residue():
 
 
 def test_prime_set_canonical():
-    ps = PrimeSet.of([5, 2, 3])
+    ps = PrimeSet([5, 2, 3])
     assert ps.primes == (2, 3, 5)
     assert 3 in ps
     assert 7 not in ps
     assert len(ps) == 3
     assert list(ps) == [2, 3, 5]
-    assert PrimeSet.of([]) == PrimeSet.of(())
+    assert PrimeSet([]) == PrimeSet(())
+    # the one constructor sorts and deduplicates any input, so equal sets are equal values
+    for primes in ((5, 2, 3), (3, 5, 2, 3), [5, 5, 3, 2, 2], {5, 3, 2}, iter((5, 3, 2))):
+        built = PrimeSet(primes)
+        assert built.primes == (2, 3, 5) and built == ps and hash(built) == hash(ps)
 
 
 def test_prime_set_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PrimeSet.of([4])
-    with pytest.raises(ValueError):
-        PrimeSet((2, 2))  # raw constructor demands strictly increasing order
-    assert PrimeSet.of([2, 2]) == PrimeSet.of([2])
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        PrimeSet((4,))
+    with pytest.raises(LimitError):
+        PrimeSet((5, MAX_PRIME_TESTED + 2))
+    assert PrimeSet((2, 2)) == PrimeSet((2,))  # a repeat is dropped, not refused

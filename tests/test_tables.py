@@ -69,7 +69,7 @@ def test_table_arithmetic():
     assert (a - a).parts == ()
     assert fraction_matrix(a * 3, "t1", 2)[0][0] == (Fraction(3), Fraction(6))
     assert support(b) == ("t1", "t2")
-    assert support(MultTable.zero()) == ()
+    assert support(MultTable()) == ()
 
 
 def test_table_shape_validation():
@@ -172,7 +172,7 @@ OUT_OF_FORM_CALLS = {
 
 @pytest.mark.parametrize("name", [*WRONG_SHAPE_CALLS, *OUT_OF_FORM_CALLS])
 def test_a_container_of_the_wrong_kind_or_length_is_refused(name):
-    spec = CRQGroupSpec.of([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
+    spec = CRQGroupSpec([make_type("t1", [5], 2, 11, 2), make_type("t2", [2], 1, 11, 3)])
     assert not spec.violations
     if name in OUT_OF_FORM_CALLS:
         # no container is out of form: the constructor refuses a repeated id and denominator 0,
@@ -219,7 +219,7 @@ def test_generator_x_accepts_any_inverse_in_the_class():
 def test_generator_x_is_linear_in_clipped_types():
     # 800 rank-1 types with m = 3, each distinguished by its own prime
     primes = [p for p in range(5, 7000) if is_prime(p)][:800]
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         make_type(f"t{i:03d}", [p], 1, 3, 1 + i % 2) for i, p in enumerate(primes)
     )
     assert len(spec.clipped) == 800 and spec.violations == ()
@@ -229,7 +229,7 @@ def test_generator_x_is_linear_in_clipped_types():
     # s is its own inverse modulo 3; summed pairwise, so the reference is not quadratic
     tables = [single_entry_table(d.id, 1, (0, 0), 0, 3 * d.s) for d in spec.clipped]
     while len(tables) > 1:
-        tables = [sum(tables[i : i + 2], MultTable.zero()) for i in range(0, len(tables), 2)]
+        tables = [sum(tables[i : i + 2], MultTable()) for i in range(0, len(tables), 2)]
     assert x == tables[0]
 
 
@@ -250,9 +250,9 @@ def test_filtration_layers():
 
 def test_zero_table_is_the_trivial_multiplication():
     spec = two_block_spec()
-    verdict = decide_membership(spec, MultTable.zero())
+    verdict = decide_membership(spec, MultTable())
     assert verdict.member and verdict.alpha == (0, 7)
-    assert closure_oracle(spec, MultTable.zero())
+    assert closure_oracle(spec, MultTable())
 
 
 def test_decide_failure_codes():
@@ -314,7 +314,7 @@ def test_sampled_strata_verdicts():
 
 
 def test_strata_need_clipped_types():
-    solo = CRQGroupSpec.of([make_type("t1", [5], 2, 1)])
+    solo = CRQGroupSpec([make_type("t1", [5], 2, 1)])
     rng = random.Random(2)
     assert sample_broken_corner_table(solo, rng) is None
     assert sample_unscaled_border_table(solo, rng) is None
@@ -351,7 +351,7 @@ LARGE_PRIMES = list(itertools.islice(filter(is_prime, itertools.count(MAX_SCAN_W
 )
 def test_unscaled_borders_get_verdicts_past_the_scan_limit(m, rank1, rank2, s, table_seed):
     # shaped like the CLI's large-index spec: two types sharing one prime m past the bound
-    spec = CRQGroupSpec.of([make_type("t1", [2], rank1, m, s), make_type("t2", [3], rank2, m)])
+    spec = CRQGroupSpec([make_type("t1", [2], rank1, m, s), make_type("t2", [3], rank2, m)])
     assert 2 * spec.n + rank1 + rank2 > MAX_SCAN_WORK
     rng = random.Random(table_seed)
     unscaled = sample_unscaled_border_table(spec, rng)
@@ -379,7 +379,7 @@ def test_decision_and_oracle_time_is_linear_in_the_type_count():
     cases = {}
     for count in (250, 1000):
         types = [make_type(f"t{i:04d}", [p], 1, 2) for i, p in enumerate(primes[:count])]
-        spec = CRQGroupSpec.of(types)
+        spec = CRQGroupSpec(types)
         # 4 = m^2 on every clipped corner: a member of witness 0, so no route stops early
         table = MultTable((d.id, 1, 1, [4]) for d in types)
         assert decide_membership(spec, table).member and closure_oracle(spec, table)
@@ -406,7 +406,7 @@ OTHER_SPECS = {
 
 @pytest.mark.parametrize("other", sorted(OTHER_SPECS))
 def test_one_table_checked_against_two_specs(other):
-    first, second = two_block_spec(), CRQGroupSpec.of(OTHER_SPECS[other])
+    first, second = two_block_spec(), CRQGroupSpec(OTHER_SPECS[other])
     rng = random.Random(55)
     tables = [sample_member_table(first, rng)[0] for _ in range(4)]
     tables += [sample_unscaled_border_table(first, rng) for _ in range(2)]
@@ -432,7 +432,7 @@ def test_one_table_checked_against_two_specs(other):
 
 def test_a_kept_check_does_not_pass_an_invalid_spec():
     # the ids and ranks of two_block_spec, with s = 7 not a unit modulo m = 7
-    invalid = CRQGroupSpec.of([make_type("t1", [5], 2, 7, 7), make_type("t2", [2], 1, 7, 3)])
+    invalid = CRQGroupSpec([make_type("t1", [5], 2, 7, 7), make_type("t2", [2], 1, 7, 3)])
     spec = two_block_spec()
     table, _ = sample_member_table(spec, random.Random(3))
     assert decide_membership(spec, table).member and closure_oracle(spec, table)
@@ -511,7 +511,7 @@ def test_build_product_is_bilinear():
 def test_border_scaling_check():
     spec = two_block_spec()
     assert in_m1(spec, generator_x(spec))
-    assert in_m1(spec, MultTable.zero())
+    assert in_m1(spec, MultTable())
     rng = random.Random(91)
     unscaled = sample_unscaled_border_table(spec, rng)
     assert not in_m1(spec, unscaled)
@@ -523,11 +523,11 @@ def test_border_scaling_check():
 def test_oracle_work_follows_the_table_not_the_rank():
     # only products with d on stored clipped blocks can be nonzero
     rank = 200_000
-    spec = CRQGroupSpec.of(
+    spec = CRQGroupSpec(
         [make_type("t1", [2], rank, 7), make_type("t2", [3], 1, 7), make_type("t3", [5], rank, 1)]
     )
     started = time.perf_counter()
-    assert closure_oracle(spec, MultTable.zero())
+    assert closure_oracle(spec, MultTable())
     assert time.perf_counter() - started < 0.5
 
 
@@ -556,7 +556,7 @@ def test_table_json_round_trip():
     table = generator_x(spec)
     data = table_to_dict(table)
     assert table_from_dict(data) == table
-    assert table_from_dict({"blocks": {}}) == MultTable.zero()
+    assert table_from_dict({"blocks": {}}) == MultTable()
     mixed = table_from_dict(
         {"blocks": {"t2": [[[35]]], "t1": [[[7, "-14/5"], [0, 0]], [[0, 0], [0, "1"]]]}}
     )
