@@ -19,7 +19,6 @@ _EXPORTS = {
         "PrimeSet",
         "condition_m_check",
         "crt_solve",
-        "lcm_all",
         "mod_inverse",
         "p0_inverse",
     ),

@@ -70,12 +70,14 @@ class Blocks:
 
         Each nonzero block is divided by its common factor, the sign of a
         negative denominator moves into the numerators, and all-zero blocks
-        are dropped.  A repeated type id, denominator 0 and a block without
-        size ** depth numerators are refused.
+        are dropped.  A non-str id, a non-int size, denominator or numerator, a
+        repeated id, denominator 0 and a block without size ** depth numerators are refused.
         """
         out = []
         previous = None
         for tid, size, den, nums in sorted(parts, key=itemgetter(0)):
+            if type(tid) is not str or type(size) is not int or type(den) is not int:
+                raise ValueError(f"block {tid!r} needs a str id and int size and denominator")
             if tid == previous:
                 raise ValueError(f"block {tid!r} is given twice")
             previous = tid
@@ -83,12 +85,15 @@ class Blocks:
                 raise ValueError(
                     f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{self.depth}"
                 )
-            if den < 1:
-                if not den:
-                    raise ValueError(f"block {tid!r} has denominator 0")
-                den, nums = -den, [-x for x in nums]
+            if not den:
+                raise ValueError(f"block {tid!r} has denominator 0")
             if any(nums):
-                g = math.gcd(den, *nums)
+                try:
+                    g = math.gcd(den, *nums)
+                except TypeError:
+                    raise ValueError(f"block {tid!r} has a numerator that is not an int") from None
+                if den < 0:  # the sign moves into the numerators
+                    g = -g
                 if g != 1:
                     den, nums = den // g, [x // g for x in nums]
                 out.append((tid, size, den, tuple(nums)))

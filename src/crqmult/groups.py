@@ -21,7 +21,6 @@ import random
 import sys
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
 
 from ._record import record
 from .numth import (
@@ -29,7 +28,6 @@ from .numth import (
     PrimeSet,
     condition_m_check,
     has_factor_in,
-    lcm_all,
     lcm_of_others,
     p0_class_representative,
 )
@@ -61,15 +59,38 @@ class CriticalTypeData:
     s: int
 
     def __init__(self, id: str, inf_primes: PrimeSet, rank: int, m: int, s: int = 1):
-        """Type with the given fields; m below 1 is refused, and m = 1 sets s to 1."""
-        if m < 1:
-            raise ValueError(f"invariant m must be positive, got {m}")
+        """Type with the given fields, exactly typed, rank and m at least 1; m = 1 sets s to 1."""
+        if (
+            type(id) is not str
+            or type(inf_primes) is not PrimeSet
+            or not (type(rank) is type(m) is type(s) is int)
+        ):
+            raise ValueError(_field_type_error(id, inf_primes, rank, m, s))
+        if rank < 1 or m < 1:
+            raise ValueError(f"type {id!r} has rank {rank} and m = {m}; both must be at least 1")
         setter = object.__setattr__
         setter(self, "id", id)
         setter(self, "inf_primes", inf_primes)
         setter(self, "rank", rank)
         setter(self, "m", m)
         setter(self, "s", 1 if m == 1 else s)
+
+
+def _field_type_error(id: object, inf_primes: object, *numbers: object) -> str:
+    """The refusal of the first field whose type is not exact; worded only on failure."""
+    if type(id) is not str:
+        return "type id must be a string"
+    if type(inf_primes) is not PrimeSet:
+        return f"inf_primes must be a PrimeSet, got {type(inf_primes).__name__}"
+    key = next(k for k, v in zip(("rank", "m", "s"), numbers) if type(v) is not int)
+    return f"{key} must be an integer"
+
+
+def _entry_id(entry: object) -> str:
+    """Sort key of a spec entry, its id; anything but a CriticalTypeData is refused."""
+    if not isinstance(entry, CriticalTypeData):
+        raise ValueError(f"expected CriticalTypeData entries, got {type(entry).__name__}")
+    return entry.id
 
 
 @record
@@ -83,9 +104,15 @@ class CRQGroupSpec:
     types: tuple[CriticalTypeData, ...]
 
     def __init__(self, types: Iterable[CriticalTypeData]):
-        """Spec of the given types in any order; the sort is stable, so entries with one id
-        keep their order."""
-        object.__setattr__(self, "types", tuple(sorted(types, key=attrgetter("id"))))
+        """Spec of the given types in any order; an entry that is not a CriticalTypeData, and
+        an id given twice, are refused."""
+        ordered = sorted(types, key=_entry_id)
+        previous = None
+        for d in ordered:
+            if d.id == previous:
+                raise ValueError(f"type {d.id!r} is given twice")
+            previous = d.id
+        object.__setattr__(self, "types", tuple(ordered))
 
     @property
     def type_ids(self) -> tuple[str, ...]:
@@ -104,28 +131,21 @@ class CRQGroupSpec:
     @cached_property
     def n(self) -> int:
         """Regulator index: the order of the cyclic regulator quotient."""
-        return lcm_all(d.m for d in self.types)
+        return math.lcm(*(d.m for d in self.types))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """All rule violations of this spec, empty when it is valid.
+        """All violations of the paper's conditions by this spec, empty when it is valid.
 
         More than MAX_TYPES types are refused with LimitError first.  The checks, in
-        order: duplicate ids, positive ranks, m and s supported away from the infinite
-        primes of their own type, s coprime to m, pairwise incomparable types, and the
-        shared-prime-power condition on the m values.
+        order: m and s supported away from the infinite primes of their own type, s
+        coprime to m, pairwise incomparable types, and the shared-prime-power condition
+        on the m values.
         """
         if len(self.types) > MAX_TYPES:
             raise LimitError("the type count", len(self.types), "MAX_TYPES", MAX_TYPES)
         violations: list[Violation] = []
-        seen: set[str] = set()
         for d in self.types:
-            if d.id in seen:
-                violations.append(Violation("DUPLICATE_TYPE", (d.id,), "type id appears twice"))
-            seen.add(d.id)
-        for d in self.types:
-            if d.rank < 1:
-                violations.append(Violation("RANK_ZERO", (d.id,), f"rank {d.rank} is below 1"))
             if d.m > 1 and has_factor_in(d.m, d.inf_primes):
                 detail = f"m = {d.m} has a factor among the infinite primes"
                 violations.append(Violation("M_NOT_P0", (d.id,), detail))
@@ -137,9 +157,9 @@ class CRQGroupSpec:
                 violations.append(Violation("S_M_NOT_COPRIME", (d.id,), detail))
         prime_sets = [(d.id, frozenset(d.inf_primes)) for d in self.types]
         for (a, pa), (b, pb) in combinations(prime_sets, 2):
-            if a != b and (pa <= pb or pb <= pa):
+            if pa <= pb or pb <= pa:
                 violations.append(Violation("COMPARABLE_TYPES", (a, b), "prime sets are nested"))
-        if not condition_m_check({i: d.m for i, d in enumerate(self.types)}):
+        if not condition_m_check({d.id: d.m for d in self.types}):
             violations.append(
                 Violation("CONDITION_M_FAILED", (), "some prime power divides only one m value")
             )
@@ -147,10 +167,7 @@ class CRQGroupSpec:
 
     @cached_property
     def _by_id(self) -> dict[str, CriticalTypeData]:
-        index: dict[str, CriticalTypeData] = {}
-        for d in self.types:
-            index.setdefault(d.id, d)
-        return index
+        return {d.id: d for d in self.types}
 
     def data_for(self, tid: str) -> CriticalTypeData:
         try:
@@ -160,21 +177,17 @@ class CRQGroupSpec:
 
     @cached_property
     def lcm_without(self) -> dict[str, int]:
-        """Per type id, the lcm of the m values of the entries with another id."""
-        ms: dict[str, int] = {}
-        for d in self.types:
-            ms[d.id] = math.lcm(ms.get(d.id, 1), d.m)
-        return dict(zip(ms, lcm_of_others(list(ms.values()))))
+        """Per type id, the lcm of the m values of the other types."""
+        return {d.id: r for d, r in zip(self.types, lcm_of_others([d.m for d in self.types]))}
 
     def with_coefficients(self, coefficients: Mapping[str, int]) -> "CRQGroupSpec":
         """Copy of the spec with the s of the listed types replaced."""
-        out = []
-        for d in self.types:
-            if d.id in coefficients:
-                out.append(CriticalTypeData(d.id, d.inf_primes, d.rank, d.m, coefficients[d.id]))
-            else:
-                out.append(d)
-        return CRQGroupSpec(out)
+        return CRQGroupSpec(
+            CriticalTypeData(d.id, d.inf_primes, d.rank, d.m, coefficients[d.id])
+            if d.id in coefficients
+            else d
+            for d in self.types
+        )
 
 
 @record
@@ -191,7 +204,7 @@ class Violation:
 
 
 def validate_spec(spec: CRQGroupSpec) -> list[Violation]:
-    """The violations that the spec computes once and keeps, empty when it is valid.
+    """The spec's violations of the paper's conditions, kept once computed; empty if valid.
 
     Anything but a spec is refused with ValueError, more than MAX_TYPES types with LimitError.
     """
@@ -340,7 +353,7 @@ _TYPE_KEYS = frozenset(("id", "inf_primes", "rank", "m", "s"))
 
 
 def spec_from_dict(data: object) -> CRQGroupSpec:
-    """Parse the JSON form, with shape errors reported as ValueError."""
+    """Parse the JSON form; the reader refuses a wrong shape and the constructors a wrong field."""
     if not isinstance(data, dict) or set(data) != {"types"}:
         raise ValueError("spec document must be an object with a single 'types' key")
     raw = data["types"]
@@ -356,16 +369,9 @@ def spec_from_dict(data: object) -> CRQGroupSpec:
         if len(item) > len(_TYPE_KEYS):
             unknown = sorted(set(item) - _TYPE_KEYS, key=str)
             raise ValueError(f"type entry has unknown keys: {unknown}")
-        if not isinstance(item["id"], str):
-            raise ValueError("type id must be a string")
         primes = item["inf_primes"]
-        if not isinstance(primes, list) or not all(isinstance(p, int) for p in primes):
+        if not isinstance(primes, list):
             raise ValueError("inf_primes must be a list of integers")
-        if any(isinstance(p, bool) for p in primes):
-            raise ValueError("inf_primes must not contain booleans")
-        for key in ("rank", "m", "s"):
-            if not isinstance(item[key], int) or isinstance(item[key], bool):
-                raise ValueError(f"{key} must be an integer")
         entries.append(
             CriticalTypeData(item["id"], PrimeSet(primes), item["rank"], item["m"], item["s"])
         )

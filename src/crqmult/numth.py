@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: lcm, modular inverses, prime sets, CRT.
+"""Exact integer arithmetic: modular inverses, prime sets, CRT, lcm of the others.
 
 Everything works on arbitrary-precision Python integers.  Domain violations
 raise ValueError, and numbers past a work bound its subclass LimitError; an
@@ -33,16 +33,6 @@ class LimitError(ValueError):
             value = written = f"a {value.bit_length()}-bit integer"
         super().__init__(f"{what} reaches {written}, past the bound {name} = {bound}")
         self.name, self.value, self.bound = name, value, bound
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    """Least common multiple of positive integers; empty input gives 1."""
-    result = 1
-    for v in values:
-        if v < 1:
-            raise ValueError(f"lcm_all requires positive integers, got {v}")
-        result = math.lcm(result, v)
-    return result
 
 
 def mod_inverse(s: int, m: int) -> int:
@@ -220,9 +210,16 @@ class PrimeSet:
     primes: tuple[int, ...]
 
     def __init__(self, primes: Iterable[int] = ()):
-        """Set of the given primes, in any order and with repeats; a non-prime is refused."""
-        canonical = tuple(sorted(set(primes)))
+        """The distinct primes given; a member not exactly an int, or not prime, is refused."""
+        try:
+            canonical = tuple(sorted(set(primes)))
+        except TypeError:  # not iterable, or members that do not hash or compare
+            raise ValueError("inf_primes must be a list of integers") from None
         for p in canonical:
+            if type(p) is not int:
+                if all(isinstance(q, int) for q in canonical):
+                    raise ValueError("inf_primes must not contain booleans")
+                raise ValueError("inf_primes must be a list of integers")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", canonical)

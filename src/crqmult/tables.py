@@ -44,7 +44,6 @@ class MultTable(Blocks):
     """Per-type matrices of basis-product coordinate vectors, zero blocks dropped."""
 
     depth = 3
-    _checked = None  # (spec, failure) kept by _entries_in_A; no field, so not in ==, hash, repr
 
 
 @record
@@ -93,23 +92,16 @@ def generator_x(spec: CRQGroupSpec) -> MultTable:
 
 
 def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFailure]:
-    """MultTable.check, then the first coordinate outside the regulator as a failure;
-    both routes start here, so it is kept on the table for the spec object checked."""
-    kept = table._checked if isinstance(table, MultTable) else None
-    if kept is not None and kept[0] is spec:
-        return kept[1]
+    """MultTable.check, then the first coordinate outside the regulator as a failure."""
     MultTable.check(spec, table)
-    failure = None
     found = table.outside_regulator(spec)
-    if found is not None:
-        tid, leaf = found
-        size, den, nums = table.part(tid)
-        entry, slot = divmod(leaf, size)
-        i, j = divmod(entry, size)
-        detail = f"coordinate {format_coord(nums[leaf], den)} is not integral at this type"
-        failure = MembershipFailure("ENTRY_OUTSIDE_A", tid, (i, j), detail)
-    object.__setattr__(table, "_checked", (spec, failure))
-    return failure
+    if found is None:
+        return None
+    tid, leaf = found
+    size, den, nums = table.part(tid)
+    i, j = divmod(leaf // size, size)
+    detail = f"coordinate {format_coord(nums[leaf], den)} is not integral at this type"
+    return MembershipFailure("ENTRY_OUTSIDE_A", tid, (i, j), detail)
 
 
 # The constructor keeps each block reduced, so once every entry is integral at its type the

@@ -39,6 +39,16 @@ def is_p_integer(x, allowed):
     return coprime_part(x, allowed) == 1
 
 
+def lcm_all(values):
+    """Least common multiple of positive integers; empty input gives 1."""
+    result = 1
+    for v in values:
+        if v < 1:
+            raise ValueError(f"lcm_all requires positive integers, got {v}")
+        result = math.lcm(result, v)
+    return result
+
+
 def make_type(tid, primes, rank, m, s=1):
     return CriticalTypeData(tid, PrimeSet(primes), rank, m, s)
 

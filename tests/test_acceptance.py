@@ -20,7 +20,6 @@ from crqmult.multgroup import compute_mult_group, coset_relation, cross_basis_ex
 from crqmult.numth import (
     PrimeSet,
     crt_solve,
-    lcm_all,
     p0_inverse,
     prime_factors,
 )
@@ -41,6 +40,7 @@ from reference import (
     fraction_matrix,
     in_scaled_A_tau,
     is_p_integer,
+    lcm_all,
     order_mod_A,
     project,
 )

@@ -416,6 +416,11 @@ SPEC_READER_CASES = {
     "rank-a-float": ([{**VALID_TYPE, "rank": 2.0}], "rank must be an integer"),
     "m-a-string": ([{**VALID_TYPE, "m": "7"}], "m must be an integer"),
     "s-a-bool": ([{**VALID_TYPE, "s": True}], "s must be an integer"),
+    "repeated-id": ([VALID_TYPE, VALID_TYPE], "type 't1' is given twice"),
+    "rank-zero": (
+        [{**VALID_TYPE, "rank": 0}],
+        "type 't1' has rank 0 and m = 7; both must be at least 1",
+    ),
 }
 
 

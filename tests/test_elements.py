@@ -427,20 +427,18 @@ def test_every_block_pure_when_invariants_agree():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 72)), min_size=1, max_size=8))
-def test_purity_and_condition_m_match_brute_force_lcm(entries):
-    # entries sharing an id are one type to purity: all of them leave its lcm
-    spec = CRQGroupSpec(make_type(tid, [29], 1, m) for tid, m in entries)
-    for tid in spec.type_ids:
-        m = spec.data_for(tid).m
-        rest = math.lcm(*(other for t, other in entries if t != tid))
-        assert purity_oracle(spec, tid) == (rest % m == 0)
-        witness = purity_witness(spec, tid)
+@given(st.lists(st.integers(1, 72), min_size=1, max_size=8))
+def test_purity_and_condition_m_match_brute_force_lcm(ms):
+    # one type per drawn value, with distinct ids; the values may repeat
+    spec = CRQGroupSpec(make_type(f"t{i}", [29], 1, m) for i, m in enumerate(ms))
+    for i, m in enumerate(ms):
+        rest = math.lcm(*ms[:i], *ms[i + 1 :])
+        assert purity_oracle(spec, f"t{i}") == (rest % m == 0)
+        witness = purity_witness(spec, f"t{i}")
         assert (witness is None) == (rest % m == 0)
         if witness is not None:
             assert witness[1] == spec.n // rest
-    # condition_m_check keys its values by position, so duplicates count apart
-    ms = [m for _, m in entries]
+    # condition_m_check keys its values by position, so repeated values count apart
     brute = all(math.lcm(*ms[:i], *ms[i + 1 :]) % m == 0 for i, m in enumerate(ms))
     assert condition_m_check(dict(enumerate(ms))) == brute
 

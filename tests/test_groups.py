@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import re
 import time
+from functools import cached_property
 
 import pytest
 
@@ -29,6 +31,7 @@ from crqmult.numth import LimitError, PrimeSet, condition_m_check, is_prime, pri
 from crqmult.tables import (
     MembershipFailure,
     MembershipVerdict,
+    MultTable,
     closure_oracle,
     decide_membership,
     generator_x,
@@ -63,12 +66,7 @@ def test_validation_at_the_type_bound_is_quick():
 
 
 def test_codes_for_broken_specs():
-    dup = make_spec(make_type("t1", [5], 1, 1), make_type("t1", [3], 1, 1))
-    assert [v.code for v in validate_spec(dup)] == ["DUPLICATE_TYPE"]
-
-    zero_rank = make_spec(make_type("t1", [5], 0, 1))
-    assert "RANK_ZERO" in [v.code for v in validate_spec(zero_rank)]
-
+    # a repeated id and a rank below 1 never reach the rule pass: the constructors refuse them
     # the scaling modulus may not involve the type's own infinite primes
     bad_m = make_spec(make_type("t1", [7], 1, 7), make_type("t2", [3], 1, 7))
     assert "M_NOT_P0" in [v.code for v in validate_spec(bad_m)]
@@ -121,15 +119,61 @@ def test_t0_and_lookup():
         spec.data_for("t9")
 
 
-def test_lookup_keeps_the_first_of_repeated_ids():
-    first = make_type("t1", [5], 2, 1)
-    spec = CRQGroupSpec((first, make_type("t1", [3], 1, 1)))
-    assert spec.data_for("t1") is first
-    assert [v.code for v in spec.violations] == ["DUPLICATE_TYPE"]
-    # the constructor's sort by id is stable, so entries with one id keep their order
-    second, other = make_type("t1", [3], 1, 1), make_type("t0", [7], 1, 1)
-    spec = CRQGroupSpec((first, other, second))
-    assert spec.types == (other, first, second) and spec.data_for("t1") is first
+PRIMES = PrimeSet((2,))
+# each value is refused with ValueError when built, with its message, whatever field is wrong
+CONSTRUCTOR_REFUSALS = {
+    "type-primes-a-list": (
+        lambda: CriticalTypeData("t1", [2], 1, 7, 3),
+        "inf_primes must be a PrimeSet, got list",
+    ),
+    "type-rank-a-string": (
+        lambda: CriticalTypeData("t1", PRIMES, "1", 7, 3),
+        "rank must be an integer",
+    ),
+    "type-rank-a-bool-m-a-float": (
+        lambda: CriticalTypeData("t1", PRIMES, True, 7.0, 3),
+        "rank must be an integer",
+    ),
+    "type-m-a-float": (lambda: CriticalTypeData("t1", PRIMES, 1, 7.0, 3), "m must be an integer"),
+    "type-s-a-float": (lambda: CriticalTypeData("t1", PRIMES, 1, 7, 3.0), "s must be an integer"),
+    "type-id-not-a-string": (
+        lambda: CriticalTypeData(1, PRIMES, 1, 7, 3),
+        "type id must be a string",
+    ),
+    "type-rank-zero": (
+        lambda: CriticalTypeData("t1", PRIMES, 0, 1),
+        "type 't1' has rank 0 and m = 1; both must be at least 1",
+    ),
+    "spec-tuple-entry": (
+        lambda: CRQGroupSpec([("t1", PRIMES, 1, 1, 1)]),
+        "expected CriticalTypeData entries, got tuple",
+    ),
+    "spec-repeated-id": (
+        lambda: CRQGroupSpec((make_type("t1", [5], 2, 1), make_type("t1", [3], 1, 1))),
+        "type 't1' is given twice",
+    ),
+    "primes-a-bool": (lambda: PrimeSet([True]), "inf_primes must not contain booleans"),
+    "primes-a-string": (lambda: PrimeSet(["5"]), "inf_primes must be a list of integers"),
+    "table-size-a-float": (
+        lambda: MultTable([("t1", 1.0, 1, [7])]),
+        "block 't1' needs a str id and int size and denominator",
+    ),
+    "table-numerator-a-float": (
+        lambda: MultTable([("t1", 1, 1, [7.0])]),
+        "block 't1' has a numerator that is not an int",
+    ),
+    "element-id-not-a-string": (
+        lambda: AmbientElement([(1, 1, 1, [7])]),
+        "block 1 needs a str id and int size and denominator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_REFUSALS))
+def test_a_malformed_field_is_refused_at_construction(case):
+    build, message = CONSTRUCTOR_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_a_spec_is_one_value_in_any_type_order():
@@ -270,7 +314,7 @@ def records():
         spec.types[0].inf_primes,
         spec.types[0],
         spec,
-        Violation("RANK_ZERO", ("t1",), "rank 0 is below 1"),
+        Violation("S_M_NOT_COPRIME", ("t1",), "gcd(7, 7) != 1"),
         main_decomposition(spec),
         GenBounds(),
         element_d(spec),
@@ -354,9 +398,11 @@ def test_spec_computes_its_violations_once(monkeypatch):
     check = groups.condition_m_check
     monkeypatch.setattr(groups, "condition_m_check", lambda ms: passes.append(ms) or check(ms))
     # the regulator index is an lcm over the types, read several times per table check
-    lcm_calls = []
-    lcm_all = groups.lcm_all
-    monkeypatch.setattr(groups, "lcm_all", lambda values: lcm_calls.append(1) or lcm_all(values))
+    computed = []
+    regulator_index = CRQGroupSpec.n.func
+    counted = cached_property(lambda spec: computed.append(1) or regulator_index(spec))
+    counted.__set_name__(CRQGroupSpec, "n")
+    monkeypatch.setattr(CRQGroupSpec, "n", counted)
     spec = make_spec(make_type("t1", [5], 2, 7, 2), make_type("t2", [2], 1, 7, 3))
     for _ in range(3):
         ensure_valid(spec)
@@ -372,4 +418,4 @@ def test_spec_computes_its_violations_once(monkeypatch):
     for _ in range(2):
         assert decide_membership(spec, table).alpha == (3, 7)
         assert closure_oracle(spec, table)
-    assert spec.n == 7 and len(lcm_calls) == 1
+    assert spec.n == 7 and len(computed) == 1

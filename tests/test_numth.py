@@ -15,13 +15,12 @@ from crqmult.numth import (
     fraction_residue,
     has_factor_in,
     is_prime,
-    lcm_all,
     mod_inverse,
     p0_class_representative,
     p0_inverse,
     prime_factors,
 )
-from reference import euler_phi, is_p_integer
+from reference import euler_phi, is_p_integer, lcm_all
 
 
 def test_mod_inverse_frozen_values():
