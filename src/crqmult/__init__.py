@@ -26,7 +26,6 @@ _EXPORTS = {
         "CRQGroupSpec",
         "CriticalTypeData",
         "GenBounds",
-        "GenerationError",
         "MainDecomposition",
         "Violation",
         "main_decomposition",

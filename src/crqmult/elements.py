@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from operator import itemgetter
 
 from ._record import record
 from .groups import CRQGroupSpec, ensure_spec, ensure_valid
@@ -53,6 +52,19 @@ def common_form(nums: list[int], dens: Sequence[int]) -> tuple[int, list[int]]:
     return den, [x * (den // d) for x, d in zip(nums, dens)]
 
 
+def _block_id(entry: object) -> str:
+    """Sort key of a block entry, its id; refuses anything but a 4-sequence of str, int, int."""
+    try:
+        tid, size, den, _ = entry if len(entry) == 4 else ()  # len first: consumes no iterator
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"block entry {entry!r} is not an (id, size, denominator, numerators) 4-sequence"
+        ) from None
+    if type(tid) is not str or type(size) is not int or type(den) is not int:
+        raise ValueError(f"block {tid!r} needs a str id and int size and denominator")
+    return tid
+
+
 @record
 class Blocks:
     """Exact rational blocks per type id, sorted by id, all-zero blocks dropped.
@@ -68,30 +80,37 @@ class Blocks:
     def __init__(self, parts: Iterable[tuple[str, int, int, Sequence[int]]] = ()):
         """Container from (type id, size, denominator, numerators) entries, in any order.
 
-        Each nonzero block is divided by its common factor, the sign of a
-        negative denominator moves into the numerators, and all-zero blocks
-        are dropped.  A non-str id, a non-int size, denominator or numerator, a
-        repeated id, denominator 0 and a block without size ** depth numerators are refused.
+        Each nonzero block is divided by its common factor, the sign of a negative
+        denominator moves into the numerators, and all-zero blocks are dropped once read.
+        Any other entry, a repeated id, denominator 0, numerators that are not a sequence
+        of size ** depth ints, and a parts argument that is not iterable are refused.
         """
+        try:
+            ordered = sorted(parts, key=_block_id)
+        except TypeError:
+            raise ValueError(f"expected block entries, got {type(parts).__name__}") from None
         out = []
         previous = None
-        for tid, size, den, nums in sorted(parts, key=itemgetter(0)):
-            if type(tid) is not str or type(size) is not int or type(den) is not int:
-                raise ValueError(f"block {tid!r} needs a str id and int size and denominator")
+        for tid, size, den, nums in ordered:
             if tid == previous:
                 raise ValueError(f"block {tid!r} is given twice")
             previous = tid
-            if len(nums) != size**self.depth:
+            try:
+                count = len(nums)
+            except TypeError:
+                raise ValueError(f"block {tid!r} has numerators that are not a sequence") from None
+            if count != size**self.depth:
                 raise ValueError(
-                    f"block {tid!r} holds {len(nums)} coordinates, expected {size}^{self.depth}"
+                    f"block {tid!r} holds {count} coordinates, expected {size}^{self.depth}"
                 )
             if not den:
                 raise ValueError(f"block {tid!r} has denominator 0")
-            if any(nums):
-                try:
-                    g = math.gcd(den, *nums)
-                except TypeError:
-                    raise ValueError(f"block {tid!r} has a numerator that is not an int") from None
+            try:
+                g = math.gcd(*nums)  # 0 exactly when every numerator is 0
+            except TypeError:
+                raise ValueError(f"block {tid!r} has a numerator that is not an int") from None
+            if g:
+                g = math.gcd(den, g)
                 if den < 0:  # the sign moves into the numerators
                     g = -g
                 if g != 1:
@@ -298,8 +317,6 @@ def element_from_dict(data: object) -> AmbientElement:
         raise ValueError("element document must be an object")
     parts = []
     for tid, vec in data.items():
-        if not isinstance(tid, str):
-            raise ValueError("block keys must be type ids")
         if not isinstance(vec, list):
             raise ValueError(f"block {tid!r} has a coordinate vector that is not a list")
         parts.append((tid, len(vec), *coords_from_json(vec, tid)))

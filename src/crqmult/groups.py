@@ -104,14 +104,16 @@ class CRQGroupSpec:
     types: tuple[CriticalTypeData, ...]
 
     def __init__(self, types: Iterable[CriticalTypeData]):
-        """Spec of the given types in any order; an entry that is not a CriticalTypeData, and
-        an id given twice, are refused."""
-        ordered = sorted(types, key=_entry_id)
-        previous = None
-        for d in ordered:
-            if d.id == previous:
+        """Spec of the given types in any order; an argument that is not iterable, an entry
+        that is not a CriticalTypeData, and an id given twice, are refused."""
+        try:
+            ordered = sorted(types, key=_entry_id)
+        except TypeError:  # not iterable; the key refuses any entry that is not a type
+            kind = type(types).__name__
+            raise ValueError(f"expected CriticalTypeData entries, got {kind}") from None
+        for d, following in zip(ordered, ordered[1:]):
+            if d.id == following.id:
                 raise ValueError(f"type {d.id!r} is given twice")
-            previous = d.id
         object.__setattr__(self, "types", tuple(ordered))
 
     @property
@@ -248,10 +250,6 @@ def main_decomposition(spec: CRQGroupSpec) -> MainDecomposition:
     return MainDecomposition(clipped=clipped, complement=complement)
 
 
-class GenerationError(ValueError):
-    """Raised when generator bounds cannot be met; a max_m past MAX_GEN_M is a LimitError."""
-
-
 @record
 class GenBounds:
     """Bounds for the random spec generator."""
@@ -273,16 +271,22 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
     Each type receives a distinguishing infinite prime, so the types are
     pairwise incomparable.  Every prime power placed into an m value is placed
     into at least two of them, which enforces the shared-prime-power
-    condition.  The same seed always produces the same spec.
+    condition.  The same seed always produces the same spec.  A seed that is not an int,
+    bounds that are not a GenBounds of positive ints or that no spec meets are refused.
     """
-    if bounds.max_types < 1 or bounds.max_rank < 1 or bounds.max_m < 1:
-        raise GenerationError(f"bounds must be positive, got {bounds}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+    if type(bounds) is not GenBounds:
+        raise ValueError(f"bounds must be a GenBounds, got {type(bounds).__name__}")
+    numbers = (bounds.max_types, bounds.max_rank, bounds.max_m)
+    if not all(type(b) is int and b >= 1 for b in numbers):
+        raise ValueError(f"bounds must be positive, got {bounds}")
     if bounds.max_m > MAX_GEN_M:
         raise LimitError("max_m", bounds.max_m, "MAX_GEN_M", MAX_GEN_M)
     if bounds.max_types == 1 and bounds.max_m > 1:
-        raise GenerationError("a single type cannot share its prime powers, need max_m == 1")
+        raise ValueError("a single type cannot share its prime powers, need max_m == 1")
     if len(_PRIME_POOL) < bounds.max_types:
-        raise GenerationError(
+        raise ValueError(
             f"prime pool of size {len(_PRIME_POOL)} cannot distinguish "
             f"{bounds.max_types} types"
         )
@@ -329,7 +333,7 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
         entries.append(CriticalTypeData(f"t{i + 1}", inf, ranks[i], ms[i], s))
     spec = CRQGroupSpec(entries)
     if spec.violations:
-        raise GenerationError("generator produced an invalid spec: " + str(spec.violations[0]))
+        raise ValueError("generator produced an invalid spec: " + str(spec.violations[0]))
     return spec
 
 

@@ -368,8 +368,6 @@ def table_from_dict(data: object) -> MultTable:
     parts = {}
     ragged = []
     for tid, mat in raw.items():
-        if not isinstance(tid, str):
-            raise ValueError("block keys must be type ids")
         if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
             raise ValueError(f"block {tid!r} must be a matrix")
         size = len(mat)
@@ -388,6 +386,6 @@ def table_from_dict(data: object) -> MultTable:
         parts[tid] = (tid, size, *coords_from_json(leaves, tid))
     # refused only after every coordinate is read, so a malformed one is named first
     if ragged:
-        tid = min(ragged)
+        tid = min(ragged, key=str)  # the keys of a dict passed in may be of any type
         raise ValueError(f"block {tid!r} is not {parts[tid][1]} wide at every level")
     return MultTable(parts.values())

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, and determinism."""
 
+import itertools
 import json
 import os
 import random
@@ -392,16 +393,22 @@ TABLE_READER_CASES = {
 }
 
 
+def input_error(fmt, message):
+    """stderr of a malformed-input refusal: one line, and in JSON the message alone, since
+    only a work bound adds a "limit" key."""
+    return json.dumps({"error": message}) + "\n" if fmt == "json" else f"error: {message}\n"
+
+
 @pytest.mark.parametrize("case", sorted(TABLE_READER_CASES))
 def test_table_reader_refusals_are_an_input_error(tmp_path, capsys, case):
     blocks, message = TABLE_READER_CASES[case]
     spec = write_json(tmp_path / "spec.json", TWO_BLOCK_SPEC)
     table = write_json(tmp_path / "t.json", {"blocks": blocks})
-    for command in ("check-table", "oracle"):
-        assert main([command, "--spec", spec, "--table", table]) == 2
+    for command, fmt in itertools.product(("check-table", "oracle"), ("text", "json")):
+        assert main([command, "--spec", spec, "--table", table, "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == input_error(fmt, message)
 
 
 VALID_TYPE = TWO_BLOCK_SPEC["types"][0]
@@ -428,10 +435,11 @@ SPEC_READER_CASES = {
 def test_spec_reader_refusals_are_an_input_error(tmp_path, capsys, case):
     types, message = SPEC_READER_CASES[case]
     spec = write_json(tmp_path / "spec.json", {"types": types})
-    assert main(["validate", "--spec", spec]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    for fmt in ("text", "json"):
+        assert main(["validate", "--spec", spec, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == input_error(fmt, message)
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

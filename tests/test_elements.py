@@ -463,6 +463,9 @@ def test_element_json_round_trip():
         element_from_dict({"t1": "nope"})
     with pytest.raises(ValueError):
         element_from_dict([1, 2])
+    # a dict passed in may have keys of any type; the constructor refuses them
+    with pytest.raises(ValueError, match="^block 1 needs a str id and int size and denominator$"):
+        element_from_dict({1: ["1"]})
 
 
 @pytest.mark.parametrize("coord", [1.5, True, None, [1], "1.5", "x", " 3", "3 "])

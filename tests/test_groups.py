@@ -7,6 +7,8 @@ import time
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crqmult import groups
 from crqmult.elements import AmbientElement, in_G
@@ -15,7 +17,6 @@ from crqmult.groups import (
     CRQGroupSpec,
     CriticalTypeData,
     GenBounds,
-    GenerationError,
     Violation,
     ensure_valid,
     main_decomposition,
@@ -120,7 +121,7 @@ def test_t0_and_lookup():
 
 
 PRIMES = PrimeSet((2,))
-# each value is refused with ValueError when built, with its message, whatever field is wrong
+# each value, and random_spec, refuses a malformed argument with ValueError and its message
 CONSTRUCTOR_REFUSALS = {
     "type-primes-a-list": (
         lambda: CriticalTypeData("t1", [2], 1, 7, 3),
@@ -166,6 +167,38 @@ CONSTRUCTOR_REFUSALS = {
         lambda: AmbientElement([(1, 1, 1, [7])]),
         "block 1 needs a str id and int size and denominator",
     ),
+    # an id is read before any two are compared, so ids of mixed types never meet in the sort
+    "element-ids-of-mixed-types": (
+        lambda: AmbientElement([(1, 1, 1, [7]), ("t1", 1, 1, [7])]),
+        "block 1 needs a str id and int size and denominator",
+    ),
+    "table-numerators-an-int": (
+        lambda: MultTable([("t1", 1, 1, 7)]),
+        "block 't1' has numerators that are not a sequence",
+    ),
+    # the numerators of an all-zero block are read before it is dropped
+    "element-numerator-none": (
+        lambda: AmbientElement([("t1", 1, 1, [None])]),
+        "block 't1' has a numerator that is not an int",
+    ),
+    "element-entry-of-three-fields": (
+        lambda: AmbientElement([("t1", 1, 1)]),
+        "block entry ('t1', 1, 1) is not an (id, size, denominator, numerators) 4-sequence",
+    ),
+    "element-numerators-a-generator": (
+        lambda: AmbientElement([("t1", 1, 1, (x for x in [7]))]),
+        "block 't1' has numerators that are not a sequence",
+    ),
+    "spec-not-iterable": (lambda: CRQGroupSpec(5), "expected CriticalTypeData entries, got int"),
+    "generator-bounds-none": (
+        lambda: random_spec(0, None),
+        "bounds must be a GenBounds, got NoneType",
+    ),
+    "generator-seed-a-list": (lambda: random_spec([1]), "seed must be an integer, got list"),
+    "generator-bound-a-string": (
+        lambda: random_spec(0, GenBounds("3", 3, 36)),
+        "bounds must be positive, got GenBounds(max_types='3', max_rank=3, max_m=36)",
+    ),
 }
 
 
@@ -174,6 +207,58 @@ def test_a_malformed_field_is_refused_at_construction(case):
     build, message = CONSTRUCTOR_REFUSALS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+IDS = st.sampled_from(["t1", "t2"])
+SMALL = st.integers(-1, 7)
+# any value of these kinds, nested in lists and tuples of any length
+ANY = st.recursive(
+    st.none() | st.booleans() | SMALL | st.integers() | st.floats() | st.text(max_size=2) | IDS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=6,
+)
+# arguments that are often of the right shape, so that some of them build a value
+TYPE_FIELDS = st.tuples(IDS, st.just(PrimeSet([5])), st.integers(1, 3), st.integers(1, 7), SMALL)
+ENTRY = st.tuples(IDS | ANY, st.integers(-1, 2) | ANY, st.integers(-3, 3) | ANY, ANY) | ANY
+BOUNDS = st.builds(GenBounds, SMALL | ANY, SMALL | ANY, SMALL | ANY) | ANY
+
+
+def built(build, *args):
+    """The value built from args, or None when ValueError refuses them."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ANY,
+    TYPE_FIELDS | st.tuples(ANY, ANY, ANY, ANY, ANY),
+    st.lists(ANY, max_size=2),
+    ANY,
+    st.lists(ENTRY, max_size=3) | ANY,
+    SMALL | ANY,
+    BOUNDS,
+)
+def test_constructors_end_in_a_value_or_a_value_error(
+    primes, fields, others, types, entries, seed, bounds
+):
+    prime_set = built(PrimeSet, primes)
+    if prime_set is not None:
+        assert PrimeSet(prime_set.primes) == prime_set
+    entry = built(CriticalTypeData, *fields)
+    if entry is not None:
+        assert CriticalTypeData(entry.id, entry.inf_primes, entry.rank, entry.m, entry.s) == entry
+    built(CRQGroupSpec, types)
+    spec = built(CRQGroupSpec, [entry, *others])
+    if spec is not None:
+        assert CRQGroupSpec(spec.types) == spec
+    for container in (AmbientElement, MultTable):
+        value = built(container, entries)
+        if value is not None:
+            assert container(value.parts) == value
+    built(random_spec, seed, bounds)
 
 
 def test_a_spec_is_one_value_in_any_type_order():
@@ -280,13 +365,16 @@ def test_random_spec_respects_bounds():
 
 
 def test_random_spec_rejects_impossible_bounds():
-    with pytest.raises(GenerationError):
+    message = "bounds must be positive, got GenBounds(max_types=0, max_rank=1, max_m=1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         random_spec(0, GenBounds(max_types=0, max_rank=1, max_m=1))
-    with pytest.raises(GenerationError):
-        # a single type cannot satisfy the shared prime power requirement
+    # a single type cannot satisfy the shared prime power requirement
+    message = "a single type cannot share its prime powers, need max_m == 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         random_spec(0, GenBounds(max_types=1, max_rank=1, max_m=6))
-    with pytest.raises(GenerationError):
-        # thirteen pool primes distinguish at most thirteen types
+    # thirteen pool primes distinguish at most thirteen types
+    message = "prime pool of size 13 cannot distinguish 14 types"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         random_spec(0, GenBounds(max_types=14, max_rank=1, max_m=6))
     # drawing s is linear in max_m, which is bounded
     with pytest.raises(LimitError) as refused:

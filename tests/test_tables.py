@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 import timeit
 from fractions import Fraction
@@ -566,6 +567,18 @@ def test_table_json_round_trip():
         table_from_dict({"blocks": {"t1": [[1]]}})
     with pytest.raises(ValueError):
         table_from_dict("nonsense")
+
+
+def test_table_from_dict_refuses_keys_that_are_not_ids():
+    # a dict passed in, unlike a JSON document, may have keys of any type: the constructor
+    # refuses them, and a width fault names the least key as its string
+    ragged = [[["1", "0"], ["0"]], [["0", "0"], ["0", "0"]]]
+    for blocks, message in (
+        ({1: [[["1"]]]}, "block 1 needs a str id and int size and denominator"),
+        ({"t1": ragged, 1: ragged}, "block 1 is not 2 wide at every level"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            table_from_dict({"blocks": blocks})
 
 
 def test_table_from_dict_rejects_strings_as_vectors():
