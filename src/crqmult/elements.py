@@ -219,22 +219,19 @@ def in_G(spec: CRQGroupSpec, g: AmbientElement) -> Optional[GMembership]:
     the clipped ranks past MAX_SCAN_WORK raise LimitError.
     """
     AmbientElement.check(spec, g)
-    # one pass reads each block's bad: the k = 0 answer, and whether a coordinate that no
-    # k*d moves (an unclipped block, or a slot past 0) is outside, which is final
-    inside = fixed_inside = True
+    if g.outside_regulator(spec) is None:
+        return GMembership(0, g)
+    # a coordinate outside the regulator that no k*d moves (an unclipped block, or a slot
+    # past 0) is final; slot 0 of each clipped block keeps its (den, x, bad) for the scan
     slot0 = {}
     for tid, _, den, nums in g.parts:
         data = spec.data_for(tid)
         bad = coprime_part(den, data.inf_primes.primes) if den != 1 else 1
         if data.m > 1:
             slot0[tid] = (den, nums[0], bad)
-            inside = inside and nums[0] % bad == 0
-        if bad != 1 and math.gcd(bad, *(nums[1:] if data.m > 1 else nums)) != bad:
-            inside = fixed_inside = False
-    if inside:
-        return GMembership(0, g)
-    if not fixed_inside:
-        return None
+            nums = nums[1:]
+        if bad != 1 and math.gcd(bad, *nums) != bad:
+            return None
     work = spec.n * len(spec.clipped) + sum(t.rank for t in spec.clipped)
     if work > MAX_SCAN_WORK:
         raise LimitError(f"the scan work at n = {spec.n}", work, "MAX_SCAN_WORK", MAX_SCAN_WORK)

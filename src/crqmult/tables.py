@@ -109,24 +109,14 @@ def _entries_in_A(spec: CRQGroupSpec, table: MultTable) -> Optional[MembershipFa
 # a coordinate x / den is divisible by a power of m exactly when its numerator x is.
 
 
-def _border_gcd(q: int, nums: Sequence[int], size: int) -> int:
-    """gcd of q and row 0 and column 0 of a flat cube, so q when the border is q-scaled.
-
-    Row 0 is the run nums[:size**2], and each T[j][0] with j >= 1 a run of its own.
-    """
-    stride = size * size
-    g = math.gcd(q, *nums[:stride])
-    for start in range(stride, size * stride, stride):
-        g = math.gcd(g, *nums[start : start + size])
-    return g
-
-
 def _unscaled_border(m: int, size: int, nums: Sequence[int]) -> Optional[tuple[int, int]]:
     """First entry of the border that is not m-scaled, visited as (0, j) then (j, 0)."""
+    stride = size * size
     for j in range(size):
-        for entry, start in (((0, j), j * size), ((j, 0), j * size * size)):
-            if any(x % m for x in nums[start : start + size]):
-                return entry
+        if math.gcd(m, *nums[j * size : j * size + size]) != m:
+            return 0, j
+        if j and math.gcd(m, *nums[j * stride : j * stride + size]) != m:
+            return j, 0
     return None
 
 
@@ -167,9 +157,10 @@ def decide_membership(spec: CRQGroupSpec, table: MultTable) -> MembershipVerdict
             congruences.append((0, d.m))
             continue
         size, den, nums = part
-        if _border_gcd(d.m, nums, size) != d.m:
+        entry = _unscaled_border(d.m, size, nums)
+        if entry is not None:
             detail = f"entry is not divisible by m = {d.m}"
-            return _refused("BORDER_NOT_SCALED", d.id, _unscaled_border(d.m, size, nums), detail)
+            return _refused("BORDER_NOT_SCALED", d.id, entry, detail)
         # the reduced corner is the corner over m; its residues are x / m times 1 / den
         for slot in range(1, d.rank):
             if nums[slot] % (d.m * d.m):
@@ -239,7 +230,7 @@ def closure_oracle(spec: CRQGroupSpec, table: MultTable) -> bool:
         if d.m > 1:
             # the border products are s times row 0 and column 0 of nums over den * m, so in
             # the regulator when m divides each x there: den and s are units modulo m
-            if _border_gcd(d.m, nums, size) != d.m:
+            if _unscaled_border(d.m, size, nums) is not None:
                 return False
             square.append((tid, size, den * d.m * d.m, [d.s * d.s * x for x in nums[:size]]))
     # the border products cost O(rank^2) per type and are tested first, so only a table whose

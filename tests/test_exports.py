@@ -80,11 +80,26 @@ def test_every_export_is_a_definition_of_the_module_it_is_listed_under():
 
 
 def test_no_module_imports_a_private_name_of_another():
+    # neither `from .tables import _x` nor `tables._x` or `Blocks._x` on a name that an
+    # import from the package binds; dunder attributes such as `__name__` are not private
     imported = []
     for module, source in package_sources().items():
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if node.level or node.module.partition(".")[0] == "crqmult":
+        tree = ast.parse(source)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == "crqmult"
+            ):
                 imported += [(module, a.name) for a in node.names if a.name[0] == "_"]
+                bound |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                package = [a for a in node.names if a.name.partition(".")[0] == "crqmult"]
+                bound |= {a.asname or "crqmult" for a in package}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr[0] == "_" and node.attr[:2] != "__":
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in bound:
+                    imported.append((module, node.attr))
     assert imported == []

@@ -20,7 +20,7 @@ from crqmult.groups import GenBounds, random_spec
 from crqmult.numth import PrimeSet
 from crqmult.tables import (
     MultTable,
-    _border_gcd,
+    _unscaled_border,
     build_product,
     closure_oracle,
     decide_membership,
@@ -309,9 +309,9 @@ def test_oracle_products_are_cube_slices(spec, data):
                 got = [Fraction(c.s * x, den) for x in nums]
                 assert got == flat(value).get(c.id, [0] * r)
                 border_leaves += [int(v * den / c.s) for v in flat(value).get(c.id, [0] * r)]
-        # the oracle's one gcd per run reads exactly the leaves of those products
+        # the border test's one gcd per run reads exactly the leaves of those products
         for q in (2, 3, 4, c.m, den):
-            assert _border_gcd(q, cube, r) == math.gcd(q, *border_leaves)
+            assert (_unscaled_border(q, r, cube) is None) == (math.gcd(q, *border_leaves) == q)
 
 
 # Outcomes checked at the commit before the integer kernel: None is a refusal.

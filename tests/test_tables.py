@@ -38,6 +38,7 @@ from reference import (
     element_of,
     fraction_matrix,
     make_type,
+    ref_decide,
     support,
     table_of,
     two_block_spec,
@@ -312,6 +313,27 @@ def test_sampled_strata_verdicts():
         assert unscaled is not None
         v = decide_membership(spec, unscaled)
         assert not v.member and v.failure.code == "BORDER_NOT_SCALED"
+
+
+def test_every_unscaled_border_entry_is_named():
+    # one unscaled coordinate on an m-scaled border is the first failure of the walk, at its
+    # own entry: (0, j) and (j, 0) are the same entry (0, 0) at j = 0
+    spec = CRQGroupSpec(
+        [make_type("t1", [5], 1, 7, 2), make_type("t2", [2], 2, 7, 3), make_type("t3", [3], 3, 7)]
+    )
+    assert not spec.violations and [d.rank for d in spec.clipped] == [1, 2, 3]
+    rng = random.Random(8)
+    for d in spec.clipped:
+        for j, slot in itertools.product(range(d.rank), repeat=2):
+            for entry in {(0, j), (j, 0)}:
+                unscaled = single_entry_table(d.id, d.rank, entry, slot, 1)
+                table = sample_m2_table(spec, rng) + unscaled
+                failure = decide_membership(spec, table).failure
+                named = ("BORDER_NOT_SCALED", d.id, entry)
+                assert (failure.code, failure.type_id, failure.entry) == named
+                cubes = {tid: [Fraction(x, den) for x in nums] for tid, _, den, nums in table.parts}
+                assert ref_decide(spec, cubes)[2:5] == named
+                assert closure_oracle(spec, table) is False
 
 
 def test_strata_need_clipped_types():
