@@ -286,6 +286,27 @@ def test_generated_specs_keep_their_bytes():
     assert digest.hexdigest() == ACCEPTANCE_SPECS_SHA256
 
 
+# sha256 of spec_to_json(random_spec(seed, bounds)) for seeds 0..299 under each bounds in
+# turn: wider m, more types and a single prime power, so a change to how s or m is drawn
+# shows at bounds the acceptance population never reaches
+OTHER_BOUNDS = (
+    GenBounds(5, 2, 1000),
+    GenBounds(8, 1, 10**4),
+    GenBounds(13, 2, 10**5),
+    GenBounds(4, 4, 5000),
+    GenBounds(2, 1, 2),
+)
+OTHER_BOUNDS_SPECS_SHA256 = "fca323432bcf885a0c1afa2743060cfea75ebc9b519b836a2671b9e3c00b54b2"
+
+
+def test_generated_specs_keep_their_bytes_at_other_bounds():
+    digest = hashlib.sha256()
+    for bounds in OTHER_BOUNDS:
+        for seed in range(300):
+            digest.update(spec_to_json(random_spec(seed, bounds)).encode())
+    assert digest.hexdigest() == OTHER_BOUNDS_SPECS_SHA256
+
+
 def test_unit_modulus_normalizes_coefficient():
     d = make_type("t1", [5], 2, 1, 0)
     assert d.m == 1 and d.s == 1
