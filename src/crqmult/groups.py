@@ -261,18 +261,17 @@ class GenBounds:
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _M_PRIMES = (2, 3, 5, 7, 11)
-# drawing s lists the residues coprime to m, so generation is linear in max_m
-MAX_GEN_M = 10**5
 
 
 def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
     """Seeded random valid spec within the given bounds.
 
-    Each type receives a distinguishing infinite prime, so the types are
-    pairwise incomparable.  Every prime power placed into an m value is placed
-    into at least two of them, which enforces the shared-prime-power
-    condition.  The same seed always produces the same spec.  A seed that is not an int,
-    bounds that are not a GenBounds of positive ints or that no spec meets are refused.
+    Each type receives a distinguishing infinite prime, so the types are pairwise
+    incomparable.  Every prime power placed into an m value is placed into at least two of
+    them, which enforces the shared-prime-power condition.  Each s is a unit modulo m drawn
+    by its index, in time that does not grow with max_m.  The same seed always produces the
+    same spec.  A seed that is not an int, or bounds that are not a GenBounds of positive
+    ints or that no spec meets, are refused.
     """
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
@@ -281,8 +280,6 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
     numbers = (bounds.max_types, bounds.max_rank, bounds.max_m)
     if not all(type(b) is int and b >= 1 for b in numbers):
         raise ValueError(f"bounds must be positive, got {bounds}")
-    if bounds.max_m > MAX_GEN_M:
-        raise LimitError("max_m", bounds.max_m, "MAX_GEN_M", MAX_GEN_M)
     if bounds.max_types == 1 and bounds.max_m > 1:
         raise ValueError("a single type cannot share its prime powers, need max_m == 1")
     if len(_PRIME_POOL) < bounds.max_types:
@@ -308,9 +305,9 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
         usable = [p for p in _M_PRIMES if p <= bounds.max_m]
         for _ in range(rng.randint(1, 3)):
             p = rng.choice(usable)
-            k_max = 1
-            while p ** (k_max + 1) <= bounds.max_m:
-                k_max += 1
+            k_max, power = 1, p * p
+            while power <= bounds.max_m:
+                k_max, power = k_max + 1, power * p
             q = p ** rng.randint(1, k_max)
             eligible = [
                 i
@@ -324,12 +321,14 @@ def random_spec(seed: int, bounds: GenBounds = GenBounds()) -> CRQGroupSpec:
 
     entries = []
     for i in range(count):
-        inf = PrimeSet(inf_sets[i])
-        if ms[i] == 1:
-            s = 1
-        else:
-            residues = [r for r in range(1, ms[i]) if math.gcd(r, ms[i]) == 1]
-            s = p0_class_representative(rng.choice(residues), ms[i], inf)
+        inf, s = PrimeSet(inf_sets[i]), 1
+        if ms[i] > 1:
+            # m's primes all come from _M_PRIMES; r is a unit modulo m just when it is one
+            # modulo their product rad, so the units below m repeat with period rad
+            rad = math.prod(p for p in _M_PRIMES if ms[i] % p == 0)
+            units = [r for r in range(1, rad) if math.gcd(r, rad) == 1]
+            periods, r = divmod(rng.randrange(len(units) * (ms[i] // rad)), len(units))
+            s = p0_class_representative(periods * rad + units[r], ms[i], inf)
         entries.append(CriticalTypeData(f"t{i + 1}", inf, ranks[i], ms[i], s))
     spec = CRQGroupSpec(entries)
     if spec.violations:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, and determinism."""
 
+import io
 import itertools
 import json
 import os
@@ -7,13 +8,16 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crqmult.cli import main
 from crqmult.elements import MAX_SCAN_WORK
-from crqmult.groups import MAX_TYPES, spec_from_json, spec_to_json
+from crqmult.groups import MAX_TYPES, spec_from_json, spec_to_json, validate_spec
 from crqmult.numth import is_prime
 from crqmult.tables import (
     sample_broken_corner_table,
@@ -58,6 +62,18 @@ def test_gen_is_deterministic(tmp_path, capsys):
 def test_gen_writes_file(spec_file):
     spec = spec_from_json(spec_file.read_text(encoding="utf-8"))
     assert len(spec.types) >= 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("max_m", [10**12, 10**18])
+def test_gen_reads_any_max_m_quickly(capsys, max_m, fmt):
+    started = time.perf_counter()
+    assert main(["gen", "--seed", "0", "--max-m", str(max_m), "--format", fmt]) == 0
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    spec = spec_from_json(captured.out)
+    assert validate_spec(spec) == [] and spec_to_json(spec) == captured.out
 
 
 def test_validate_valid_and_invalid(tmp_path, spec_file, capsys):
@@ -232,7 +248,6 @@ WORK_REFUSALS = {
     "example27-huge-s1": (
         "MAX_FACTORED", ["example27", "--s1", str(10**20 + 3), "--s2", "3", "--m", "7"]
     ),
-    "gen-huge-max-m": ("MAX_GEN_M", ["gen", "--seed", "0", "--max-m", "1000000000000"]),
     "mult-wide-ranks": ("MAX_TABLE_COORDS", ["mult", "--spec", "{wide}"]),
     "iterate-k1-wide-ranks": ("MAX_TABLE_COORDS", ["iterate", "--spec", "{wide}", "--k", "1"]),
     "mult-huge-unclipped-rank": ("MAX_ITERATED_RANK", ["mult", "--spec", "{huge_unclipped}"]),
@@ -267,6 +282,63 @@ def test_every_bound_has_a_named_refusal():
     # each case's name is checked against its JSON error by test_work_bounds_refuse_quickly
     named = {name for name, _ in WORK_REFUSALS.values()} - {None}
     assert sorted(BOUNDS) == sorted(named)
+
+
+# `gen` flag values: small and negative ints, ints of up to 4,300 digits (the most that int()
+# reads) and strings that argparse refuses as ints
+GEN_FLAG_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-(10**4300 - 1), 10**4300 - 1),
+    st.integers(1, 4300).map(lambda digits: 10**digits - 1),
+    st.sampled_from(["", "twelve", "1e3", "0x10", "3.0", "10**12"]),
+).map(str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(["text", "json"]),
+    flags=st.fixed_dictionaries(
+        {}, optional={f: GEN_FLAG_VALUES for f in ("--max-types", "--max-rank", "--max-m")}
+    ),
+    seed=GEN_FLAG_VALUES,
+)
+def test_gen_ends_in_a_spec_or_a_one_line_refusal(fmt, flags, seed):
+    argv = ["gen", "--seed", seed, "--format", fmt, *itertools.chain(*flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's refusal of a flag value: its usage block, then one error line
+            code, usage = exc.code, True
+        else:
+            usage = False
+    assert time.perf_counter() - started < 0.5
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2)
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+        assert validate_spec(spec_from_json(out)) == []
+        return
+    assert out == ""
+    lines = err.splitlines()
+    if usage:
+        assert lines[0].startswith("usage: crqmult gen ")
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert lines[-1].startswith("crqmult gen: error: argument --")
+        return
+    assert len(lines) == 1 and err.endswith("\n")
+    if fmt == "text":
+        assert err.startswith("error: ")
+        return
+    error = json.loads(err)
+    assert set(error) <= {"error", "limit"}
+    # "limit" comes only with a LimitError, whose message names a MAX_* bound of the package
+    if "limit" in error:
+        name = error["limit"]["name"]
+        assert name in BOUNDS and f"past the bound {name} = " in error["error"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
