@@ -307,8 +307,22 @@ def _cmd_gen(args: argparse.Namespace, _: None) -> Result:
     return True, report, [f"spec written to {args.out}"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose refusals raise ValueError, so main reports them as one line."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _argv_format(argv: Optional[list[str]]) -> Optional[str]:
+    """The --format that argv names, read as argparse reads it; None when it names none."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--format", nargs="?")
+    return parser.parse_known_args(argv)[0].format
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crqmult",
         description="Decide and describe ring multiplications on block-rigid "
         "groups with cyclic regulator quotient.",
@@ -356,15 +370,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Parse argv, load --spec, run the command, emit its report, return its exit code."""
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         spec = spec_from_dict(_load_json(args.spec)) if "spec" in args else None
         ok, report, lines = args.handler(args, spec)
         if report is not None:
             _emit({"command": args.command, **report}, args.format, lines)
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
-        if args.format == "json":
+        if (_argv_format(argv) if args is None else args.format) == "json":
             error: dict = {"error": str(exc)}
             if isinstance(exc, LimitError):
                 error["limit"] = {"name": exc.name, "value": exc.value, "bound": exc.bound}

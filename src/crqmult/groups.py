@@ -60,12 +60,13 @@ class CriticalTypeData:
 
     def __init__(self, id: str, inf_primes: PrimeSet, rank: int, m: int, s: int = 1):
         """Type with the given fields, exactly typed, rank and m at least 1; m = 1 sets s to 1."""
-        if (
-            type(id) is not str
-            or type(inf_primes) is not PrimeSet
-            or not (type(rank) is type(m) is type(s) is int)
-        ):
-            raise ValueError(_field_type_error(id, inf_primes, rank, m, s))
+        if type(id) is not str:
+            raise ValueError("type id must be a string")
+        if type(inf_primes) is not PrimeSet:
+            raise ValueError(f"inf_primes must be a PrimeSet, got {type(inf_primes).__name__}")
+        if not (type(rank) is type(m) is type(s) is int):
+            key = next(k for k, v in (("rank", rank), ("m", m), ("s", s)) if type(v) is not int)
+            raise ValueError(f"{key} must be an integer")
         if rank < 1 or m < 1:
             raise ValueError(f"type {id!r} has rank {rank} and m = {m}; both must be at least 1")
         setter = object.__setattr__
@@ -74,16 +75,6 @@ class CriticalTypeData:
         setter(self, "rank", rank)
         setter(self, "m", m)
         setter(self, "s", 1 if m == 1 else s)
-
-
-def _field_type_error(id: object, inf_primes: object, *numbers: object) -> str:
-    """The refusal of the first field whose type is not exact; worded only on failure."""
-    if type(id) is not str:
-        return "type id must be a string"
-    if type(inf_primes) is not PrimeSet:
-        return f"inf_primes must be a PrimeSet, got {type(inf_primes).__name__}"
-    key = next(k for k, v in zip(("rank", "m", "s"), numbers) if type(v) is not int)
-    return f"{key} must be an integer"
 
 
 def _entry_id(entry: object) -> str:
@@ -148,7 +139,7 @@ class CRQGroupSpec:
             raise LimitError("the type count", len(self.types), "MAX_TYPES", MAX_TYPES)
         violations: list[Violation] = []
         for d in self.types:
-            if d.m > 1 and has_factor_in(d.m, d.inf_primes):
+            if has_factor_in(d.m, d.inf_primes):
                 detail = f"m = {d.m} has a factor among the infinite primes"
                 violations.append(Violation("M_NOT_P0", (d.id,), detail))
             if d.s != 0 and has_factor_in(d.s, d.inf_primes):

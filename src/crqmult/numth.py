@@ -124,8 +124,6 @@ def p0_class_representative(residue: int, m: int, inf_primes: Iterable[int]) -> 
     for p in inf:
         if m % p == 0:
             raise ValueError(f"modulus {m} is divisible by excluded prime {p}")
-    if m == 1:
-        return 1
     x = residue % m
     if x == 0:
         x = m
@@ -136,8 +134,6 @@ def p0_class_representative(residue: int, m: int, inf_primes: Iterable[int]) -> 
 
 def p0_inverse(s: int, m: int, inf_primes: Iterable[int]) -> int:
     """Smallest positive inverse of s modulo m whose factors all avoid inf_primes."""
-    if m == 1:
-        return 1
     return p0_class_representative(mod_inverse(s, m), m, inf_primes)
 
 

@@ -301,21 +301,15 @@ def sample_broken_corner_table(spec: CRQGroupSpec, rng: random.Random) -> Option
     if not clipped:
         return None
     base, _ = sample_member_table(spec, rng)
-    strategies = []
+    # condition M: each clipped m shares a prime with another clipped m, so pairs is never empty
     pairs = [
         (a, b)
         for i, a in enumerate(clipped)
         for b in clipped[i + 1 :]
         if math.gcd(a.m, b.m) > 1
     ]
-    if pairs:
-        strategies.append("pair")
     wide = [d for d in clipped if d.rank >= 2]
-    if wide:
-        strategies.append("offslot")
-    if not strategies:
-        return None
-    if rng.choice(strategies) == "pair":
+    if rng.choice(["pair", "offslot"] if wide else ["pair"]) == "pair":
         # shifting one corner by m moves its witness by s, which the partner
         # cannot match modulo their common divisor
         target = rng.choice(rng.choice(pairs))

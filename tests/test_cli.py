@@ -284,9 +284,9 @@ def test_every_bound_has_a_named_refusal():
     assert sorted(BOUNDS) == sorted(named)
 
 
-# `gen` flag values: small and negative ints, ints of up to 4,300 digits (the most that int()
+# flag values: small and negative ints, ints of up to 4,300 digits (the most that int()
 # reads) and strings that argparse refuses as ints
-GEN_FLAG_VALUES = st.one_of(
+FLAG_VALUES = st.one_of(
     st.integers(-3, 40),
     st.integers(-(10**4300 - 1), 10**4300 - 1),
     st.integers(1, 4300).map(lambda digits: 10**digits - 1),
@@ -294,51 +294,130 @@ GEN_FLAG_VALUES = st.one_of(
 ).map(str)
 
 
+def run_quickly(argv, fmt):
+    """main's exit code, stdout and stderr on argv; it must end within 0.5 s, in 0, 1 or 2,
+    with no traceback, and on 2 with one stderr line, which in the json format is JSON with
+    "limit" only for a LimitError, whose message names a MAX_* bound of the package."""
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - started < 0.5
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        if fmt == "text":
+            assert err.startswith("error: ")
+        else:
+            error = json.loads(err)
+            assert set(error) <= {"error", "limit"}
+            if "limit" in error:
+                name = error["limit"]["name"]
+                assert name in BOUNDS and f"past the bound {name} = " in error["error"]
+    return code, out, err
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     fmt=st.sampled_from(["text", "json"]),
     flags=st.fixed_dictionaries(
-        {}, optional={f: GEN_FLAG_VALUES for f in ("--max-types", "--max-rank", "--max-m")}
+        {}, optional={f: FLAG_VALUES for f in ("--max-types", "--max-rank", "--max-m")}
     ),
-    seed=GEN_FLAG_VALUES,
+    seed=FLAG_VALUES,
 )
 def test_gen_ends_in_a_spec_or_a_one_line_refusal(fmt, flags, seed):
     argv = ["gen", "--seed", seed, "--format", fmt, *itertools.chain(*flags.items())]
-    out, err = io.StringIO(), io.StringIO()
-    started = time.perf_counter()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            # argparse's refusal of a flag value: its usage block, then one error line
-            code, usage = exc.code, True
-        else:
-            usage = False
-    assert time.perf_counter() - started < 0.5
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run_quickly(argv, fmt)
     assert code in (0, 2)
-    assert "Traceback" not in out + err
     if code == 0:
         assert err == ""
         assert validate_spec(spec_from_json(out)) == []
-        return
-    assert out == ""
-    lines = err.splitlines()
-    if usage:
-        assert lines[0].startswith("usage: crqmult gen ")
-        assert [line for line in lines if "error:" in line] == lines[-1:]
-        assert lines[-1].startswith("crqmult gen: error: argument --")
-        return
-    assert len(lines) == 1 and err.endswith("\n")
-    if fmt == "text":
-        assert err.startswith("error: ")
-        return
-    error = json.loads(err)
-    assert set(error) <= {"error", "limit"}
-    # "limit" comes only with a LimitError, whose message names a MAX_* bound of the package
-    if "limit" in error:
-        name = error["limit"]["name"]
-        assert name in BOUNDS and f"past the bound {name} = " in error["error"]
+
+
+# each command that reads numbers from its flags, on fixed valid files: its fixed arguments,
+# then its required flags with values it accepts, then its optional flags
+FLAG_COMMANDS = {
+    "iterate": (["iterate", "--spec", "{spec}"], {"--k": "1"}, ()),
+    "coset": (["coset", "--spec", "{spec}", "--b", "{b}"], {"--gamma": "3"}, ("--samples", "--seed")),
+    "example27": (["example27"], {"--s1": "2", "--s2": "3", "--m": "7"}, ("--seed",)),
+}
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("flags")
+    return {name: write_json(tmp / f"{name}.json", INPUT_FILES[name]) for name in ("spec", "b")}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
+@settings(max_examples=80, deadline=None)
+@given(fmt=st.sampled_from(["text", "json"]), data=st.data())
+def test_flag_commands_end_in_a_report_or_a_one_line_refusal(flag_files, command, fmt, data):
+    # some flags take fuzzed values and the others keep values the command accepts, so a
+    # run can fail on one flag alone and runs that end in a report are drawn too
+    fixed, required, optional = FLAG_COMMANDS[command]
+    fuzzed = data.draw(st.sets(st.sampled_from([*required, *optional]), min_size=1))
+    flags = {**required, **{f: data.draw(FLAG_VALUES, label=f) for f in sorted(fuzzed)}}
+    argv = [arg.format(**flag_files) for arg in fixed] + ["--format", fmt]
+    code, out, err = run_quickly(argv + list(itertools.chain(*flags.items())), fmt)
+    if code != 2:
+        assert err == "" and out
+        if fmt == "json":
+            assert json.loads(out)["command"] == command
+
+
+# argparse's own refusals: each argv, before the format flag, with what its message says
+ARGPARSE_REFUSALS = {
+    "no-command": ([], "crqmult: the following arguments are required: command"),
+    "unknown-command": (["frobnicate"], "crqmult: argument command: invalid choice: 'frobnicate'"),
+    "missing-flag": (["gen"], "crqmult gen: the following arguments are required: --seed"),
+    "non-int-value": (
+        ["gen", "--seed", "twelve"], "crqmult gen: argument --seed: invalid int value: 'twelve'"
+    ),
+    # argparse reads the flags in order, so the first --format is refused and the last is read
+    "bad-format": (
+        ["gen", "--seed", "0", "--format", "xml"],
+        "crqmult gen: argument --format: invalid choice: 'xml'",
+    ),
+    "unrecognized-argument": (
+        ["gen", "--seed", "0", "--colour"], "crqmult: unrecognized arguments: --colour"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(ARGPARSE_REFUSALS))
+def test_argparse_refusals_are_one_line(capsys, case, fmt):
+    argv, message = ARGPARSE_REFUSALS[case]
+    # "--format=json" stays out of the positionals, so a missing command is still missing
+    assert main(argv + (["--format=json"] if fmt == "json" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err) if fmt == "json" else {"error": captured.err[len("error: "):]}
+    assert set(error) == {"error"} and error["error"].startswith(message)
+    assert fmt == "json" or captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spelling, fmt",
+    [
+        (["--format", "json"], "json"),
+        (["--format=json"], "json"),
+        (["--form", "json"], "json"),
+        (["--format", "text"], "text"),
+        (["--format"], "text"),
+        ([], "text"),
+    ],
+)
+def test_argparse_refusals_read_the_format_as_argparse_does(capsys, spelling, fmt):
+    assert main(["gen", "--seed", "twelve", *spelling]) == 2
+    err = capsys.readouterr().err
+    message = "crqmult gen: argument --seed: invalid int value: 'twelve'"
+    assert err == input_error(fmt, message)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -137,6 +137,7 @@ def test_p0_inverse_frozen_values():
     assert p0_inverse(2, 7, (5,)) == 4
     assert p0_inverse(3, 7, (2, 5)) == 19  # 5 and 12 both excluded
     assert p0_inverse(1, 1, (2,)) == 1
+    assert p0_inverse(6, 1, (5, 7)) == 1  # modulo 1 the class is Z, whose least positive is 1
 
 
 def test_p0_inverse_is_an_inverse_and_p0():

@@ -44,6 +44,7 @@ from reference import (
     two_block_spec,
 )
 from test_acceptance import GEN_BOUNDS, SPEC_COUNT, sample_strata
+from test_groups import OTHER_BOUNDS
 
 
 def in_m1(spec, table):
@@ -313,6 +314,18 @@ def test_sampled_strata_verdicts():
         assert unscaled is not None
         v = decide_membership(spec, unscaled)
         assert not v.member and v.failure.code == "BORDER_NOT_SCALED"
+
+
+def test_every_spec_with_a_clipped_type_has_a_broken_corner():
+    # condition M gives each clipped m a partner that shares a prime, so the pair strategy
+    # always has a pair to break, with or without a type of rank 2 or more
+    populations = [(range(SPEC_COUNT), GEN_BOUNDS)] + [(range(300), b) for b in OTHER_BOUNDS]
+    rng = random.Random(0)
+    for seeds, bounds in populations:
+        for seed in seeds:
+            spec = random_spec(seed, bounds)
+            if spec.clipped:
+                assert sample_broken_corner_table(spec, rng) is not None, (seed, bounds)
 
 
 def test_every_unscaled_border_entry_is_named():
