@@ -1,10 +1,14 @@
 """Command line behavior: exit codes, formats, and determinism."""
 
+import copy
+import functools
 import io
 import itertools
 import json
+import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -457,6 +461,28 @@ def test_work_bounds_refuse_quickly(tmp_path, capsys, case, fmt):
             assert value > limit["bound"]
 
 
+# The admitted side of the example27 refusals above: m at MAX_CROSS_BASIS_M, with small scales
+# and with s1 + m = 999999999961 a prime just under MAX_FACTORED, which trial division scans
+# to its square root.
+EXAMPLE27_EDGES = {
+    "m-at-bound": ["--s1", "2", "--s2", "3", "--m", "101"],
+    "m-and-s1-at-bound": ["--s1", "999999999860", "--s2", "3", "--m", "101"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(EXAMPLE27_EDGES))
+def test_example27_at_its_bounds_is_a_quick_report(case, fmt):
+    flags = EXAMPLE27_EDGES[case]
+    m, s1 = int(flags[5]), int(flags[1])
+    assert m == BOUNDS["MAX_CROSS_BASIS_M"][1] and s1 + m <= BOUNDS["MAX_FACTORED"][1]
+    code, out, err = run_quickly(["example27", *flags, "--format", fmt], fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["intersection_is_regulator"] is True and len(report["cases"]) == m - 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unscaled_border_past_scan_limit_is_a_quick_verdict(tmp_path, capsys, fmt):
     # the unscaled border is found before d*d would need the scan, so the scan bound never applies
@@ -677,6 +703,153 @@ def test_numbers_past_the_digit_limit_are_an_input_error(tmp_path, capsys, case,
         assert json.loads(captured.err) == {"error": message}
     else:
         assert captured.err == f"error: {message}\n"
+
+
+# -- Fuzzed documents: every command that reads a spec, table or shift file ------------------
+#
+# A document starts from a golden input or a reader refusal case. Up to two changes go to its
+# value: a node, drawn from all of its nodes, is replaced by any JSON value or dropped, or else
+# repeated in its list or renamed in its object. Up to two go to its text at a JSON token: a key
+# is repeated, and any other token is replaced by deep nesting, a long integer literal,
+# non-ASCII digits or another literal that json reads.
+
+GOLDEN_INPUTS = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))["inputs"]
+SEED_DOCUMENTS = {
+    "spec": [
+        GOLDEN_INPUTS["spec"],
+        TWO_BLOCK_SPEC,
+        *({"types": types} for types, _ in SPEC_READER_CASES.values()),
+    ],
+    "table": [
+        *(GOLDEN_INPUTS[name] for name in ("member", "broken", "unscaled", "malformed")),
+        *({"blocks": blocks} for blocks, _ in TABLE_READER_CASES.values()),
+    ],
+    "shift": [GOLDEN_INPUTS["shift"], {}, {"t1": ["1/2"]}, {"t3": [1]}],
+}
+# the first seed of each kind is a golden input that the golden spec's commands accept
+# each command with its arguments after --spec; the documents it reads are its placeholders
+DOCUMENT_COMMANDS = {
+    "validate": [],
+    "describe": [],
+    "mult": [],
+    "iterate": ["--k", "1"],
+    "purity": [],
+    "check-table": ["--table", "{table}"],
+    "oracle": ["--table", "{table}"],
+    "coset": ["--gamma", "3", "--b", "{shift}"],
+}
+FUZZ_INTS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([2, 3, 5, 7, 19, 101, LARGE_INDEX]),
+    # the strong pseudoprime and the prime past the tested bound of INPUT_FILES
+    st.sampled_from([318665857834031151167461, 3317044064679887385961981]),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        FUZZ_INTS,
+        st.floats(),
+        st.sampled_from(["t1", "t2", "t3", "zz", "", "7", "-7/4", "1/0", "+7", "1_0", "٣", "７"]),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["types", "blocks", "id", "m", "t1"]), inner, max_size=3),
+    max_leaves=6,
+)
+# a node's replacement, an integer half the time
+NODE_VALUES = FUZZ_INTS | JSON_VALUES
+# more than half the documents start from the first seed
+SEEDS = {
+    kind: st.sampled_from(docs[:1]) | st.sampled_from(docs) for kind, docs in SEED_DOCUMENTS.items()
+}
+# a renamed key: a type id known or not, or a field name
+KEYS = st.sampled_from(["t1", "t2", "t3", "t4", "zz", "", "id", "rank", "blocks"])
+# a JSON token of json.dumps's output: a string (a key when ": " follows), a number or a name
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9][0-9.eE+-]*|true|false|null|NaN|-?Infinity')
+TOKEN_REPLACEMENTS = st.one_of(
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.integers(1, 6000).map(lambda digits: "9" * digits),
+    st.sampled_from(["٣", '"٣"', '"1/٣"', '"７/２"', "1e400", "-0.0", "2.0", "NaN", "Infinity"]),
+    JSON_VALUES.map(json.dumps),
+)
+
+
+def json_paths(value, path=()):
+    """The path of every node of a JSON value, itself first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(child, (*path, key))
+
+
+@st.composite
+def document_text(draw, kind):
+    doc = draw(SEEDS[kind])
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        doc = copy.deepcopy(doc)
+        *head, key = path
+        parent = functools.reduce(operator.getitem, head, doc)
+        change = draw(st.sampled_from(["replace", "drop", "repeat-or-rename"]))
+        if change == "replace":
+            parent[key] = draw(NODE_VALUES)
+        elif change == "drop":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, parent[key])
+        else:
+            parent[draw(KEYS)] = parent.pop(key)
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        tokens = list(JSON_TOKEN.finditer(text))
+        if not tokens:
+            break
+        token = tokens[draw(st.integers(0, len(tokens) - 1))]
+        start, end = token.span()
+        if text.startswith(": ", end):
+            text = f"{text[:start]}{token.group()}: {draw(TOKEN_REPLACEMENTS)}, {text[start:]}"
+        else:
+            text = text[:start] + draw(TOKEN_REPLACEMENTS) + text[end:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def document_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(sorted(DOCUMENT_COMMANDS)),
+    fmt=st.sampled_from(["text", "json"]),
+    data=st.data(),
+)
+def test_document_commands_end_in_a_report_or_a_one_line_refusal(document_dir, command, fmt, data):
+    # one document the command reads is fuzzed and the others are golden inputs it accepts, so
+    # a run can fail on that document alone
+    args = DOCUMENT_COMMANDS[command]
+    read = ["spec", *(kind for kind in ("table", "shift") if f"{{{kind}}}" in args)]
+    fuzzed = data.draw(st.sampled_from(read), label="fuzzed")
+    paths = {}
+    for kind in read:
+        path = document_dir / f"{kind}.json"
+        if kind == fuzzed:
+            path.write_text(data.draw(document_text(kind), label=kind), encoding="utf-8")
+        else:
+            write_json(path, SEED_DOCUMENTS[kind][0])
+        paths[kind] = str(path)
+    argv = [command, "--spec", paths["spec"], *(arg.format(**paths) for arg in args)]
+    code, out, err = run_quickly(argv + ["--format", fmt], fmt)
+    # a report in text may have no line: purity lists no block of a spec without types
+    if code != 2:
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out)["command"] == command
 
 
 def test_purity_of_an_empty_type_id_is_an_input_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from crqmult.tables import (
     decide_membership,
     generator_x,
     in_M2,
+    sample_m2_table,
     sample_member_table,
 )
 from reference import (
@@ -376,6 +377,42 @@ def test_cross_basis_holds_on_every_admissible_small_triple():
             assert [c for c in report.cases if not c.ok] == [], (s1, s2, m)
             assert report.intersection_is_regulator, (s1, s2, m)
     assert admissible == 75
+
+
+def test_cross_basis_verdicts_ignore_doubly_scaled_noise():
+    # cross_basis_example decides alpha * x once per basis; adding a doubly scaled table must
+    # change no verdict, witness or oracle result, in its own basis or after the basis change
+    rng = random.Random(27)
+    for s1, s2, m in ((2, 3, 7), (3, 4, 11), (2, 5, 13)):
+        report = cross_basis_example(s1, s2, m)
+        first = CRQGroupSpec(
+            [
+                make_type("t1", report.inf_primes_1, 1, m, s1),
+                make_type("t2", report.inf_primes_2, 1, m, s2),
+            ]
+        )
+        second = first.with_coefficients({"t1": 1, "t2": 1})
+        scale = {"t1": s1 + m, "t2": s2 + m}
+
+        def to_second(table):
+            return MultTable((t, 1, d * scale[t], nums) for t, _, d, nums in table.parts)
+
+        def to_first(table):
+            return MultTable((t, 1, d, [scale[t] * x]) for t, _, d, (x,) in table.parts)
+
+        for spec, other, change in ((first, second, to_second), (second, first, to_first)):
+            x = generator_x(spec)
+            for alpha in range(1, m):
+                noise = sample_m2_table(spec, rng)
+                assert in_M2(other, change(noise)), (s1, s2, m, alpha)
+                for on, table, added in (
+                    (spec, alpha * x, noise),
+                    (other, change(alpha * x), change(noise)),
+                ):
+                    noisy = table + added
+                    v, w = decide_membership(on, table), decide_membership(on, noisy)
+                    assert (w.member, w.alpha) == (v.member, v.alpha), (s1, s2, m, alpha)
+                    assert closure_oracle(on, noisy) == closure_oracle(on, table) == v.member
 
 
 def test_cross_basis_rejects_bad_hypotheses():
